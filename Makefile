@@ -3,7 +3,8 @@
 # `make check` is what CI runs on every PR: the tier-1 test suite plus a
 # smoke run of the batched experiment runtime (table1 through a 2-worker
 # process pool at a tiny duration scale) and of the online policy-session
-# driver (`repro serve --smoke`).  `make lint` needs ruff on the PATH.
+# driver (`repro serve --smoke`), plus the repository benchmark's self-test.
+# `make lint` needs ruff on the PATH.
 #
 # The coverage gate (--cov=repro --cov-fail-under=80) switches on
 # automatically when pytest-cov is installed (CI installs it); without it the
@@ -15,9 +16,9 @@ export PYTHONPATH := src$(if $(PYTHONPATH),:$(PYTHONPATH))
 # Recursively expanded (=) so the probe only runs for targets that use it.
 COV_FLAGS = $(shell $(PYTHON) -c "import importlib.util as u; print('--cov=repro --cov-fail-under=80' if u.find_spec('pytest_cov') else '')")
 
-.PHONY: check test coverage smoke serve-smoke stream-smoke bench-smoke fleet-smoke serve-load-smoke hal-smoke golden lint bench-baseline
+.PHONY: check test coverage smoke serve-smoke stream-smoke bench-smoke fleet-smoke serve-load-smoke hal-smoke perfbench-selftest golden lint bench-baseline
 
-check: test smoke serve-smoke stream-smoke bench-smoke fleet-smoke serve-load-smoke hal-smoke
+check: test smoke serve-smoke stream-smoke bench-smoke fleet-smoke serve-load-smoke hal-smoke perfbench-selftest
 
 test:
 	$(PYTHON) -m pytest -x -q $(COV_FLAGS)
@@ -73,6 +74,13 @@ serve-load-smoke:
 # USTA vs. trip-point on the same trace via `hal-compare`.
 hal-smoke:
 	$(PYTHON) -m repro.telemetry.smoke
+
+# The repository benchmark's self-test: all four perfbench workloads at
+# reduced size, each run untraced and traced.  Fails if an output check fails
+# or the traced digest differs from the untraced one — which is what keeps
+# the streamed record path reachable through perfbench's timing proxies.
+perfbench-selftest:
+	$(PYTHON) perfbench/selftest.py
 
 lint:
 	$(PYTHON) -m ruff check .

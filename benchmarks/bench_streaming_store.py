@@ -4,11 +4,15 @@ Not a paper figure: these measure what the streaming record path buys — the
 *peak memory* of a sweep (the batch path accumulates every cell's full
 ``StepRecord`` list; the streamed path holds ~one cell) and the throughput
 cost of writing sharded JSONL while executing, so regressions in either are
-visible over time.
+visible over time.  The streamed sweep runs twice: record by record through
+the serial executor, and through the vectorized executor, whose batches
+reach the store as columns serialised once per cell (it holds one batch of
+columns, so its peak is higher than the serial stream's).
 
 Peak memory is measured with :mod:`tracemalloc` (allocation peak, which is
 what accumulating record lists dominates), so the numbers are comparable
-across machines without ``psutil``.
+across machines without ``psutil``; wall time comes from a separate,
+untraced run.
 
 Run under pytest-benchmark as part of the harness, or directly::
 
@@ -21,6 +25,7 @@ future PRs a memory/throughput trajectory.
 
 import json
 import os
+import platform
 import shutil
 import sys
 import tempfile
@@ -36,6 +41,7 @@ from repro.runtime import (
     ExperimentPlan,
     SerialExecutor,
     StreamingResultStore,
+    VectorizedExecutor,
 )
 from repro.workloads.benchmarks import build_benchmark
 
@@ -54,18 +60,24 @@ def _run_batch(plan):
     return BatchRunner(executor=SerialExecutor()).run(plan)
 
 
-def _run_streamed(plan, directory):
+def _run_streamed(plan, directory, executor=None):
     store = StreamingResultStore(directory)
-    BatchRunner(executor=SerialExecutor()).run_stream(plan, store)
+    BatchRunner(executor=executor or SerialExecutor()).run_stream(plan, store)
     store.close()
 
 
 def _measure(fn):
-    """(wall_seconds, tracemalloc_peak_bytes) of one call."""
-    tracemalloc.start()
+    """(wall_seconds, tracemalloc_peak_bytes) of ``fn``.
+
+    Two calls: the timed one runs untraced, because tracemalloc's
+    per-allocation bookkeeping would slow the record-heavy paths far more
+    than the columnar ones and distort the comparison.
+    """
     start = time.perf_counter()
     fn()
     elapsed = time.perf_counter() - start
+    tracemalloc.start()
+    fn()
     _, peak = tracemalloc.get_traced_memory()
     tracemalloc.stop()
     return elapsed, peak
@@ -83,18 +95,27 @@ def bench_sweep_batch_in_memory(benchmark):
     assert len(store) == N_CELLS
 
 
-def bench_sweep_streamed_to_shards(benchmark):
-    """The same 24 cells streamed into a sharded JSONL store."""
+def _bench_streamed(benchmark, executor):
     plan, _ = _plan()
 
     def run():
         directory = tempfile.mkdtemp(prefix="bench-stream-")
         try:
-            _run_streamed(plan, directory)
+            _run_streamed(plan, directory, executor)
         finally:
             shutil.rmtree(directory, ignore_errors=True)
 
     benchmark.pedantic(run, rounds=2, iterations=1)
+
+
+def bench_sweep_streamed_to_shards(benchmark):
+    """The same 24 cells streamed into a sharded JSONL store."""
+    _bench_streamed(benchmark, SerialExecutor())
+
+
+def bench_sweep_vectorized_streamed_to_shards(benchmark):
+    """The same 24 cells, one vectorized batch streamed as columns."""
+    _bench_streamed(benchmark, VectorizedExecutor())
 
 
 # ---------------------------------------------------------------------------
@@ -113,34 +134,48 @@ def write_baseline(path=BASELINE_PATH):
 
     batch_s, batch_peak = _measure(lambda: _run_batch(plan))
 
-    directory = tempfile.mkdtemp(prefix="bench-stream-")
-    try:
-        stream_s, stream_peak = _measure(lambda: _run_streamed(plan, directory))
-        shard_bytes = sum(
-            os.path.getsize(os.path.join(directory, name))
-            for name in os.listdir(directory)
-        )
-    finally:
-        shutil.rmtree(directory, ignore_errors=True)
+    streamed, peaks = {}, {}
+    for name, executor in (
+        ("streamed_to_shards", SerialExecutor()),
+        ("vectorized_streamed_to_shards", VectorizedExecutor()),
+    ):
+        directory = tempfile.mkdtemp(prefix="bench-stream-")
+
+        def run():
+            shutil.rmtree(directory, ignore_errors=True)
+            _run_streamed(plan, directory, executor)
+
+        try:
+            seconds, peak = _measure(run)
+            shard_bytes = sum(
+                os.path.getsize(os.path.join(directory, entry))
+                for entry in os.listdir(directory)
+            )
+        finally:
+            shutil.rmtree(directory, ignore_errors=True)
+        peaks[name] = peak
+        streamed[name] = {
+            "seconds": seconds,
+            "peak_mb": peak / 1e6,
+            "member_steps_per_s": member_steps / seconds,
+            "shard_mb_written": shard_bytes / 1e6,
+        }
 
     baseline = {
         "config": {
             "cells": N_CELLS,
             "trace": "skype",
             "trace_steps": len(trace),
+            "cpu_count": os.cpu_count(),
+            "python": platform.python_version(),
         },
         "batch_in_memory": {
             "seconds": batch_s,
             "peak_mb": batch_peak / 1e6,
             "member_steps_per_s": member_steps / batch_s,
         },
-        "streamed_to_shards": {
-            "seconds": stream_s,
-            "peak_mb": stream_peak / 1e6,
-            "member_steps_per_s": member_steps / stream_s,
-            "shard_mb_written": shard_bytes / 1e6,
-        },
-        "peak_memory_ratio": batch_peak / stream_peak,
+        **streamed,
+        "peak_memory_ratio": batch_peak / peaks["streamed_to_shards"],
     }
     with open(path, "w", encoding="utf-8") as handle:
         json.dump(baseline, handle, indent=2)

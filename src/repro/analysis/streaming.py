@@ -4,8 +4,9 @@ The batch analysis path materialises a full :class:`~repro.sim.results.
 SimulationResult` per cell and reduces it with numpy.  For streamed sweeps
 (``sweep --stream-to``) that would defeat the point, so this module provides
 the O(1)-memory equivalents: a :class:`StreamingCellSummary` folds records
-one at a time into running maxima/sums as the executor emits them, and a
-:class:`SummarySink` collects one summary per streamed cell — which is how
+one at a time (or a batch engine's columns a cell at a time) into running
+maxima/sums as the executor emits them, and a :class:`SummarySink`
+collects one summary per streamed cell — which is how
 ``table1``, the adaptation frontier and the population sweep now compute
 their tables without ever holding a cell's record list.
 
@@ -19,9 +20,12 @@ far below the precision any report prints.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import reduce
+from itertools import chain
+from operator import add
 from typing import TYPE_CHECKING, Callable, Dict, Iterable, List, Optional
 
-from ..sim.results import StepRecord
+from ..sim.results import RecordColumns, StepRecord
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..runtime.plan import ExperimentCell
@@ -90,6 +94,41 @@ class StreamingCellSummary:
             if excess > self._peak_exceedance:
                 self._peak_exceedance = excess
         self._final_limit = record.comfort_limit_c
+
+    def add_columns(self, columns: RecordColumns) -> None:
+        """Fold a run of records held as columns; bit-identical to :meth:`add`.
+
+        Every aggregate sees the same values, in the same step order, under
+        the same comparison as :meth:`add` applies per record: ``max`` over
+        the running value followed by the column replaces only on a strict
+        ``>`` exactly like the per-record branch, and ``reduce(add, ...)``
+        is the same left-to-right chain of float additions (numpy's pairwise
+        sums would differ in the last ulp).
+        """
+        n = len(columns)
+        if not n:
+            return
+        skin = columns["skin_temp_c"]
+        self._n += n
+        self._max_skin = max(chain((self._max_skin,), skin))
+        self._max_screen = max(chain((self._max_screen,), columns["screen_temp_c"]))
+        self._max_cpu = max(chain((self._max_cpu,), columns["cpu_temp_c"]))
+        self._freq_sum = reduce(add, columns["frequency_khz"], self._freq_sum)
+        self._power_sum = reduce(add, columns["power_w"], self._power_sum)
+        self._demand_sum = reduce(add, columns["demand"], self._demand_sum)
+        self._delivered_sum = reduce(add, columns["delivered_work"], self._delivered_sum)
+        self._usta_active += sum(1 for active in columns["usta_active"] if active)
+        limit = self.limit_c
+        if limit is not None:
+            over, peak = self._over_limit, self._peak_exceedance
+            for value in skin:
+                if value > limit:
+                    over += 1
+                    excess = value - limit
+                    if excess > peak:
+                        peak = excess
+            self._over_limit, self._peak_exceedance = over, peak
+        self._final_limit = columns["comfort_limit_c"][-1]
 
     # -- SimulationResult-compatible metrics -------------------------------------
 
@@ -249,6 +288,9 @@ class SummarySink:
     def emit(self, record: StepRecord) -> None:
         self._summary.add(record)
 
+    def emit_columns(self, columns: RecordColumns) -> None:
+        self._summary.add_columns(columns)
+
     def end_cell(self, wall_time_s: float = 0.0, logger=None) -> None:
         if self._cell is None:
             raise RuntimeError("no open cell to commit")
@@ -333,8 +375,9 @@ def stream_summaries(
     """Summaries of (a subset of) a streamed store's cells, one cell at a time.
 
     This is how a resumed sweep reports on the cells a *previous* run
-    completed: each shard line is materialised, folded and released, so the
-    pass stays O(1) in memory per cell.
+    completed: each shard line is parsed, folded from its columns (no
+    :class:`StepRecord` objects) and released, so the pass stays O(1) in
+    memory per cell.
     """
     wanted = frozenset(only) if only is not None else None
     summaries: Dict[str, CellSummaryEntry] = {}
@@ -343,11 +386,9 @@ def stream_summaries(
         if wanted is not None and cell_id not in wanted:
             continue
         limit = limit_for(entry.cell) if limit_for is not None else None
+        summary = StreamingCellSummary(entry.result.dt_s, limit_c=limit)
+        summary.add_columns(entry.result.record_columns())
         summaries[cell_id] = CellSummaryEntry(
-            cell=entry.cell,
-            summary=summarize_records(
-                entry.result.records, entry.result.dt_s, limit_c=limit
-            ),
-            wall_time_s=entry.wall_time_s,
+            cell=entry.cell, summary=summary, wall_time_s=entry.wall_time_s
         )
     return summaries

@@ -27,7 +27,8 @@ the sink in completion order, so neither the workers' result pickles nor the
 parent ever hold more than ~one cell; the vectorized executor integrates a
 batch in lockstep (inherently O(batch) live — bounded by its
 ``max_batch_members`` cap, 256 by default) and then drains the batch into
-the sink cell by cell.
+the sink cell by cell as columns, building no per-step record objects unless
+a sink asks for them.
 Stream delivery order is first-appearance unit order — identical to plan
 order whenever batched cells are contiguous; sinks key cells by id, so order
 never affects resume or analysis.
@@ -47,6 +48,7 @@ from typing import Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from ..device.platform import DevicePlatform
 from ..sim.logger import SystemLogger
+from ..sim.results import RecordColumns
 from ..workloads.trace import WorkloadTrace
 from .plan import BatchPlan, ExperimentCell, plan_batches
 from .runner import run_cell, stream_cell
@@ -129,15 +131,16 @@ class _WindowSpoolDrain:
 
     The windowed engine emits each live member's record rows at every window
     boundary, but the sink protocol commits whole cells — so the rows are
-    spooled to one JSONL file per member (one serialised record per line,
-    exactly the shard/spill record serialization) and replayed into the sink
-    cell by cell once the batch finishes.  Peak memory is one window of
-    staging plus one replay chunk; the spool itself is sequential disk I/O.
+    spooled to one JSONL file per member (one line per window: the window's
+    records serialised in one go from its columns, exactly the shard/spill
+    record serialization) and replayed into the sink cell by cell once the
+    batch finishes.  Peak memory is one window of staging plus one replay
+    chunk; the spool itself is sequential disk I/O.
     """
 
-    #: Replay chunk size: spooled lines are forwarded to the sink in
-    #: ~256 KiB ","-joined fragments, so replay never holds a whole
-    #: multi-hour cell in memory either.
+    #: Replay chunk size: spooled windows are forwarded to the sink in
+    #: ~256 KiB ","-joined fragments (or one window, if larger), so replay
+    #: never holds a whole multi-hour cell in memory either.
     CHUNK_CHARS = 256 * 1024
 
     def __init__(self, n_members: int):
@@ -146,39 +149,40 @@ class _WindowSpoolDrain:
             Path(self._dir) / f"member-{index:05d}.jsonl" for index in range(n_members)
         ]
         self._handles: List[Optional[object]] = [None] * n_members
-        self._counts = [0] * n_members
+        #: Records on each spooled line, per member.
+        self._line_counts: List[List[int]] = [[] for _ in range(n_members)]
 
-    def emit_member_window(self, index: int, records, done: bool) -> None:
+    def emit_member_window(self, index: int, records: RecordColumns, done: bool) -> None:
         """Spool one member's rows of the just-finished window."""
         fh = self._handles[index]
         if fh is None:
             fh = self._handles[index] = open(self._paths[index], "w", encoding="utf-8")
-        count = 0
-        for record in records:
-            fh.write(json.dumps(record_to_jsonable(record), separators=(",", ":")))
+        if len(records):
+            fh.write(records.to_fragment())
             fh.write("\n")
-            count += 1
-        self._counts[index] += count
+            self._line_counts[index].append(len(records))
         if done:
             fh.close()
             self._handles[index] = None
 
     def replay_member(self, index: int, sink: RecordSink) -> None:
         """Forward one member's spooled records into an open sink cell."""
-        if self._counts[index] == 0:
+        counts = self._line_counts[index]
+        if not counts:
             return
         with open(self._paths[index], "r", encoding="utf-8") as fh:
             pending: List[str] = []
-            size = 0
-            for line in fh:
+            records = size = 0
+            for line, count in zip(fh, counts):
                 pending.append(line.rstrip("\n"))
+                records += count
                 size += len(line)
                 if size >= self.CHUNK_CHARS:
-                    emit_serialized_records(sink, ",".join(pending), len(pending))
+                    emit_serialized_records(sink, ",".join(pending), records)
                     pending = []
-                    size = 0
+                    records = size = 0
             if pending:
-                emit_serialized_records(sink, ",".join(pending), len(pending))
+                emit_serialized_records(sink, ",".join(pending), records)
 
     def cleanup(self) -> None:
         for index, fh in enumerate(self._handles):
@@ -421,7 +425,8 @@ class VectorizedExecutor:
     ) -> None:
         """Run one batch and stream it into the sink.
 
-        Unwindowed batches take the classic whole-cell push path.  Windowed
+        Unwindowed batches push each cell's columns through
+        :func:`~repro.runtime.stream.push_cell_result`.  Windowed
         batches run with a :class:`_WindowSpoolDrain`: the engine's record
         buffer stays one window long, each window's completed rows spool to
         per-member scratch files, and the spool replays into the sink cell by
@@ -441,13 +446,14 @@ class VectorizedExecutor:
                     stream_cell(cell, sink)
                 return
             wall_each = (time.perf_counter() - start) / len(group)
-            for cell, result, logger in zip(group, sim_results, loggers):
-                push_cell_result(
-                    sink,
-                    CellResult(
-                        cell=cell, result=result, logger=logger, wall_time_s=wall_each
-                    ),
+            for index, (cell, logger) in enumerate(zip(group, loggers)):
+                entry = CellResult(
+                    cell=cell, result=sim_results[index], logger=logger, wall_time_s=wall_each
                 )
+                # Drop the batch's reference as each cell goes out, so only
+                # the sink decides what outlives the push.
+                sim_results[index] = None
+                push_cell_result(sink, entry)
             return
         spool = _WindowSpoolDrain(len(group))
         try:

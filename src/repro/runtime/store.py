@@ -16,17 +16,19 @@ toward out-of-core persistence for sweeps too large to keep in memory.
 from __future__ import annotations
 
 import json
-from dataclasses import asdict, dataclass, fields
+from dataclasses import dataclass, fields
+from operator import attrgetter
 from typing import Dict, Iterator, List, Optional
 
 from ..api.specs import AdapterSpec, PolicySpec
 from ..sim.logger import SystemLogger
-from ..sim.results import SimulationResult, StepRecord
+from ..sim.results import RecordColumns, SimulationResult, StepRecord
 from .plan import ExperimentCell
 
 __all__ = ["CellResult", "ResultStore", "cell_to_jsonable", "record_to_jsonable"]
 
 _STEP_RECORD_FIELDS = tuple(f.name for f in fields(StepRecord))
+_record_values = attrgetter(*_STEP_RECORD_FIELDS)
 
 
 def cell_to_jsonable(cell: ExperimentCell) -> Dict[str, object]:
@@ -66,8 +68,13 @@ def cell_to_jsonable(cell: ExperimentCell) -> Dict[str, object]:
 
 
 def record_to_jsonable(record: StepRecord) -> Dict[str, object]:
-    """One step record as the plain dictionary persisted in result files."""
-    return asdict(record)
+    """One step record as the plain dictionary persisted in result files.
+
+    Keys in field order, values as stored — the same dictionary
+    ``dataclasses.asdict`` builds, without its per-field deep copy (every
+    field is an immutable scalar).
+    """
+    return dict(zip(_STEP_RECORD_FIELDS, _record_values(record)))
 
 
 @dataclass(frozen=True)
@@ -191,6 +198,13 @@ class ResultStore:
 
     @staticmethod
     def _entry_from_jsonable(data: Dict[str, object]) -> CellResult:
+        """Rebuild one saved cell result.
+
+        The result's records are deferred :class:`~repro.sim.results.
+        RecordColumns` built straight from the parsed dictionaries: no
+        :class:`StepRecord` exists until something reads ``result.records``,
+        so streaming consumers fold or forward the columns directly.
+        """
         cell_data = data["cell"]
         result_data = data["result"]
         policy_spec = cell_data.get("policy")
@@ -211,11 +225,11 @@ class ResultStore:
             governor_name=result_data["governor_name"],
             dt_s=result_data["dt_s"],
         )
-        for record in result_data["records"]:
-            unknown = set(record) - set(_STEP_RECORD_FIELDS)
-            if unknown:
-                raise ValueError(f"unknown step-record field(s) {sorted(unknown)} in {cell.cell_id!r}")
-            result.append(StepRecord(**record))
+        try:
+            columns = RecordColumns.from_jsonable(result_data["records"])
+        except ValueError as exc:
+            raise ValueError(f"{exc} in {cell.cell_id!r}") from None
+        result.defer_columns(lambda: columns)
         return CellResult(cell=cell, result=result, wall_time_s=data.get("wall_time_s", 0.0))
 
     # -- export ----------------------------------------------------------------

@@ -12,13 +12,15 @@ implemented, guaranteeing the two paths stay bit-identical);
 completed cell to sharded JSONL on disk; the analysis layer's
 :class:`~repro.analysis.streaming.SummarySink` folds records into O(1)
 running aggregates.  :class:`TeeSink` fans one stream out to several sinks.
+Batch producers hand a cell's records over as columns, and each sink gets
+them as columns, serialised text or records, whichever it takes.
 """
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, List, Optional, Protocol, runtime_checkable
+from typing import TYPE_CHECKING, List, Optional, Protocol, Sequence, runtime_checkable
 
-from ..sim.results import SimulationResult, StepRecord
+from ..sim.results import RecordColumns, SimulationResult, StepRecord
 from .store import CellResult, ResultStore
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -43,6 +45,14 @@ class RecordSink(Protocol):
     sink interrupted mid-cell (a crash, an executor error) must be able to
     discard or recover the partial cell — this is what makes the streaming
     store's resume crash-safe.
+
+    A sink may also offer two optional hooks that take a whole run of the
+    open cell's records in one call, in place of that many ``emit`` calls:
+    ``emit_columns(columns)`` with :class:`~repro.sim.results.RecordColumns`
+    (what batch engines produce; :class:`~repro.analysis.streaming.
+    SummarySink` folds them) and ``emit_serialized(fragment, records)`` with
+    the records' shard serialization (what the streaming store writes).
+    :func:`_forward` picks the form per sink.
     """
 
     def begin_cell(
@@ -107,31 +117,57 @@ class CollectorSink:
             self.store.append(entry)
 
 
-def emit_serialized_records(sink: RecordSink, fragment: str, records: int) -> None:
-    """Deliver pre-serialised records to a sink, fast path when it has one.
+def _forward(
+    sinks: Sequence[RecordSink],
+    count: int,
+    columns: Optional[RecordColumns] = None,
+    fragment: Optional[str] = None,
+) -> None:
+    """Deliver one run of ``count`` records to each sink in the form it takes.
 
-    ``fragment`` is ``records`` compact-JSON record objects joined by ``","``
-    (the shard/spool line serialization).  Sinks exposing ``emit_serialized``
-    — the streaming store, the tee — take the text verbatim (no parse, no
-    record objects); any other sink gets the fragment parsed back into
-    :class:`StepRecord` objects and per-record :meth:`~RecordSink.emit`
-    calls, which is bit-identical because the record JSON round-trips
-    exactly.
+    The run arrives as :class:`~repro.sim.results.RecordColumns` or as a
+    serialised ``fragment`` (``count`` compact-JSON record objects joined by
+    ``","`` — the shard/spool serialization).  A sink whose hook takes the
+    form in hand gets it verbatim; otherwise the column hook
+    (``emit_columns``) wins, then ``emit_serialized``, then per-record
+    :meth:`~RecordSink.emit`.  Each conversion happens at most once per run
+    however many sinks share it, and every form is bit-identical to the
+    others (the record JSON round-trips exactly).
     """
-    if records <= 0:
+    if count <= 0:
         return
-    fast = getattr(sink, "emit_serialized", None)
-    if fast is not None:
-        fast(fragment, records)
-        return
-    import json
+    records: Optional[List[StepRecord]] = None
+    for sink in sinks:
+        hook = getattr(sink, "emit_columns", None)
+        fast = getattr(sink, "emit_serialized", None)
+        if fast is not None and (fragment is not None or hook is None):
+            if fragment is None:
+                fragment = columns.to_fragment()
+            fast(fragment, count)
+            continue
+        if columns is None:
+            columns = RecordColumns.from_fragment(fragment)
+        if hook is not None:
+            hook(columns)
+            continue
+        if records is None:
+            records = list(columns)
+        for record in records:
+            sink.emit(record)
 
-    for payload in json.loads("[" + fragment + "]"):
-        sink.emit(StepRecord(**payload))
+
+def emit_serialized_records(sink: RecordSink, fragment: str, records: int) -> None:
+    """Deliver ``records`` pre-serialised records to a sink (see :func:`_forward`)."""
+    _forward((sink,), records, fragment=fragment)
 
 
 class TeeSink:
-    """Fans one record stream out to several sinks (e.g. disk store + summaries)."""
+    """Fans one record stream out to several sinks (e.g. disk store + summaries).
+
+    Whole runs of records (columns or serialised fragments) reach each child
+    in the form it takes, converted at most once per run (see
+    :func:`_forward`).
+    """
 
     def __init__(self, *sinks: RecordSink):
         if not sinks:
@@ -146,25 +182,11 @@ class TeeSink:
         for sink in self.sinks:
             sink.emit(record)
 
-    def emit_serialized(self, fragment: str, records: int) -> None:
-        """Forward pre-serialised records: verbatim text to capable children,
-        one parse shared across the rest."""
-        if records <= 0:
-            return
-        parsed: Optional[List[StepRecord]] = None
-        for sink in self.sinks:
-            fast = getattr(sink, "emit_serialized", None)
-            if fast is not None:
-                fast(fragment, records)
-                continue
-            if parsed is None:
-                import json
+    def emit_columns(self, columns: RecordColumns) -> None:
+        _forward(self.sinks, len(columns), columns=columns)
 
-                parsed = [
-                    StepRecord(**payload) for payload in json.loads("[" + fragment + "]")
-                ]
-            for record in parsed:
-                sink.emit(record)
+    def emit_serialized(self, fragment: str, records: int) -> None:
+        _forward(self.sinks, records, fragment=fragment)
 
     def end_cell(self, wall_time_s: float = 0.0, logger=None) -> None:
         for sink in self.sinks:
@@ -176,14 +198,21 @@ def push_cell_result(sink: RecordSink, entry: CellResult) -> None:
 
     Used wherever a whole cell arrives at once — the vectorized executor's
     per-group results, the process pool's merged spill files — so every sink
-    sees one uniform protocol.
+    sees one uniform protocol.  A result whose records are still deferred
+    columns goes through :func:`_forward`, so no :class:`StepRecord` is built
+    unless some sink asks for records.
     """
+    result = entry.result
     sink.begin_cell(
         entry.cell,
-        workload_name=entry.result.workload_name,
-        governor_name=entry.result.governor_name,
-        dt_s=entry.result.dt_s,
+        workload_name=result.workload_name,
+        governor_name=result.governor_name,
+        dt_s=result.dt_s,
     )
-    for record in entry.result.records:
-        sink.emit(record)
+    columns = result.record_columns()
+    if columns is not None:
+        _forward((sink,), len(columns), columns=columns)
+    else:
+        for record in result.records:
+            sink.emit(record)
     sink.end_cell(wall_time_s=entry.wall_time_s, logger=entry.logger)

@@ -550,8 +550,10 @@ class StreamingResultStore:
 
         This is the streaming loader the analysis aggregators consume: only
         the cell currently being processed is materialised, however many
-        shards the sweep produced.  In-place shard damage that survived an
-        indexed open (byte sizes unchanged) is caught here.
+        shards the sweep produced.  Each result holds its records as deferred
+        columns (``result.record_columns()``), so a fold over them builds no
+        :class:`~repro.sim.results.StepRecord`.  In-place shard damage that
+        survived an indexed open (byte sizes unchanged) is caught here.
         """
         if self._open_cell_id is not None:
             raise RuntimeError("cannot read while a cell is open for writing")

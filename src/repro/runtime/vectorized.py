@@ -1083,9 +1083,10 @@ def simulate_population_mixed(
         window_drain: optional record drain.  When given, the record buffer
             is window-sized and after each window every live member's rows
             flush through ``drain.emit_member_window(index, records, done)``
-            (``index`` in input member order; the records iterator is only
-            valid during the call); the returned results then carry *no*
-            records — the drain owns them.
+            (``index`` in input member order; ``records`` is the window's
+            :class:`~repro.sim.results.RecordColumns`, which iterate as
+            records); the returned results then carry *no* records — the
+            drain owns them.
 
     Returns:
         One :class:`SimulationResult` per member, in member order.
@@ -1665,8 +1666,9 @@ def simulate_population_mixed(
         plane.finish()
 
     # -- hand out the results (the batch/sink boundary) ------------------------
-    # Records stay columnar in the buffer; each result materialises its
-    # StepRecord list on first access (bit-identical to an eager build).
+    # Records stay columnar in the buffer; each result hands its columns out
+    # on request and materialises its StepRecord list only on first access to
+    # ``records`` (bit-identical to an eager build).
     # With a window drain the records already left through it at the window
     # boundaries, so the results carry none.
     results: List[SimulationResult] = []

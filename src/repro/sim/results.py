@@ -8,14 +8,16 @@ and by the satisfaction model (delivered vs demanded work).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, fields
-from typing import Dict, Iterator, List, Optional, Sequence
+import json
+from dataclasses import MISSING, dataclass, field, fields
+from itertools import islice
+from typing import Callable, Dict, Iterator, List, Optional, Sequence
 
 import numpy as np
 
 from ..users.comfort import ComfortAnalysis, analyse_comfort
 
-__all__ = ["ColumnarRecordBuffer", "StepRecord", "SimulationResult"]
+__all__ = ["ColumnarRecordBuffer", "RecordColumns", "StepRecord", "SimulationResult"]
 
 
 @dataclass(frozen=True)
@@ -51,11 +53,11 @@ class ColumnarRecordBuffer:
 
     The hot loop of the heterogeneous population engine writes one numpy
     column per :class:`StepRecord` field and allocates no per-member-step
-    Python objects; :class:`StepRecord` instances are only constructed at
-    the batch/record-sink boundary via :meth:`extend_result`, from one bulk
-    ``.tolist()`` per column per member — which yields exactly the Python
-    ints/floats scalar extraction would, so downstream records (and their
-    JSONL serialisation) stay byte-identical to the scalar engine's.
+    Python objects; at the batch/record-sink boundary each member leaves as
+    :class:`RecordColumns` (:meth:`member_columns`, one bulk ``.tolist()``
+    per column per member — which yields exactly the Python ints/floats
+    scalar extraction would, so records built from them, and their JSONL
+    serialisation, stay byte-identical to the scalar engine's).
 
     Columns are *step-major* (shape ``(n_steps, n_members)``): the engine
     writes one step across the live member prefix per tick, and a step-major
@@ -104,19 +106,16 @@ class ColumnarRecordBuffer:
             for name in self._DECISION_COLUMNS:
                 setattr(self, name, None)
 
-    def iter_records(
+    def member_columns(
         self, member: int, times_s: Sequence[float], count: int
-    ) -> Iterator[StepRecord]:
-        """Materialise one member's first ``count`` steps as :class:`StepRecord`s.
+    ) -> "RecordColumns":
+        """One member's first ``count`` steps as field-ordered column lists.
 
-        Records are built positionally (the column order is pinned to the
-        dataclass field order by ``_check_field_order`` below) through
-        :func:`_fast_records`, which installs each record's ``__dict__``
-        wholesale instead of paying the frozen dataclass ``__init__`` — the
-        records are indistinguishable from constructor-built ones (same type,
-        fields, equality, hash, pickling), just ~5x cheaper to make, which
-        matters because this is the only per-member-step Python object the
-        batched engine allocates at all.
+        One bulk ``.tolist()`` per column yields exactly the Python
+        ints/floats/bools scalar extraction would, so every form built from
+        the columns — :class:`StepRecord` objects, shard JSON — matches the
+        scalar engine's bit for bit.  The column order is pinned to the
+        dataclass field order by ``_check_field_order`` below.
 
         Args:
             member: column index of the member in the batch.
@@ -135,18 +134,25 @@ class ColumnarRecordBuffer:
             series.append(self.usta_active[:count, member].tolist())
             series.append(self.comfort_limit_c[:count, member].tolist())
         else:
-            # Mirror the dataclass defaults explicitly (the fast builder
-            # fills every field).
+            # Mirror the dataclass defaults explicitly (every form built
+            # from the columns fills every field).
             nones = [None] * count
             series.append(nones)
             series.append(nones)
             series.append([False] * count)
             series.append(nones)
-        return _fast_records(series)
+        return RecordColumns(series)
+
+    def iter_records(
+        self, member: int, times_s: Sequence[float], count: int
+    ) -> Iterator[StepRecord]:
+        """Materialise one member's first ``count`` steps as :class:`StepRecord`s
+        (arguments as for :meth:`member_columns`)."""
+        return iter(self.member_columns(member, times_s, count))
 
     def drain_window(
         self, member: int, times_s: Sequence[float], count: int
-    ) -> Iterator[StepRecord]:
+    ) -> "RecordColumns":
         """Incremental drain: one member's rows of the *current window*.
 
         The windowed population engine reuses one window-sized buffer across
@@ -154,14 +160,13 @@ class ColumnarRecordBuffer:
         rows through this method (into a spool or a
         :class:`~repro.runtime.stream.RecordSink` adapter) and then overwrites
         the buffer with the next window.  ``member``/``count`` address buffer
-        rows ``[0, count)`` exactly like :meth:`iter_records` — the caller
-        passes the window's absolute timestamps as ``times_s`` — and the
-        positional column order is the same ``_check_field_order``-pinned one,
-        so drained records are bit-identical to batch-boundary ones.  The
-        returned iterator is only valid until the buffer is rewritten: consume
-        it before the next window starts.
+        rows ``[0, count)`` exactly like :meth:`member_columns` — the caller
+        passes the window's absolute timestamps as ``times_s`` — so drained
+        rows are bit-identical to batch-boundary ones.  The returned columns
+        are copies (iterating them yields :class:`StepRecord` objects), so
+        they stay valid after the buffer is rewritten.
         """
-        return self.iter_records(member, times_s, count)
+        return self.member_columns(member, times_s, count)
 
     def extend_result(
         self,
@@ -173,16 +178,16 @@ class ColumnarRecordBuffer:
     ) -> "SimulationResult":
         """Append one member's records to a result (returns it for chaining).
 
-        With ``defer=True`` the records are not built here: the result holds a
-        thunk that materialises them on first access to ``result.records``
-        (see :meth:`SimulationResult.defer_records`).  The buffer must then
-        stay unmodified for the result's lifetime — the batch engines satisfy
-        this by never writing to a buffer after the run ends.  Materialised
-        records are identical either way; only *when* the per-step Python
-        objects get built changes.
+        With ``defer=True`` nothing is built here: the result holds a thunk
+        that extracts the member's columns when asked (see
+        :meth:`SimulationResult.defer_columns`).  The buffer must then stay
+        unmodified for the result's lifetime — the batch engines satisfy this
+        by never writing to a buffer after the run ends.  Materialised records
+        are identical either way; only *when* (and whether) the per-step
+        Python objects get built changes.
         """
         if defer:
-            result.defer_records(lambda: list(self.iter_records(member, times_s, count)))
+            result.defer_columns(lambda: self.member_columns(member, times_s, count))
         else:
             result.records.extend(self.iter_records(member, times_s, count))
         return result
@@ -191,6 +196,84 @@ class ColumnarRecordBuffer:
 #: StepRecord field names in declaration order — the key order of every
 #: fast-built record's ``__dict__`` (identical to constructor-built records).
 _RECORD_FIELDS = tuple(f.name for f in fields(StepRecord))
+_FIELD_INDEX = {name: index for index, name in enumerate(_RECORD_FIELDS)}
+_FIELD_DEFAULTS = {f.name: f.default for f in fields(StepRecord) if f.default is not MISSING}
+
+
+class RecordColumns:
+    """A run of step records held as one Python list per :class:`StepRecord` field.
+
+    This is the form batch engines hand to record sinks: sinks that fold or
+    serialise records read the columns directly, and only sinks that want
+    objects pay for :class:`StepRecord` construction (iterating yields them).
+    ``columns`` is in field order, and indexing by field name
+    (``run["skin_temp_c"]``) returns one column.
+    """
+
+    __slots__ = ("columns",)
+
+    #: Records serialised per ``json.dumps`` call in :meth:`to_fragment`.
+    #: Chunking bounds the transient row dictionaries to this many records:
+    #: serialising a whole 1800-step cell in one call adds ~3 MiB to a fleet
+    #: worker's peak RSS, at no gain in speed.
+    FRAGMENT_ROWS = 256
+
+    def __init__(self, columns: List[list]):
+        self.columns = columns
+
+    @classmethod
+    def from_jsonable(cls, records: Sequence[Dict[str, object]]) -> "RecordColumns":
+        """Columns of parsed record dictionaries (what the store's lines hold).
+
+        Missing optional fields take the dataclass defaults, exactly as
+        ``StepRecord(**record)`` would.
+
+        Raises:
+            ValueError: a record carries a field :class:`StepRecord` lacks.
+        """
+        known = _FIELD_INDEX.keys()
+        for record in records:
+            if not record.keys() <= known:
+                unknown = sorted(set(record) - set(known))
+                raise ValueError(f"unknown step-record field(s) {unknown}")
+        return cls(
+            [
+                [record[name] for record in records]
+                if name not in _FIELD_DEFAULTS
+                else [record.get(name, _FIELD_DEFAULTS[name]) for record in records]
+                for name in _RECORD_FIELDS
+            ]
+        )
+
+    @classmethod
+    def from_fragment(cls, fragment: str) -> "RecordColumns":
+        """Columns of a serialised fragment (the inverse of :meth:`to_fragment`)."""
+        return cls.from_jsonable(json.loads("[" + fragment + "]"))
+
+    def __len__(self) -> int:
+        return len(self.columns[0])
+
+    def __getitem__(self, name: str) -> list:
+        return self.columns[_FIELD_INDEX[name]]
+
+    def __iter__(self) -> Iterator[StepRecord]:
+        return _fast_records(self.columns)
+
+    def to_fragment(self) -> str:
+        """The records as compact-JSON objects joined by ``","``.
+
+        One ``json.dumps`` call per :attr:`FRAGMENT_ROWS` records; the text
+        is byte-identical to serialising each record on its own and joining
+        the pieces (the shard/spill/save line format), because a compact JSON
+        list separates its items with a bare ``","``.
+        """
+        names = _RECORD_FIELDS
+        rows = zip(*self.columns)
+        parts = []
+        while chunk := list(islice(rows, self.FRAGMENT_ROWS)):
+            rows_json = json.dumps([dict(zip(names, row)) for row in chunk], separators=(",", ":"))
+            parts.append(rows_json[1:-1])
+        return ",".join(parts)
 
 
 def _fast_records(series: List[list]) -> Iterator[StepRecord]:
@@ -240,11 +323,13 @@ class SimulationResult:
     """Outcome of replaying one workload trace under one DVFS configuration.
 
     ``records`` is normally a plain eager list, but a producer that already
-    holds the data in columnar form can install a deferred builder via
-    :meth:`defer_records`: the per-step :class:`StepRecord` objects are then
-    materialised on first access (and are identical to eagerly built ones).
-    The batched engines use this so analysis paths that consume columns or
-    summaries never pay for 10k+ Python objects they won't read.
+    holds the data in columnar form can install a deferred column source via
+    :meth:`defer_columns`: the per-step :class:`StepRecord` objects are then
+    materialised on first access to ``records`` (and are identical to eagerly
+    built ones), while :meth:`record_columns` hands the columns out without
+    building any.  The batched engines use this so analysis and streaming
+    paths that consume columns or summaries never pay for 10k+ Python objects
+    they won't read.
     """
 
     workload_name: str
@@ -252,21 +337,31 @@ class SimulationResult:
     dt_s: float
     records: List[StepRecord] = field(default_factory=list)
 
-    def defer_records(self, thunk) -> None:
-        """Install a callable that builds the record list on first access.
+    def defer_columns(self, thunk: Callable[[], "RecordColumns"]) -> None:
+        """Install a callable returning this result's records as columns.
 
-        The callable runs at most once; assigning ``records`` directly
-        discards it.  Pickling forces materialisation first (closures over
-        numpy buffers would not serialise, and the bytes on the wire should
-        not depend on when the records were built).
+        ``records`` builds its list from the callable on first access (once);
+        assigning ``records`` directly discards it.  Pickling forces
+        materialisation first (closures over numpy buffers would not
+        serialise, and the bytes on the wire should not depend on when the
+        records were built).
         """
         self.__dict__["records"] = None
-        self.__dict__["_records_thunk"] = thunk
+        self.__dict__["_columns_thunk"] = thunk
+
+    def record_columns(self) -> Optional["RecordColumns"]:
+        """The deferred records as columns, or ``None`` once they are a list.
+
+        Nothing is cached: a streamed cell's columns live only as long as the
+        caller holds them.
+        """
+        thunk = self.__dict__.get("_columns_thunk")
+        return thunk() if thunk is not None else None
 
     def __getstate__(self):
         _ = self.records  # force materialisation; thunks do not pickle
         state = dict(self.__dict__)
-        state.pop("_records_thunk", None)
+        state.pop("_columns_thunk", None)
         return state
 
     # -- container protocol --------------------------------------------------------
@@ -420,19 +515,19 @@ class SimulationResult:
 
 
 def _records_get(self) -> List[StepRecord]:
-    thunk = self.__dict__.get("_records_thunk")
+    thunk = self.__dict__.get("_columns_thunk")
     if thunk is not None:
-        self.__dict__["_records_thunk"] = None
-        self.__dict__["records"] = thunk()
+        self.__dict__["_columns_thunk"] = None
+        self.__dict__["records"] = list(thunk())
     return self.__dict__["records"]
 
 
 def _records_set(self, value: List[StepRecord]) -> None:
     self.__dict__["records"] = value
-    self.__dict__["_records_thunk"] = None
+    self.__dict__["_columns_thunk"] = None
 
 
 # ``records`` stays an ordinary dataclass field (init/repr/eq all see it),
-# but attribute access goes through a data descriptor so a deferred builder
-# installed by defer_records() runs exactly once, on first use.
+# but attribute access goes through a data descriptor so a deferred column
+# source installed by defer_columns() is materialised exactly once, on first use.
 SimulationResult.records = property(_records_get, _records_set)

@@ -16,6 +16,7 @@ import pytest
 
 from repro.analysis.streaming import SummarySink, stream_summaries, summarize_records
 from repro.api.specs import AdapterSpec, GovernorSpec, ManagerSpec, PolicySpec
+from repro.fleet import FleetCoordinator
 from repro.runtime import (
     BatchRunner,
     CollectorSink,
@@ -122,15 +123,31 @@ class TestStreamedExecutorParity:
             assert got.result.governor_name == want.result.governor_name
             assert got.result.dt_s == want.result.dt_s
 
-    def test_shard_lines_byte_identical_to_batch_save(self, tmp_path, trace, linear_predictor):
+    @pytest.mark.parametrize(
+        "streamer",
+        ["serial", "vectorized", "vectorized-windowed", "fleet-2"],
+    )
+    def test_shard_lines_byte_identical_to_batch_save(
+        self, tmp_path, trace, linear_predictor, streamer
+    ):
         plan = _plan(trace, linear_predictor)
         batch = BatchRunner(executor=SerialExecutor()).run(plan)
         save_path = tmp_path / "batch.jsonl"
         batch.save(save_path)
 
-        store = StreamingResultStore(tmp_path / "stream", max_cells_per_shard=3)
-        BatchRunner(executor=SerialExecutor()).run_stream(plan, store)
-        store.close()
+        directory = tmp_path / "stream"
+        if streamer == "fleet-2":
+            FleetCoordinator(plan, directory, workers=2, max_cells_per_shard=3).run()
+        else:
+            executor = {
+                "serial": SerialExecutor(),
+                "vectorized": VectorizedExecutor(),
+                # 8-step windows over the 120-step traces: the spool path.
+                "vectorized-windowed": VectorizedExecutor(window_steps=8),
+            }[streamer]
+            store = StreamingResultStore(directory, max_cells_per_shard=3)
+            BatchRunner(executor=executor).run_stream(plan, store)
+            store.close()
 
         def stripped(lines):
             out = {}
@@ -144,7 +161,7 @@ class TestStreamedExecutorParity:
 
         saved = stripped(save_path.read_text().splitlines())
         shard_lines = []
-        for shard in sorted((tmp_path / "stream").glob("shard-*.jsonl")):
+        for shard in sorted(directory.glob("shard-*.jsonl")):
             shard_lines.extend(shard.read_text().splitlines())
         assert stripped(shard_lines) == saved
 
@@ -170,7 +187,10 @@ class TestStreamedExecutorParity:
 
 
 class TestBoundedMemory:
-    def test_live_record_footprint_stays_under_one_cell(self, tmp_path):
+    @pytest.mark.parametrize(
+        "executor", [SerialExecutor(), VectorizedExecutor()], ids=["serial", "vectorized"]
+    )
+    def test_live_record_footprint_stays_under_one_cell(self, tmp_path, executor):
         """A multi-cell streamed sweep never holds more than ~one cell's records."""
         trace = build_benchmark("skype", seed=0, duration_s=120)
         cells = [
@@ -197,7 +217,7 @@ class TestBoundedMemory:
                 pass
 
         store = StreamingResultStore(tmp_path / "s")
-        BatchRunner(executor=SerialExecutor()).run_stream(
+        BatchRunner(executor=executor).run_stream(
             ExperimentPlan(cells), TeeSink(store, Watcher())
         )
         store.close()
