@@ -4,6 +4,8 @@
 # smoke run of the batched experiment runtime (table1 through a 2-worker
 # process pool at a tiny duration scale) and of the online policy-session
 # driver (`repro serve --smoke`), plus the repository benchmark's self-test.
+# `plane-residency` checks that the default serving policy runs every
+# session on the resident plane.
 # `make lint` needs ruff on the PATH.
 #
 # The coverage gate (--cov=repro --cov-fail-under=80) switches on
@@ -16,9 +18,9 @@ export PYTHONPATH := src$(if $(PYTHONPATH),:$(PYTHONPATH))
 # Recursively expanded (=) so the probe only runs for targets that use it.
 COV_FLAGS = $(shell $(PYTHON) -c "import importlib.util as u; print('--cov=repro --cov-fail-under=80' if u.find_spec('pytest_cov') else '')")
 
-.PHONY: check test coverage smoke serve-smoke stream-smoke bench-smoke fleet-smoke serve-load-smoke hal-smoke perfbench-selftest golden lint bench-baseline
+.PHONY: check test coverage smoke serve-smoke plane-residency stream-smoke bench-smoke fleet-smoke serve-load-smoke hal-smoke perfbench-selftest golden lint bench-baseline
 
-check: test smoke serve-smoke stream-smoke bench-smoke fleet-smoke serve-load-smoke hal-smoke perfbench-selftest
+check: test smoke serve-smoke plane-residency stream-smoke bench-smoke fleet-smoke serve-load-smoke hal-smoke perfbench-selftest
 
 test:
 	$(PYTHON) -m pytest -x -q $(COV_FLAGS)
@@ -34,6 +36,13 @@ smoke:
 
 serve-smoke:
 	$(PYTHON) -m repro serve --smoke
+
+# Every session of the default serving policy (USTA over the deployed REPTree
+# predictor) must ride the resident session plane: a predictor model that
+# stops declaring batch-row invariance would silently send them all to the
+# scalar pool.  Fails unless the dry run reports 20 of 20 resident.
+plane-residency:
+	$(PYTHON) -m repro serve --explain-plane --sessions 20 --scale 0.05 | grep "20 of 20 session(s) resident"
 
 # Exercises the crash-safe streaming path end to end: a tiny sweep streamed
 # to sharded JSONL, then the same sweep again with --resume (which must skip

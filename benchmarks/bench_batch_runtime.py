@@ -295,7 +295,9 @@ class _DiscardingDrain:
 def _long_unwindowed(traces):
     """Unwindowed engine: full-trace staging plus every record held at once."""
     results = simulate_population_mixed(traces, _population_members(len(traces)))
-    return sum(len(r.records) for r in results)
+    # Iterating materialises each result's StepRecord list; len() alone is
+    # answered from the engine's columns and would hold no records.
+    return sum(len(list(r.records)) for r in results)
 
 
 def _long_windowed(traces, window):

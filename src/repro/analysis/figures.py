@@ -223,19 +223,19 @@ class Figure4Series:
     def sampled_series(self, every_s: float = 30.0) -> List[Dict[str, float]]:
         """Down-sampled rows (time, baseline/USTA skin and screen temps) for reporting."""
         stride = max(1, int(round(every_s / self.baseline.dt_s)))
-        rows = []
         n = min(len(self.baseline), len(self.usta))
-        for i in range(0, n, stride):
-            rows.append(
-                {
-                    "time_s": self.baseline.records[i].time_s,
-                    "baseline_skin_c": self.baseline.records[i].skin_temp_c,
-                    "usta_skin_c": self.usta.records[i].skin_temp_c,
-                    "baseline_screen_c": self.baseline.records[i].screen_temp_c,
-                    "usta_screen_c": self.usta.records[i].screen_temp_c,
-                }
+        return [
+            {
+                "time_s": base.time_s,
+                "baseline_skin_c": base.skin_temp_c,
+                "usta_skin_c": usta.skin_temp_c,
+                "baseline_screen_c": base.screen_temp_c,
+                "usta_screen_c": usta.screen_temp_c,
+            }
+            for base, usta in zip(
+                self.baseline.records[:n:stride], self.usta.records[:n:stride]
             )
-        return rows
+        ]
 
 
 def figure4_skype_traces(

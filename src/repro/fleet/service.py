@@ -29,7 +29,9 @@ from __future__ import annotations
 import asyncio
 import json
 import signal
+import sys
 import time
+import traceback
 from pathlib import Path
 from typing import Callable, Dict, Mapping, Optional, Sequence
 
@@ -124,6 +126,8 @@ class PolicyService:
         self.resumed = 0
         self.feeds = 0
         self.checkpoints = 0
+        #: periodic checkpoints that raised (the server keeps ticking).
+        self.checkpoint_failures = 0
         self.started_at = time.perf_counter()
         #: set by the server loop so the ``shutdown`` op can stop it.
         self.request_shutdown: Optional[Callable[[], None]] = None
@@ -235,6 +239,7 @@ class PolicyService:
             "opened": self.opened,
             "resumed": self.resumed,
             "checkpoints": self.checkpoints,
+            "checkpoint_failures": self.checkpoint_failures,
             "uptime_s": time.perf_counter() - self.started_at,
             "persisted_users": len(store) if store else 0,
             "state_shards": store.n_shards if store else 0,
@@ -306,18 +311,54 @@ class PolicyService:
         )
 
 
-async def _handle_client(service: PolicyService, reader, writer) -> None:
+#: Default longest request line the socket server reads (bytes).  A
+#: ``feed_batch`` costs ~115 bytes per session, so this fits ~35k sessions.
+DEFAULT_REQUEST_LIMIT = 4 * 1024 * 1024
+
+
+async def _next_request(reader) -> Optional[bytes]:
+    """The next request line (``b""`` at end of input), or ``None`` for a
+    line longer than the reader's limit — which is discarded through its
+    newline, so the connection stays in step with the client."""
+    try:
+        return await reader.readuntil(b"\n")
+    except asyncio.IncompleteReadError as exc:
+        return exc.partial
+    except asyncio.LimitOverrunError as exc:
+        overrun = exc
+    while True:
+        # Drop what is buffered ahead of the (not yet seen) newline.
+        await reader.readexactly(overrun.consumed)
+        try:
+            await reader.readuntil(b"\n")
+            return None
+        except asyncio.IncompleteReadError:
+            return None
+        except asyncio.LimitOverrunError as exc:
+            overrun = exc
+
+
+async def _handle_client(service: PolicyService, reader, writer, limit: int) -> None:
     try:
         while True:
-            line = await reader.readline()
-            if not line:
+            line = await _next_request(reader)
+            if line is None:
+                response = {
+                    "ok": False,
+                    "error": f"request line longer than {limit} bytes",
+                    "error_type": "RequestTooLarge",
+                }
+            elif not line:
                 break
-            try:
-                request = json.loads(line)
-            except ValueError as exc:
-                response = {"ok": False, "error": f"invalid JSON: {exc}", "error_type": "ValueError"}
             else:
-                response = service.handle(request)
+                try:
+                    request = json.loads(line)
+                except ValueError as exc:
+                    response = {
+                        "ok": False, "error": f"invalid JSON: {exc}", "error_type": "ValueError"
+                    }
+                else:
+                    response = service.handle(request)
             writer.write(json.dumps(response, separators=(",", ":")).encode("utf-8") + b"\n")
             await writer.drain()
     except (ConnectionResetError, BrokenPipeError):  # client vanished
@@ -339,13 +380,17 @@ def run_service(
     *,
     checkpoint_period_s: Optional[float] = 30.0,
     on_listening: Optional[Callable[[str, int], None]] = None,
+    request_limit: int = DEFAULT_REQUEST_LIMIT,
 ) -> dict:
     """Serve until SIGINT/SIGTERM (or a ``shutdown`` op), then persist state.
 
     Prints ``listening on HOST:PORT`` once the socket is bound (port 0 picks
     a free port — tests and scripts parse this line, or pass ``on_listening``
-    to receive the bound address directly).  Returns the final stats
-    dictionary after a graceful shutdown.
+    to receive the bound address directly).  A request line longer than
+    ``request_limit`` bytes gets a ``RequestTooLarge`` error reply and the
+    connection stays open.  A periodic checkpoint that raises is counted in
+    the ``stats`` op's ``checkpoint_failures`` and the ticker keeps going.
+    Returns the final stats dictionary after a graceful shutdown.
     """
 
     async def _serve() -> None:
@@ -361,7 +406,10 @@ def run_service(
                 except ValueError:
                     pass  # non-main thread: tests stop via the shutdown op
         server = await asyncio.start_server(
-            lambda r, w: _handle_client(service, r, w), host, port
+            lambda r, w: _handle_client(service, r, w, request_limit),
+            host,
+            port,
+            limit=request_limit,
         )
         bound = server.sockets[0].getsockname()
         print(f"repro serve: listening on {bound[0]}:{bound[1]}", flush=True)
@@ -371,7 +419,13 @@ def run_service(
         async def _checkpoint_loop() -> None:
             while True:
                 await asyncio.sleep(checkpoint_period_s)
-                service.checkpoint()
+                try:
+                    service.checkpoint()
+                except Exception:
+                    # Serving outlives a failed save; the next tick retries.
+                    service.checkpoint_failures += 1
+                    print("repro serve: checkpoint failed", file=sys.stderr)
+                    traceback.print_exc(file=sys.stderr)
 
         ticker = (
             asyncio.ensure_future(_checkpoint_loop())

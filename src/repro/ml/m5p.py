@@ -216,6 +216,10 @@ class M5ModelTree(Regressor):
 
     # -- prediction -------------------------------------------------------------------
 
+    #: Each row is predicted on its own (see _predict), so a matrix predict
+    #: equals row-by-row predicts bit-for-bit.
+    batch_row_invariant = True
+
     def _predict(self, features: np.ndarray) -> np.ndarray:
         assert self._root is not None
         return np.array([self._predict_row(row) for row in features])

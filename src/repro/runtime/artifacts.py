@@ -51,7 +51,8 @@ __all__ = [
 ]
 
 #: Bump when the on-disk artifact layout changes (invalidates every key).
-ARTIFACT_FORMAT_VERSION = 1
+#: 2: a pickled ``RepTree`` holds its fitted tree as flat arrays.
+ARTIFACT_FORMAT_VERSION = 2
 
 ARTIFACT_ENV_VAR = "REPRO_ARTIFACT_DIR"
 

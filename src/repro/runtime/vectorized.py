@@ -1666,9 +1666,9 @@ def simulate_population_mixed(
         plane.finish()
 
     # -- hand out the results (the batch/sink boundary) ------------------------
-    # Records stay columnar in the buffer; each result hands its columns out
-    # on request and materialises its StepRecord list only on first access to
-    # ``records`` (bit-identical to an eager build).
+    # Records stay columnar in the buffer; each result reads its summaries
+    # field by field and materialises its StepRecord list only when something
+    # reads the whole list (bit-identical to an eager build).
     # With a window drain the records already left through it at the window
     # boundaries, so the results carry none.
     results: List[SimulationResult] = []
@@ -1681,7 +1681,7 @@ def simulate_population_mixed(
             dt_s=dt,
         )
         if window_drain is None:
-            buf.extend_result(result, row, times, int(s_lengths[row]), defer=True)
+            buf.extend_result(result, row, times, int(s_lengths[row]))
         results.append(result)
 
     # -- write final state back to the member platforms ------------------------

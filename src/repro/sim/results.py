@@ -8,7 +8,9 @@ and by the satisfaction model (delivered vs demanded work).
 
 from __future__ import annotations
 
+import collections.abc
 import json
+import operator
 from dataclasses import MISSING, dataclass, field, fields
 from itertools import islice
 from typing import Callable, Dict, Iterator, List, Optional, Sequence
@@ -17,7 +19,13 @@ import numpy as np
 
 from ..users.comfort import ComfortAnalysis, analyse_comfort
 
-__all__ = ["ColumnarRecordBuffer", "RecordColumns", "StepRecord", "SimulationResult"]
+__all__ = [
+    "ColumnarRecordBuffer",
+    "RecordColumns",
+    "RecordsView",
+    "StepRecord",
+    "SimulationResult",
+]
 
 
 @dataclass(frozen=True)
@@ -107,9 +115,9 @@ class ColumnarRecordBuffer:
                 setattr(self, name, None)
 
     def member_columns(
-        self, member: int, times_s: Sequence[float], count: int
+        self, member: int, times_s: Sequence[float], count: int, start: int = 0
     ) -> "RecordColumns":
-        """One member's first ``count`` steps as field-ordered column lists.
+        """One member's steps ``[start, count)`` as field-ordered column lists.
 
         One bulk ``.tolist()`` per column yields exactly the Python
         ints/floats/bools scalar extraction would, so every form built from
@@ -122,24 +130,26 @@ class ColumnarRecordBuffer:
             times_s: shared per-step timestamps (``times_s[t]`` is the time of
                 step ``t``; members that finished early use a prefix).
             count: number of steps this member actually ran.
+            start: first step to extract.
         """
-        series = [list(times_s[:count])]
+        rows = slice(start, count)
+        series = [list(times_s[rows])]
         series.extend(
-            getattr(self, name)[:count, member].tolist()
+            getattr(self, name)[rows, member].tolist()
             for name in self._INT_COLUMNS + self._FLOAT_COLUMNS
         )
         if self.with_decisions:
-            series.append(self.predicted_skin_temp_c[:count, member].tolist())
-            series.append(self.predicted_screen_temp_c[:count, member].tolist())
-            series.append(self.usta_active[:count, member].tolist())
-            series.append(self.comfort_limit_c[:count, member].tolist())
+            series.append(self.predicted_skin_temp_c[rows, member].tolist())
+            series.append(self.predicted_screen_temp_c[rows, member].tolist())
+            series.append(self.usta_active[rows, member].tolist())
+            series.append(self.comfort_limit_c[rows, member].tolist())
         else:
             # Mirror the dataclass defaults explicitly (every form built
             # from the columns fills every field).
-            nones = [None] * count
+            nones = [None] * (count - start)
             series.append(nones)
             series.append(nones)
-            series.append([False] * count)
+            series.append([False] * (count - start))
             series.append(nones)
         return RecordColumns(series)
 
@@ -174,23 +184,70 @@ class ColumnarRecordBuffer:
         member: int,
         times_s: Sequence[float],
         count: int,
-        defer: bool = False,
     ) -> "SimulationResult":
-        """Append one member's records to a result (returns it for chaining).
+        """Back ``result``'s records by one member's rows (returns it for chaining).
 
-        With ``defer=True`` nothing is built here: the result holds a thunk
-        that extracts the member's columns when asked (see
+        Nothing is built here: the result reads the rows field by field when
+        asked (see :class:`_MemberRows` and
         :meth:`SimulationResult.defer_columns`).  The buffer must then stay
         unmodified for the result's lifetime — the batch engines satisfy this
-        by never writing to a buffer after the run ends.  Materialised records
-        are identical either way; only *when* (and whether) the per-step
-        Python objects get built changes.
+        by never writing to a buffer after the run ends.
         """
-        if defer:
-            result.defer_columns(lambda: self.member_columns(member, times_s, count))
-        else:
-            result.records.extend(self.iter_records(member, times_s, count))
+        result.defer_columns(_MemberRows(self, member, times_s, count))
         return result
+
+
+class _MemberRows:
+    """One member's rows of a :class:`ColumnarRecordBuffer`: a deferred
+    result's record source.
+
+    Calling it extracts every field as :class:`RecordColumns` (what
+    :meth:`SimulationResult.record_columns` hands out); :meth:`array` copies
+    one field and :meth:`record` builds one step, so a result read only for
+    its summaries converts no column to Python objects.
+    """
+
+    __slots__ = ("buffer", "member", "times_s", "count")
+
+    def __init__(
+        self, buffer: ColumnarRecordBuffer, member: int, times_s: Sequence[float], count: int
+    ):
+        self.buffer = buffer
+        self.member = member
+        self.times_s = times_s
+        self.count = count
+
+    def __call__(self) -> "RecordColumns":
+        return self.buffer.member_columns(self.member, self.times_s, self.count)
+
+    def __len__(self) -> int:
+        return self.count
+
+    def record(self, index: int) -> StepRecord:
+        """Step ``index`` (``0 <= index < len(self)``) as one record."""
+        rows = self.buffer.member_columns(self.member, self.times_s, index + 1, start=index)
+        return next(iter(rows))
+
+    def array(self, name: str) -> np.ndarray:
+        """One field, as ``np.array`` over the records' values would give it.
+
+        Numeric buffer columns are int64/float64/bool, exactly the dtypes
+        ``np.array`` infers from the Python values ``.tolist()`` yields, and
+        the copy is contiguous — so reductions over it match reductions over
+        materialised records bit for bit.
+        """
+        count = self.count
+        if not count:
+            return np.array([])  # what np.array gives for no records at all
+        if name == "time_s":
+            return np.array(self.times_s[:count])
+        column = getattr(self.buffer, name)
+        if column is None:  # a decision field of a batch without managers
+            return np.array([_FIELD_DEFAULTS[name]] * count)
+        column = column[:count, self.member]
+        if column.dtype == object:
+            return np.array(column.tolist())
+        return column.copy()
 
 
 #: StepRecord field names in declaration order — the key order of every
@@ -259,6 +316,14 @@ class RecordColumns:
     def __iter__(self) -> Iterator[StepRecord]:
         return _fast_records(self.columns)
 
+    def record(self, index: int) -> StepRecord:
+        """Record ``index`` alone."""
+        return next(_fast_records([[column[index]] for column in self.columns]))
+
+    def array(self, name: str) -> np.ndarray:
+        """One field as an array (``np.array`` over the records' values)."""
+        return np.array(self[name])
+
     def to_fragment(self) -> str:
         """The records as compact-JSON objects joined by ``","``.
 
@@ -324,12 +389,12 @@ class SimulationResult:
 
     ``records`` is normally a plain eager list, but a producer that already
     holds the data in columnar form can install a deferred column source via
-    :meth:`defer_columns`: the per-step :class:`StepRecord` objects are then
-    materialised on first access to ``records`` (and are identical to eagerly
-    built ones), while :meth:`record_columns` hands the columns out without
-    building any.  The batched engines use this so analysis and streaming
-    paths that consume columns or summaries never pay for 10k+ Python objects
-    they won't read.
+    :meth:`defer_columns`.  ``records`` is then a read-only
+    :class:`RecordsView`, and :meth:`record_columns` hands the columns out
+    without building any :class:`StepRecord`.  ``len``, the time series and
+    the summary metrics read the source field by field, so the batched
+    engines' in-memory sweeps reduce each member without building the
+    per-step objects they would never read.
     """
 
     workload_name: str
@@ -340,9 +405,11 @@ class SimulationResult:
     def defer_columns(self, thunk: Callable[[], "RecordColumns"]) -> None:
         """Install a callable returning this result's records as columns.
 
-        ``records`` builds its list from the callable on first access (once);
-        assigning ``records`` directly discards it.  Pickling forces
-        materialisation first (closures over numpy buffers would not
+        ``records`` materialises its list from the callable on first full
+        read (once); assigning ``records`` directly discards it.  A source
+        that also reads single fields and steps (a batch buffer's member
+        rows) answers summaries and ``records[i]`` without being called.
+        Pickling materialises first (closures over numpy buffers would not
         serialise, and the bytes on the wire should not depend on when the
         records were built).
         """
@@ -358,8 +425,22 @@ class SimulationResult:
         thunk = self.__dict__.get("_columns_thunk")
         return thunk() if thunk is not None else None
 
+    def _reader(self):
+        """What answers field and step reads of deferred records (or None)."""
+        thunk = self.__dict__.get("_columns_thunk")
+        if thunk is None or isinstance(thunk, _MemberRows):
+            return thunk
+        return thunk()
+
+    def _materialise(self) -> List[StepRecord]:
+        thunk = self.__dict__.get("_columns_thunk")
+        if thunk is not None:
+            self.__dict__["_columns_thunk"] = None
+            self.__dict__["records"] = list(thunk())
+        return self.__dict__["records"]
+
     def __getstate__(self):
-        _ = self.records  # force materialisation; thunks do not pickle
+        self._materialise()  # thunks do not pickle
         state = dict(self.__dict__)
         state.pop("_columns_thunk", None)
         return state
@@ -367,94 +448,101 @@ class SimulationResult:
     # -- container protocol --------------------------------------------------------
 
     def __len__(self) -> int:
-        return len(self.records)
+        reader = self._reader()
+        return len(reader if reader is not None else self.records)
 
     def append(self, record: StepRecord) -> None:
         """Add one step record."""
-        self.records.append(record)
+        self._materialise().append(record)
 
     # -- time series -----------------------------------------------------------------
 
+    def _series(self, name: str) -> np.ndarray:
+        reader = self._reader()
+        if reader is not None:
+            return reader.array(name)
+        return np.array([getattr(r, name) for r in self.records])
+
     def times_s(self) -> np.ndarray:
         """Step timestamps (seconds)."""
-        return np.array([r.time_s for r in self.records])
+        return self._series("time_s")
 
     def skin_temps_c(self) -> np.ndarray:
         """True skin (back-cover mid) temperature series."""
-        return np.array([r.skin_temp_c for r in self.records])
+        return self._series("skin_temp_c")
 
     def screen_temps_c(self) -> np.ndarray:
         """True screen temperature series."""
-        return np.array([r.screen_temp_c for r in self.records])
+        return self._series("screen_temp_c")
 
     def cpu_temps_c(self) -> np.ndarray:
         """True CPU die temperature series."""
-        return np.array([r.cpu_temp_c for r in self.records])
+        return self._series("cpu_temp_c")
 
     def battery_temps_c(self) -> np.ndarray:
         """True battery temperature series."""
-        return np.array([r.battery_temp_c for r in self.records])
+        return self._series("battery_temp_c")
 
     def frequencies_khz(self) -> np.ndarray:
         """Selected CPU frequency series (kHz)."""
-        return np.array([r.frequency_khz for r in self.records])
+        return self._series("frequency_khz")
 
     def utilizations(self) -> np.ndarray:
         """Observed CPU utilization series."""
-        return np.array([r.utilization for r in self.records])
+        return self._series("utilization")
 
     def power_w(self) -> np.ndarray:
         """Total platform power series (Watts)."""
-        return np.array([r.power_w for r in self.records])
+        return self._series("power_w")
 
     # -- summary metrics (Table 1 rows) ---------------------------------------------------
 
     @property
     def duration_s(self) -> float:
         """Simulated duration."""
-        return len(self.records) * self.dt_s
+        return len(self) * self.dt_s
 
     @property
     def max_skin_temp_c(self) -> float:
         """Maximum skin temperature (Table 1, "Max Skin Temp")."""
-        return float(np.max(self.skin_temps_c())) if self.records else float("nan")
+        return float(np.max(self.skin_temps_c())) if len(self) else float("nan")
 
     @property
     def max_screen_temp_c(self) -> float:
         """Maximum screen temperature (Table 1, "Max Screen Temp")."""
-        return float(np.max(self.screen_temps_c())) if self.records else float("nan")
+        return float(np.max(self.screen_temps_c())) if len(self) else float("nan")
 
     @property
     def max_cpu_temp_c(self) -> float:
         """Maximum CPU die temperature."""
-        return float(np.max(self.cpu_temps_c())) if self.records else float("nan")
+        return float(np.max(self.cpu_temps_c())) if len(self) else float("nan")
 
     @property
     def average_frequency_ghz(self) -> float:
         """Average CPU frequency in GHz (Table 1, "Average Freq.")."""
-        if not self.records:
+        if not len(self):
             return float("nan")
         return float(np.mean(self.frequencies_khz())) / 1e6
 
     @property
     def average_power_w(self) -> float:
         """Average platform power."""
-        return float(np.mean(self.power_w())) if self.records else float("nan")
+        return float(np.mean(self.power_w())) if len(self) else float("nan")
 
     @property
     def total_energy_j(self) -> float:
         """Total platform energy over the run (Joules)."""
-        return float(np.sum(self.power_w()) * self.dt_s) if self.records else 0.0
+        return float(np.sum(self.power_w()) * self.dt_s) if len(self) else 0.0
 
     @property
     def demanded_work(self) -> float:
         """Total work the workload asked for (full-speed window equivalents)."""
-        return float(np.sum([r.demand for r in self.records]))
+        return float(np.sum(self._series("demand")))
 
     @property
     def delivered_work(self) -> float:
         """Total work actually executed."""
-        return float(np.sum([r.delivered_work for r in self.records]))
+        return float(np.sum(self._series("delivered_work")))
 
     @property
     def throughput_ratio(self) -> float:
@@ -467,9 +555,9 @@ class SimulationResult:
     @property
     def usta_active_fraction(self) -> float:
         """Fraction of steps in which USTA had a frequency cap installed."""
-        if not self.records:
+        if not len(self):
             return 0.0
-        return float(np.mean([1.0 if r.usta_active else 0.0 for r in self.records]))
+        return float(np.mean(self._series("usta_active").astype(bool).astype(float)))
 
     # -- comfort ------------------------------------------------------------------------
 
@@ -514,11 +602,62 @@ class SimulationResult:
         ]
 
 
-def _records_get(self) -> List[StepRecord]:
-    thunk = self.__dict__.get("_columns_thunk")
-    if thunk is not None:
-        self.__dict__["_columns_thunk"] = None
-        self.__dict__["records"] = list(thunk())
+class RecordsView(collections.abc.Sequence):
+    """``SimulationResult.records`` while the records are still columns.
+
+    Length and ``view[i]`` (negative indices too) read the column source and
+    build at most one :class:`StepRecord`.  Everything that needs the whole
+    run — iteration, slicing, comparison, ``repr``, pickling and ``append``
+    — materialises the result's real list once and works on it,
+    so the view equals (and pickles to) a plain list.
+    """
+
+    __slots__ = ("_result",)
+
+    def __init__(self, result: SimulationResult):
+        self._result = result
+
+    def _list(self) -> List[StepRecord]:
+        return self._result._materialise()
+
+    def __len__(self) -> int:
+        return len(self._result)
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            return self._list()[index]
+        reader = self._result._reader()
+        if reader is None:
+            return self._list()[index]
+        n = len(reader)
+        position = operator.index(index)
+        if position < 0:
+            position += n
+        if not 0 <= position < n:
+            raise IndexError("list index out of range")
+        return reader.record(position)
+
+    def __iter__(self) -> Iterator[StepRecord]:
+        return iter(self._list())
+
+    def __eq__(self, other) -> bool:
+        if isinstance(other, RecordsView):
+            other = other._list()
+        return self._list() == other
+
+    def __repr__(self) -> str:
+        return repr(self._list())
+
+    def __reduce__(self):
+        return (list, (self._list(),))
+
+    def append(self, record: StepRecord) -> None:
+        self._list().append(record)
+
+
+def _records_get(self) -> Sequence[StepRecord]:
+    if self.__dict__.get("_columns_thunk") is not None:
+        return RecordsView(self)
     return self.__dict__["records"]
 
 
@@ -529,5 +668,6 @@ def _records_set(self, value: List[StepRecord]) -> None:
 
 # ``records`` stays an ordinary dataclass field (init/repr/eq all see it),
 # but attribute access goes through a data descriptor so a deferred column
-# source installed by defer_columns() is materialised exactly once, on first use.
+# source installed by defer_columns() answers through a RecordsView until
+# something needs the whole list.
 SimulationResult.records = property(_records_get, _records_set)

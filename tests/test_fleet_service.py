@@ -30,6 +30,7 @@ from repro.fleet import (
     run_service,
     snapshot_session_state,
 )
+from repro.fleet.service import DEFAULT_REQUEST_LIMIT
 from repro.users import paper_population
 
 TRACKER_POLICY = PolicySpec(
@@ -323,6 +324,110 @@ class TestSocketServer:
         thread.join(timeout=30)
         assert not thread.is_alive()
         # Shutdown persisted the live session's user state.
+        assert SessionStateStore(tmp_path / "state").users == [profile.user_id]
+
+
+def _serve_in_thread(service, **kwargs):
+    """Start ``run_service`` on a free loopback port; returns (thread, addr)."""
+    bound = {}
+    ready = threading.Event()
+
+    def on_listening(host, port):
+        bound["addr"] = (host, port)
+        ready.set()
+
+    kwargs.setdefault("checkpoint_period_s", None)
+    thread = threading.Thread(
+        target=run_service,
+        args=(service, "127.0.0.1", 0),
+        kwargs={"on_listening": on_listening, **kwargs},
+        daemon=True,
+    )
+    thread.start()
+    assert ready.wait(timeout=30)
+    return thread, bound["addr"]
+
+
+def _rpc(fh, request) -> dict:
+    fh.write(json.dumps(request).encode() + b"\n")
+    fh.flush()
+    return json.loads(fh.readline())
+
+
+class TestSocketRequestLimit:
+    """A request line longer than asyncio's default 64 KiB used to raise out
+    of the handler: no reply, and the connection dropped."""
+
+    def test_large_batch_is_served_and_oversized_line_is_refused(self, linear_predictor):
+        profile = _profile()
+        service = PolicyService(
+            TRACKER_POLICY, profiles={profile.user_id: profile}, predictor=linear_predictor
+        )
+        thread, addr = _serve_in_thread(service)
+        sids = [f"s{i:04d}" for i in range(1000)]
+        with socket.create_connection(addr, timeout=60) as conn:
+            fh = conn.makefile("rwb")
+            for sid in sids:
+                fh.write(json.dumps({"op": "open", "session": sid}).encode() + b"\n")
+            fh.flush()
+            assert all(json.loads(fh.readline())["ok"] for _ in sids)
+            batch = {"op": "feed_batch", "samples": {sid: _wire_sample(0.0) for sid in sids}}
+            assert len(json.dumps(batch)) > 64 * 1024
+            reply = _rpc(fh, batch)
+            assert reply["ok"] and len(reply["decisions"]) == 1000
+            # Over the (default) limit: an error reply, then the next request
+            # on the same connection is answered normally.
+            oversized = {"op": "ping", "pad": "x" * (DEFAULT_REQUEST_LIMIT + 1024)}
+            refused = _rpc(fh, oversized)
+            assert refused["ok"] is False and refused["error_type"] == "RequestTooLarge"
+            assert _rpc(fh, {"op": "ping"}) == {"ok": True, "pong": True}
+            # Pipelined: the oversized line and its successor arrive together.
+            fh.write(json.dumps(oversized).encode() + b"\n" + b'{"op":"ping"}\n')
+            fh.flush()
+            assert json.loads(fh.readline())["error_type"] == "RequestTooLarge"
+            assert json.loads(fh.readline()) == {"ok": True, "pong": True}
+            assert _rpc(fh, {"op": "shutdown"})["stopping"] is True
+        thread.join(timeout=30)
+        assert not thread.is_alive()
+
+
+class _FlakyStore(SessionStateStore):
+    """A state store whose first ``save`` raises."""
+
+    failed = False
+
+    def save(self):
+        if not self.failed:
+            self.failed = True
+            raise OSError("disk full")
+        return super().save()
+
+
+class TestCheckpointTicker:
+    def test_failed_checkpoint_is_counted_and_ticking_continues(
+        self, tmp_path, linear_predictor
+    ):
+        profile = _profile()
+        service = PolicyService(
+            TRACKER_POLICY,
+            profiles={profile.user_id: profile},
+            predictor=linear_predictor,
+            state_store=_FlakyStore(tmp_path / "state"),
+        )
+        thread, addr = _serve_in_thread(service, checkpoint_period_s=0.02)
+        with socket.create_connection(addr, timeout=30) as conn:
+            fh = conn.makefile("rwb")
+            assert _rpc(fh, {"op": "open", "session": "s", "user": profile.user_id})["ok"]
+            deadline = time.monotonic() + 30
+            stats = _rpc(fh, {"op": "stats"})
+            while stats["checkpoints"] < 2 and time.monotonic() < deadline:
+                time.sleep(0.02)
+                stats = _rpc(fh, {"op": "stats"})
+            assert stats["checkpoint_failures"] == 1
+            assert stats["checkpoints"] >= 2
+            assert _rpc(fh, {"op": "shutdown"})["stopping"] is True
+        thread.join(timeout=30)
+        assert not thread.is_alive()
         assert SessionStateStore(tmp_path / "state").users == [profile.user_id]
 
 

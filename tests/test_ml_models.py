@@ -56,6 +56,46 @@ class TestRegistry:
             LinearRegression().fit(empty)
 
 
+def _magnitude_probe(n=300, d=4, seed=0):
+    """Feature rows whose magnitudes span twelve orders (1e-6 .. 1e6), signs mixed."""
+    rng = np.random.default_rng(seed)
+    return rng.uniform(-1.0, 1.0, size=(n, d)) * 10.0 ** rng.integers(-6, 7, size=(n, d))
+
+
+def _wide_dataset(n=400, seed=1):
+    x = _magnitude_probe(n, seed=seed)
+    y = np.sin(np.log1p(np.abs(x[:, 0]))) * 4.0 + np.where(x[:, 1] > 0, 3.0, -2.0) + x[:, 2] * 1e-6
+    return Dataset(x, y, ("a", "b", "c", "d"), "y")
+
+
+class TestBatchRowInvariance:
+    """``batch_row_invariant`` promises matrix predict == per-row predicts,
+    bitwise; the batch engine and the resident serving plane rely on it."""
+
+    @pytest.mark.parametrize(
+        "name",
+        [
+            name
+            for name, cls in sorted(MODEL_REGISTRY.items())
+            if getattr(cls, "batch_row_invariant", False)
+        ],
+    )
+    def test_declared_models_predict_rows_independently(self, name):
+        model = create_model(name).fit(_wide_dataset())
+        probe = _magnitude_probe()
+        matrix = model.predict(probe)
+        rows = np.concatenate([model.predict(probe[i : i + 1]) for i in range(len(probe))])
+        assert matrix.dtype == rows.dtype == np.float64
+        assert matrix.tobytes() == rows.tobytes()
+
+    def test_declarations(self):
+        for cls in (LinearRegression, RepTree, M5ModelTree):
+            assert cls.batch_row_invariant is True
+        # BLAS picks matmul kernels by shape: on the probe above a matrix
+        # predict differs from per-row predicts in the last ulp on some rows.
+        assert not getattr(MultilayerPerceptron, "batch_row_invariant", False)
+
+
 class TestSplitting:
     def test_finds_the_obvious_split(self):
         x = np.array([[1.0], [2.0], [3.0], [10.0], [11.0], [12.0]])
@@ -160,6 +200,20 @@ class TestRepTree:
         unpruned = RepTree(min_leaf=2, prune=False, seed=1).fit(data)
         pruned = RepTree(min_leaf=2, prune=True, seed=1).fit(data)
         assert pruned.num_leaves <= unpruned.num_leaves
+
+    def test_descent_and_walk_agree_on_ties_and_nan(self):
+        """Rows sitting exactly on split thresholds, or carrying NaN, take the
+        same branch in the array descent (large batches) as in the row walk."""
+        model = RepTree(min_leaf=2, prune=False).fit(piecewise_dataset())
+        internal = np.flatnonzero(model._left != np.arange(len(model._left)))
+        rng = np.random.default_rng(4)
+        probe = rng.uniform(0, 10, size=(len(internal) + RepTree.DESCENT_MIN_ROWS, 2))
+        for k, node in enumerate(internal):
+            probe[k, model._feature[node]] = model._threshold[node]
+        probe[len(internal) :: 3, 1] = np.nan
+        probe[len(internal) + 1 :: 3, 0] = np.nan
+        rows = np.concatenate([model.predict(row[None, :]) for row in probe])
+        assert model.predict(probe).tobytes() == rows.tobytes()
 
     def test_describe_renders_tree(self):
         model = RepTree(min_leaf=5).fit(piecewise_dataset())

@@ -10,13 +10,15 @@ state.  Every assertion here compares full ``CapDecision`` dataclasses, so
 floats must match exactly, not approximately.
 """
 
+import json
+
 import pytest
 
 from repro.api.plane import session_plane_ineligibility
 from repro.api.session import SessionPool, open_session
 from repro.api.specs import AdapterSpec, GovernorSpec, ManagerSpec, PolicySpec
 from repro.api.types import FeedbackEvent, TelemetrySample
-from repro.fleet import restore_session_state, snapshot_session_state
+from repro.fleet import PolicyService, restore_session_state, snapshot_session_state
 
 REPORT_PERIOD_S = 3.0
 TRUE_LIMIT_C = 34.3
@@ -242,3 +244,65 @@ class TestPlaneParity:
         assert "bare-governor" in session_plane_ineligibility(bare)
         eligible = open_session(_spec(), predictor=linear_predictor)
         assert session_plane_ineligibility(eligible) is None
+
+
+class TestRepTreePlaneParity(TestPlaneParity):
+    """Every scenario above over the deployed REPTree predictor.
+
+    REPTree declares ``batch_row_invariant`` (its flat-array descent gives a
+    matrix predict the bits of per-row predicts), so its sessions ride the
+    plane too — and must decide exactly like the scalar pool.
+    """
+
+    @pytest.fixture
+    def linear_predictor(self, small_predictor):
+        # Shadows the conftest fixture for the inherited tests.
+        return small_predictor
+
+
+def _wire(time_s: float, i: int, skin: bool) -> dict:
+    sample = _sample(time_s, i, skin=skin)
+    return {
+        "time_s": sample.time_s,
+        "utilization": sample.utilization,
+        "frequency_khz": sample.frequency_khz,
+        "sensors": dict(sample.sensor_readings),
+    }
+
+
+def test_reptree_sessions_request_parity_through_the_service(small_predictor):
+    """Request by request, a plane service and a plane-disabled service give
+    the same response bytes for REPTree sessions — and all of them are
+    resident."""
+    services = [
+        PolicyService(_spec(), predictor=small_predictor, use_plane=use_plane)
+        for use_plane in (True, False)
+    ]
+    sids = [f"r{i:03d}" for i in range(40)]
+    requests = [{"op": "open", "session": sid} for sid in sids]
+    for tick in range(12):
+        t = tick * 1.5
+        for lo in range(0, len(sids), 16):
+            chunk = sids[lo : lo + 16]
+            request = {
+                "op": "feed_batch",
+                "samples": {
+                    sid: _wire(t, lo + k + tick, skin=(lo + k) % 3 == 0)
+                    for k, sid in enumerate(chunk)
+                },
+            }
+            if lo == 0:
+                request["feedback"] = {
+                    chunk[1]: [{"time_s": t, "kind": "discomfort", "skin_temp_c": 35.0}]
+                }
+            requests.append(request)
+        requests.append({"op": "feed", "session": sids[0], "sample": _wire(t + 0.5, tick, True)})
+        requests.append(
+            {"op": "feedback", "session": sids[2],
+             "event": {"time_s": t + 0.5, "kind": "comfort", "skin_temp_c": 33.0}}
+        )
+    for index, request in enumerate(requests):
+        plane, scalar = (json.dumps(s.handle(request), sort_keys=True) for s in services)
+        assert plane == scalar, (index, request["op"])
+    assert services[0].pool.plane_resident_count == len(sids)
+    assert services[0].pool.plane_tick_count > 0
