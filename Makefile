@@ -3,7 +3,8 @@
 # `make check` is what CI runs on every PR: the tier-1 test suite plus a
 # smoke run of the batched experiment runtime (table1 through a 2-worker
 # process pool at a tiny duration scale) and of the online policy-session
-# driver (`repro serve --smoke`), plus the repository benchmark's self-test.
+# driver (`repro serve --smoke`), the cold set-up parity stamps, plus the
+# repository benchmark's self-test.
 # `plane-residency` checks that the default serving policy runs every
 # session on the resident plane.
 # `make lint` needs ruff on the PATH.
@@ -18,9 +19,9 @@ export PYTHONPATH := src$(if $(PYTHONPATH),:$(PYTHONPATH))
 # Recursively expanded (=) so the probe only runs for targets that use it.
 COV_FLAGS = $(shell $(PYTHON) -c "import importlib.util as u; print('--cov=repro --cov-fail-under=80' if u.find_spec('pytest_cov') else '')")
 
-.PHONY: check test coverage smoke serve-smoke plane-residency stream-smoke bench-smoke fleet-smoke serve-load-smoke hal-smoke perfbench-selftest golden lint bench-baseline
+.PHONY: check test coverage smoke serve-smoke plane-residency stream-smoke bench-smoke setup-smoke fleet-smoke serve-load-smoke hal-smoke perfbench-selftest golden lint bench-baseline
 
-check: test smoke serve-smoke plane-residency stream-smoke bench-smoke fleet-smoke serve-load-smoke hal-smoke perfbench-selftest
+check: test smoke serve-smoke plane-residency stream-smoke bench-smoke setup-smoke fleet-smoke serve-load-smoke hal-smoke perfbench-selftest
 
 test:
 	$(PYTHON) -m pytest -x -q $(COV_FLAGS)
@@ -60,6 +61,13 @@ stream-smoke:
 # they catch scalar-fallback regressions, not machine noise).
 bench-smoke:
 	$(PYTHON) benchmarks/bench_batch_runtime.py --smoke
+
+# Parity gate for the cold set-up path (traces -> logged training data ->
+# REPTree): times the stages once at 1/15 of the benchmark durations, then
+# checks the pinned stamps of tests/test_setup_parity.py (trace columns,
+# training records, REPTree node arrays, REPTree/M5P predictions).
+setup-smoke:
+	$(PYTHON) benchmarks/bench_setup.py --smoke
 
 # Fault-tolerance gate for the fleet executor: a tiny 2-worker distributed
 # sweep with one worker SIGKILLed mid-run must still finish, the merged store

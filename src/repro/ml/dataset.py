@@ -43,6 +43,19 @@ class Dataset:
         if len(self.feature_names) != self.features.shape[1]:
             raise ValueError("feature_names must match the number of feature columns")
         self.feature_names = tuple(self.feature_names)
+        # A NaN or inf silently corrupts every learner (RepTree fits a garbage
+        # tree, M5P's least squares fail inside LAPACK), so refuse it here.
+        if not np.isfinite(self.features).all():
+            row, column = (int(i) for i in np.argwhere(~np.isfinite(self.features))[0])
+            raise ValueError(
+                f"non-finite feature at row {row}, column {column} "
+                f"({self.feature_names[column]!r}): {self.features[row, column]}"
+            )
+        if not np.isfinite(self.target).all():
+            row = int(np.flatnonzero(~np.isfinite(self.target))[0])
+            raise ValueError(
+                f"non-finite target at row {row} ({self.target_name!r}): {self.target[row]}"
+            )
 
     # -- basic protocol -----------------------------------------------------------
 

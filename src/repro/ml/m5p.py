@@ -24,7 +24,7 @@ import numpy as np
 
 from .base import Regressor, register_model
 from .dataset import Dataset
-from .splitting import find_best_split
+from .splitting import grow_tree
 
 __all__ = ["M5ModelTree"]
 
@@ -76,8 +76,8 @@ def _fit_linear(
 class _Node:
     """One node of the model tree."""
 
-    count: int
     mean: float
+    count: int
     model: Optional[_LinearModel] = None
     feature_index: int = -1
     threshold: float = 0.0
@@ -146,30 +146,22 @@ class M5ModelTree(Regressor):
     def _fit(self, data: Dataset) -> None:
         self._feature_names = data.feature_names
         self._global_std = float(np.std(data.target)) or 1.0
-        self._root = self._grow(data.features, data.target, depth=0)
+        self._root = self._grow(data.features, data.target)
         self._attach_models(self._root, data.features, data.target)
         if self.prune:
             self._prune(self._root, data.features, data.target)
 
-    def _grow(self, features: np.ndarray, target: np.ndarray, depth: int) -> _Node:
-        node = _Node(count=len(target), mean=float(np.mean(target)))
+    def _grow(self, features: np.ndarray, target: np.ndarray) -> _Node:
         # M5 stops splitting when the node is nearly pure relative to the
         # global spread (the classic 5% rule) or too small.
-        if (
-            len(target) < 2 * self.min_leaf
-            or float(np.std(target)) < 0.05 * self._global_std
-            or (self.max_depth is not None and depth >= self.max_depth)
-        ):
-            return node
-        split = find_best_split(features, target, self.min_leaf)
-        if split is None:
-            return node
-        mask = features[:, split.feature_index] <= split.threshold
-        node.feature_index = split.feature_index
-        node.threshold = split.threshold
-        node.left = self._grow(features[mask], target[mask], depth + 1)
-        node.right = self._grow(features[~mask], target[~mask], depth + 1)
-        return node
+        return grow_tree(
+            features,
+            target,
+            self.min_leaf,
+            _Node,
+            max_depth=self.max_depth,
+            min_std=0.05 * self._global_std,
+        )
 
     def _attach_models(self, node: _Node, features: np.ndarray, target: np.ndarray) -> None:
         """Fit a linear model at every node, restricted to its subtree's split features."""

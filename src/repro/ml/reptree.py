@@ -24,7 +24,7 @@ import numpy as np
 
 from .base import Regressor, register_model
 from .dataset import Dataset
-from .splitting import find_best_split
+from .splitting import grow_tree, segment_sums
 
 __all__ = ["RepTree"]
 
@@ -97,45 +97,56 @@ class RepTree(Regressor):
         else:
             grow_set, prune_set = data, None
 
-        root = self._grow(grow_set.features, grow_set.target, depth=0)
+        root = self._grow(grow_set.features, grow_set.target)
         if prune_set is not None and not prune_set.is_empty:
             self._reduced_error_prune(root, prune_set.features, prune_set.target)
         self._flatten(root)
 
-    def _grow(self, features: np.ndarray, target: np.ndarray, depth: int) -> _Node:
-        node = _Node(prediction=float(np.mean(target)), count=len(target))
-        if self.max_depth is not None and depth >= self.max_depth:
-            return node
-        split = find_best_split(features, target, self.min_leaf)
-        if split is None:
-            return node
+    def _grow(self, features: np.ndarray, target: np.ndarray) -> _Node:
+        return grow_tree(features, target, self.min_leaf, _Node, max_depth=self.max_depth)
 
-        mask = features[:, split.feature_index] <= split.threshold
-        node.feature_index = split.feature_index
-        node.threshold = split.threshold
-        node.left = self._grow(features[mask], target[mask], depth + 1)
-        node.right = self._grow(features[~mask], target[~mask], depth + 1)
-        return node
+    def _reduced_error_prune(self, root: _Node, features: np.ndarray, target: np.ndarray) -> None:
+        """Reduced-error pruning against the held-out pruning set.
 
-    def _reduced_error_prune(
-        self, node: _Node, features: np.ndarray, target: np.ndarray
-    ) -> float:
-        """Prune bottom-up; returns the pruning-set squared error of the node."""
-        leaf_error = float(np.sum((target - node.prediction) ** 2)) if len(target) else 0.0
-        if node.is_leaf:
-            return leaf_error
+        The pruning rows descend the grown tree one level at a time, which
+        gives every node's leaf error (squared error of its prediction over
+        the rows reaching it, summed in row order).  Then, bottom-up, a
+        subtree whose error is not below its root's leaf error collapses into
+        that leaf (``<=``, as WEKA does).
+        """
+        leaf_error = {}
+        level = [root]
+        rows = np.arange(len(target))
+        counts = np.array([len(target)])
+        while level:
+            starts = np.cumsum(counts) - counts
+            predictions = np.repeat([node.prediction for node in level], counts)
+            errors = segment_sums(np.square(target[rows] - predictions), starts, counts)
+            for node, error in zip(level, errors.tolist()):
+                leaf_error[id(node)] = error
+            is_split = np.array([not node.is_leaf for node in level])
+            segment = np.repeat(np.arange(len(level)), counts)
+            routed = is_split[segment]
+            rows, segment = rows[routed], segment[routed]
+            feature = np.array([node.feature_index for node in level])[segment]
+            threshold = np.array([node.threshold for node in level])[segment]
+            # Children in level order, left then right, rows kept in order.
+            child = 2 * (np.cumsum(is_split) - 1)[segment] + ~(features[rows, feature] <= threshold)
+            rows = rows[np.argsort(child, kind="stable")]
+            counts = np.bincount(child, minlength=2 * int(is_split.sum()))
+            level = [side for node in level if not node.is_leaf for side in (node.left, node.right)]
 
-        mask = features[:, node.feature_index] <= node.threshold
-        left_error = self._reduced_error_prune(node.left, features[mask], target[mask])
-        right_error = self._reduced_error_prune(node.right, features[~mask], target[~mask])
-        subtree_error = left_error + right_error
+        def collapse(node: _Node) -> float:
+            error = leaf_error[id(node)]
+            if node.is_leaf:
+                return error
+            subtree_error = collapse(node.left) + collapse(node.right)
+            if error <= subtree_error:
+                node.to_leaf()
+                return error
+            return subtree_error
 
-        # If turning the subtree into a leaf does not hurt on the pruning set,
-        # prefer the simpler tree (<=, as WEKA does).
-        if leaf_error <= subtree_error:
-            node.to_leaf()
-            return leaf_error
-        return subtree_error
+        collapse(root)
 
     # -- prediction -------------------------------------------------------------------
 

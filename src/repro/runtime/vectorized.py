@@ -1341,7 +1341,7 @@ def simulate_population_mixed(
             plane = _PolicyPlane(
                 plane_rows, table, has_skin_sensor="skin" in sensor_names, exact=exact
             )
-    needs_scalar_views = bool(scalar_manager_rows) or bool(logger_rows)
+    needs_scalar_views = bool(scalar_manager_rows)
 
     # With a drain the record buffer is window-sized (rows are flushed at
     # every window boundary); otherwise it spans the whole run.
@@ -1381,6 +1381,15 @@ def simulate_population_mixed(
     ]
     if plane is not None:
         plane.bind_sensor_rows(_block_row)
+    # SystemLogger.log_columns argument order.
+    logged_columns = (
+        buf.sensor_cpu_temp_c,
+        buf.sensor_battery_temp_c,
+        buf_utilization,
+        buf_frequency_khz,
+        buf.sensor_skin_temp_c,
+        buf.sensor_screen_temp_c,
+    )
 
     # Homogeneous stock-ondemand populations take a fully vectorized governor
     # path (exact replica of OndemandGovernor._target_level + the level cap);
@@ -1558,7 +1567,7 @@ def simulate_population_mixed(
                 column[bt, live] = vals[vals_row] if vals_row is not None else temps[node_idx, live]
 
             # Per-member Python views are only materialised for components that
-            # genuinely cannot batch (managers, loggers, custom governors).
+            # genuinely cannot batch (scalar managers, custom governors).
             if needs_scalar_views or not fast_ondemand:
                 util_list = utilization.tolist()
                 freq_list = freq_khz.tolist()
@@ -1600,19 +1609,6 @@ def simulate_population_mixed(
                     buf.comfort_limit_c[bt, row] = decision.comfort_limit_c
             buf_level_cap[bt, live] = caps[live]
 
-            # -- loggers -----------------------------------------------------------
-            for row, logger in logger_rows:
-                if row >= n_act:
-                    break
-                readings = {name: values[row] for name, values in reading_lists}
-                logger.maybe_log(
-                    time_s=time_s,
-                    benchmark=s_traces[row].name,
-                    sensor_readings=readings,
-                    utilization=util_list[row],
-                    frequency_khz=float(freq_list[row]),
-                )
-
             # -- governors pick the level for the next window ----------------------
             if fast_ondemand:
                 # Exact vectorization of OndemandGovernor._target_level: jump to
@@ -1649,6 +1645,20 @@ def simulate_population_mixed(
                     governor = governors[row]
                     levels[row] = governor.select_level(observation)
                     caps[row] = governor.level_cap
+
+        # -- window boundary: loggers sample the window's record columns -------
+        # Logging only reads what the records already hold, so it stays out of
+        # the tick loop: each logger picks its due ticks from the window.
+        for row, logger in logger_rows:
+            if row >= n_live:
+                break
+            count = min(int(s_lengths[row]) - w0, w_len)
+            ticks = slice(buf_base, buf_base + count)
+            logger.log_columns(
+                times[w0 : w0 + count],
+                s_traces[row].name,
+                *(column[ticks, row] for column in logged_columns),
+            )
 
         # -- window boundary: flush completed record rows through the drain ----
         if window_drain is not None:
@@ -1694,7 +1704,7 @@ def simulate_population_mixed(
     for row, member in enumerate(s_members):
         count = int(s_lengths[row])
         platform = member.platform
-        platform.hand.touching = bool(s_traces[row][count - 1].touching)
+        platform.hand.touching = bool(s_traces[row].arrays_window(count - 1, count).touching[0])
         platform.hand.apply(platform.network)
         platform.network.apply_temperature_vector(temps[:, row])
         platform.cpu.level = final_levels[row]

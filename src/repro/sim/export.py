@@ -155,7 +155,7 @@ def load_log_csv(path: PathLike, period_s: float = 3.0) -> SystemLogger:
         for row in reader:
             if not row:
                 continue
-            logger.records.append(
+            logger.append(
                 LogRecord(
                     time_s=float(row[0]),
                     benchmark=row[1],

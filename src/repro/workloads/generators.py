@@ -22,12 +22,12 @@ the same trace.
 from __future__ import annotations
 
 import abc
-from dataclasses import dataclass, field, replace
-from typing import List, Optional, Sequence, Tuple
+from dataclasses import dataclass, field
+from typing import List, Sequence, Tuple
 
 import numpy as np
 
-from .trace import WorkloadSample, WorkloadTrace
+from .trace import TRACE_COLUMNS, TraceArrays, WorkloadSample, WorkloadTrace
 
 __all__ = [
     "LoadGenerator",
@@ -39,10 +39,6 @@ __all__ = [
 ]
 
 
-def _clip01(value: float) -> float:
-    return float(min(1.0, max(0.0, value)))
-
-
 @dataclass
 class LoadGenerator(abc.ABC):
     """Base class for trace generators.
@@ -51,8 +47,7 @@ class LoadGenerator(abc.ABC):
         duration_s: length of the generated trace in seconds.
         sample_period_s: sampling period of the generated trace.
         base_sample: template for the non-CPU fields (GPU, radio, screen,
-            charging, touching); generators typically vary only ``cpu_demand``
-            and sometimes ``gpu_activity`` around this template.
+            charging, touching); generators vary ``cpu_demand`` around it.
         demand_jitter: standard deviation of gaussian jitter added to the CPU
             demand of every sample.
         seed: RNG seed.
@@ -78,38 +73,36 @@ class LoadGenerator(abc.ABC):
         return max(1, int(round(self.duration_s / self.sample_period_s)))
 
     def generate(self, name: str, description: str = "") -> WorkloadTrace:
-        """Generate the trace."""
-        rng = np.random.default_rng(self.seed)
-        samples: List[WorkloadSample] = []
-        for index in range(self.num_samples):
-            time_s = index * self.sample_period_s
-            demand = self._demand_at(index, time_s, rng)
-            if self.demand_jitter > 0:
-                demand += float(rng.normal(0.0, self.demand_jitter))
-            sample = self._decorate(
-                replace(self.base_sample, cpu_demand=_clip01(demand)), index, time_s, rng
-            )
-            samples.append(sample)
-        return WorkloadTrace(
-            name=name,
-            samples=samples,
+        """Generate the trace, column by column.
+
+        The jitter is one block draw of ``num_samples`` normals, which
+        consumes the seeded generator exactly like one draw per sample.
+        """
+        count = self.num_samples
+        index = np.arange(count)
+        demand = self._demand_column(index, index * self.sample_period_s)
+        if self.demand_jitter > 0:
+            rng = np.random.default_rng(self.seed)
+            demand = demand + rng.normal(0.0, self.demand_jitter, count)
+        # min(1.0, max(0.0, demand)) with Python's min/max tie semantics.
+        demand = np.where(demand > 0.0, demand, 0.0)
+        demand = np.where(demand < 1.0, demand, 1.0)
+        base = self.base_sample
+        arrays = TraceArrays(
+            cpu_demand=demand,
+            gpu_activity=np.full(count, base.gpu_activity, dtype=float),
+            radio_activity=np.full(count, base.radio_activity, dtype=float),
+            brightness=np.full(count, base.brightness, dtype=float),
+            screen_on=np.full(count, base.screen_on, dtype=bool),
+            charging=np.full(count, base.charging, dtype=bool),
+            touching=np.full(count, base.touching, dtype=bool),
             sample_period_s=self.sample_period_s,
-            description=description,
         )
+        return WorkloadTrace.from_arrays(name, arrays, description)
 
     @abc.abstractmethod
-    def _demand_at(self, index: int, time_s: float, rng: np.random.Generator) -> float:
-        """CPU demand (before jitter) at a sample index."""
-
-    def _decorate(
-        self,
-        sample: WorkloadSample,
-        index: int,
-        time_s: float,
-        rng: np.random.Generator,
-    ) -> WorkloadSample:
-        """Hook for subclasses that vary more than CPU demand."""
-        return sample
+    def _demand_column(self, index: np.ndarray, time_s: np.ndarray) -> np.ndarray:
+        """CPU demand (before jitter) at every sample index / time."""
 
 
 @dataclass
@@ -118,8 +111,8 @@ class ConstantLoad(LoadGenerator):
 
     demand: float = 0.5
 
-    def _demand_at(self, index: int, time_s: float, rng: np.random.Generator) -> float:
-        return self.demand
+    def _demand_column(self, index: np.ndarray, time_s: np.ndarray) -> np.ndarray:
+        return np.full(len(index), self.demand, dtype=float)
 
 
 @dataclass
@@ -144,10 +137,9 @@ class BurstyLoad(LoadGenerator):
         super().__post_init__()
         if self.busy_duration_s <= 0 or self.idle_duration_s <= 0:
             raise ValueError("burst and gap durations must be positive")
-        self._schedule: Optional[List[Tuple[float, float, float]]] = None
 
     def _build_schedule(self, rng: np.random.Generator) -> List[Tuple[float, float, float]]:
-        """Build (start, end, demand) segments covering the whole trace."""
+        """Build contiguous (start, end, demand) segments covering the whole trace."""
         schedule: List[Tuple[float, float, float]] = []
         time_s = 0.0
         busy = True
@@ -161,19 +153,16 @@ class BurstyLoad(LoadGenerator):
             busy = not busy
         return schedule
 
-    def generate(self, name: str, description: str = "") -> WorkloadTrace:
-        # The burst schedule must be drawn once per trace, before per-sample
-        # jitter, so it is rebuilt here with a dedicated RNG stream.
-        self._schedule = self._build_schedule(np.random.default_rng(self.seed + 1))
-        return super().generate(name, description)
-
-    def _demand_at(self, index: int, time_s: float, rng: np.random.Generator) -> float:
-        if not self._schedule:
-            self._schedule = self._build_schedule(np.random.default_rng(self.seed + 1))
-        for start, end, demand in self._schedule:
-            if start <= time_s < end:
-                return demand
-        return self._schedule[-1][2]
+    def _demand_column(self, index: np.ndarray, time_s: np.ndarray) -> np.ndarray:
+        # The burst schedule has its own RNG stream, so the per-sample jitter
+        # stream is the same whatever the schedule draws.
+        schedule = self._build_schedule(np.random.default_rng(self.seed + 1))
+        ends = np.array([end for _, end, _ in schedule])
+        demands = np.array([demand for _, _, demand in schedule])
+        # Segments are contiguous from 0, so the segment holding t is the
+        # first one ending after t; samples past the last end keep its demand.
+        segment = np.searchsorted(ends, time_s, side="right")
+        return demands[np.minimum(segment, len(schedule) - 1)]
 
 
 @dataclass
@@ -192,9 +181,9 @@ class PeriodicLoad(LoadGenerator):
         if not 0.0 < self.duty_cycle < 1.0:
             raise ValueError("duty_cycle must be strictly between 0 and 1")
 
-    def _demand_at(self, index: int, time_s: float, rng: np.random.Generator) -> float:
+    def _demand_column(self, index: np.ndarray, time_s: np.ndarray) -> np.ndarray:
         phase = (time_s % self.period_s) / self.period_s
-        return self.high_demand if phase < self.duty_cycle else self.low_demand
+        return np.where(phase < self.duty_cycle, self.high_demand, self.low_demand)
 
 
 @dataclass
@@ -204,9 +193,9 @@ class RampLoad(LoadGenerator):
     start_demand: float = 0.1
     end_demand: float = 1.0
 
-    def _demand_at(self, index: int, time_s: float, rng: np.random.Generator) -> float:
+    def _demand_column(self, index: np.ndarray, time_s: np.ndarray) -> np.ndarray:
         if self.num_samples <= 1:
-            return self.end_demand
+            return np.full(len(index), self.end_demand, dtype=float)
         progress = index / (self.num_samples - 1)
         return self.start_demand + progress * (self.end_demand - self.start_demand)
 
@@ -228,17 +217,19 @@ class PhasedLoad(LoadGenerator):
         super().__post_init__()
 
     def generate(self, name: str, description: str = "") -> WorkloadTrace:
-        trace: Optional[WorkloadTrace] = None
-        for phase_name, generator in self.phases:
-            phase_trace = generator.generate(f"{name}:{phase_name}")
-            trace = phase_trace if trace is None else trace.concatenated(phase_trace, name=name)
-        assert trace is not None
-        return WorkloadTrace(
-            name=name,
-            samples=list(trace.samples),
-            sample_period_s=trace.sample_period_s,
-            description=description,
+        phases = [generator.generate(f"{name}:{phase}") for phase, generator in self.phases]
+        period = phases[0].sample_period_s
+        if any(abs(trace.sample_period_s - period) > 1e-9 for trace in phases):
+            raise ValueError("cannot concatenate traces with different sample periods")
+        columns = [trace.as_arrays() for trace in phases]
+        arrays = TraceArrays(
+            **{
+                field_name: np.concatenate([getattr(column, field_name) for column in columns])
+                for field_name in TRACE_COLUMNS
+            },
+            sample_period_s=period,
         )
+        return WorkloadTrace.from_arrays(name, arrays, description)
 
-    def _demand_at(self, index: int, time_s: float, rng: np.random.Generator) -> float:
+    def _demand_column(self, index: np.ndarray, time_s: np.ndarray) -> np.ndarray:
         raise NotImplementedError("PhasedLoad delegates generation to its phases")

@@ -10,7 +10,7 @@ against the :class:`~repro.device.platform.DevicePlatform`.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 from typing import Callable, Iterable, Iterator, List, Optional, Sequence
 
 import numpy as np
@@ -44,6 +44,38 @@ class TraceArrays:
 
     def __len__(self) -> int:
         return len(self.cpu_demand)
+
+    @classmethod
+    def from_samples(
+        cls, samples: Sequence["WorkloadSample"], sample_period_s: float
+    ) -> "TraceArrays":
+        """The columns of a sample sequence."""
+        return cls(
+            **{
+                name: np.array(
+                    [getattr(s, name) for s in samples],
+                    dtype=bool if name in ("screen_on", "charging", "touching") else float,
+                )
+                for name in TRACE_COLUMNS
+            },
+            sample_period_s=sample_period_s,
+        )
+
+    def to_samples(self) -> List["WorkloadSample"]:
+        """One :class:`WorkloadSample` per row."""
+        columns = [getattr(self, f.name).tolist() for f in fields(WorkloadSample)]
+        return [WorkloadSample(*row) for row in zip(*columns)]
+
+    def window(self, start: int, stop: int, copy: bool = False) -> "TraceArrays":
+        """The samples in ``[start, stop)``: zero-copy views, or copies."""
+        columns = {name: getattr(self, name)[start:stop] for name in TRACE_COLUMNS}
+        if copy:
+            columns = {name: column.copy() for name, column in columns.items()}
+        return TraceArrays(**columns, sample_period_s=self.sample_period_s)
+
+
+#: The per-sample column names of :class:`TraceArrays`.
+TRACE_COLUMNS = tuple(f.name for f in fields(TraceArrays) if f.name != "sample_period_s")
 
 
 @dataclass(frozen=True)
@@ -97,9 +129,39 @@ class WorkloadTrace:
         if self.sample_period_s <= 0:
             raise ValueError("sample_period_s must be positive")
 
+    @classmethod
+    def from_arrays(cls, name: str, arrays: TraceArrays, description: str = "") -> "WorkloadTrace":
+        """A trace backed by its columns (the :meth:`as_arrays` cache).
+
+        Generators and the batched runtime only ever read columns, so the
+        per-sample :class:`WorkloadSample` list is built on first access.
+        """
+        if arrays.sample_period_s <= 0:
+            raise ValueError("sample_period_s must be positive")
+        trace = cls.__new__(cls)
+        trace.name = name
+        trace.sample_period_s = arrays.sample_period_s
+        trace.description = description
+        trace._arrays_cache = arrays
+        return trace
+
+    def __getattr__(self, attribute: str):
+        # Only reached for attributes the instance lacks: the sample list of a
+        # trace built by from_arrays, materialised from the columns once.
+        if attribute != "samples" or "_arrays_cache" not in self.__dict__:
+            raise AttributeError(attribute)
+        self.samples = self._arrays_cache.to_samples()
+        return self.samples
+
+    def _columns_only(self) -> bool:
+        """True while the trace is backed by columns and no sample list exists."""
+        return "samples" not in self.__dict__
+
     # -- container protocol ---------------------------------------------------
 
     def __len__(self) -> int:
+        if self._columns_only():
+            return len(self._arrays_cache)
         return len(self.samples)
 
     def __iter__(self) -> Iterator[WorkloadSample]:
@@ -113,7 +175,7 @@ class WorkloadTrace:
     @property
     def duration_s(self) -> float:
         """Total trace duration in seconds."""
-        return len(self.samples) * self.sample_period_s
+        return len(self) * self.sample_period_s
 
     @property
     def mean_cpu_demand(self) -> float:
@@ -138,19 +200,9 @@ class WorkloadTrace:
         returns a copy rather than mutating in place.
         """
         cached = getattr(self, "_arrays_cache", None)
-        if cached is not None and len(cached) == len(self.samples):
+        if cached is not None and (self._columns_only() or len(cached) == len(self.samples)):
             return cached
-        samples = self.samples
-        arrays = TraceArrays(
-            cpu_demand=np.array([s.cpu_demand for s in samples], dtype=float),
-            gpu_activity=np.array([s.gpu_activity for s in samples], dtype=float),
-            radio_activity=np.array([s.radio_activity for s in samples], dtype=float),
-            brightness=np.array([s.brightness for s in samples], dtype=float),
-            screen_on=np.array([s.screen_on for s in samples], dtype=bool),
-            charging=np.array([s.charging for s in samples], dtype=bool),
-            touching=np.array([s.touching for s in samples], dtype=bool),
-            sample_period_s=self.sample_period_s,
-        )
+        arrays = TraceArrays.from_samples(self.samples, self.sample_period_s)
         self._arrays_cache = arrays
         return arrays
 
@@ -169,28 +221,9 @@ class WorkloadTrace:
         if start < 0 or stop < start:
             raise ValueError(f"invalid trace window [{start}, {stop})")
         cached = getattr(self, "_arrays_cache", None)
-        if cached is not None and len(cached) == len(self.samples):
-            return TraceArrays(
-                cpu_demand=cached.cpu_demand[start:stop],
-                gpu_activity=cached.gpu_activity[start:stop],
-                radio_activity=cached.radio_activity[start:stop],
-                brightness=cached.brightness[start:stop],
-                screen_on=cached.screen_on[start:stop],
-                charging=cached.charging[start:stop],
-                touching=cached.touching[start:stop],
-                sample_period_s=self.sample_period_s,
-            )
-        samples = self.samples[start:stop]
-        return TraceArrays(
-            cpu_demand=np.array([s.cpu_demand for s in samples], dtype=float),
-            gpu_activity=np.array([s.gpu_activity for s in samples], dtype=float),
-            radio_activity=np.array([s.radio_activity for s in samples], dtype=float),
-            brightness=np.array([s.brightness for s in samples], dtype=float),
-            screen_on=np.array([s.screen_on for s in samples], dtype=bool),
-            charging=np.array([s.charging for s in samples], dtype=bool),
-            touching=np.array([s.touching for s in samples], dtype=bool),
-            sample_period_s=self.sample_period_s,
-        )
+        if cached is not None and (self._columns_only() or len(cached) == len(self.samples)):
+            return cached.window(start, stop)
+        return TraceArrays.from_samples(self.samples[start:stop], self.sample_period_s)
 
     def iter_windows(
         self, window_steps: int, start: int = 0, stop: Optional[int] = None
@@ -204,7 +237,7 @@ class WorkloadTrace:
         """
         if window_steps < 1:
             raise ValueError("window_steps must be at least 1")
-        end = len(self.samples) if stop is None else min(stop, len(self.samples))
+        end = len(self) if stop is None else min(stop, len(self))
         for w0 in range(start, end, window_steps):
             yield w0, self.arrays_window(w0, min(w0 + window_steps, end))
 
@@ -221,6 +254,11 @@ class WorkloadTrace:
     def truncated(self, duration_s: float) -> "WorkloadTrace":
         """A copy of the trace limited to the first ``duration_s`` seconds."""
         count = max(1, int(round(duration_s / self.sample_period_s)))
+        if self._columns_only():
+            # Copies, so a short prefix does not keep the full columns alive.
+            return WorkloadTrace.from_arrays(
+                self.name, self._arrays_cache.window(0, count, copy=True), self.description
+            )
         return WorkloadTrace(
             name=self.name,
             samples=list(self.samples[:count]),

@@ -40,6 +40,25 @@ class TestDataset:
         with pytest.raises(ValueError):
             Dataset(np.zeros((3, 2)), np.zeros((3, 1)), ("a", "b"), "y")
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_features_are_rejected_naming_the_cell(self, bad):
+        features = np.zeros((4, 2))
+        features[2, 1] = bad
+        with pytest.raises(ValueError, match=r"row 2, column 1 \('b'\)"):
+            Dataset(features, np.zeros(4), ("a", "b"), "y")
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_targets_are_rejected_naming_the_row(self, bad):
+        target = np.zeros(4)
+        target[3] = bad
+        with pytest.raises(ValueError, match=r"row 3 \('y'\)"):
+            Dataset(np.zeros((4, 2)), target, ("a", "b"), "y")
+
+    def test_from_records_rejects_a_nan_reading(self):
+        records = [{"cpu": 50.0, "skin": 35.0}, {"cpu": float("nan"), "skin": 36.0}]
+        with pytest.raises(ValueError, match="row 1, column 0"):
+            Dataset.from_records(records, ["cpu"], "skin")
+
     def test_from_records(self):
         records = [
             {"cpu": 50.0, "util": 0.4, "skin": 35.0},

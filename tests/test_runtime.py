@@ -26,6 +26,7 @@ from repro.runtime import (
     run_cell,
     simulate_population,
 )
+from repro.runtime.stream import CollectorSink
 from repro.sim.engine import ManagerDecision, SimulationKernel, Simulator
 from repro.sim.results import SimulationResult, StepRecord
 from repro.thermal import (
@@ -411,6 +412,41 @@ class TestExecutorParity:
         for store in (serial, vectorized, pooled):
             assert store.get("logged").logger is not None
             assert store.get("logged").logger.records == serial.get("logged").logger.records
+
+    @pytest.mark.parametrize(
+        "durations,log_period_s,window_steps",
+        [
+            pytest.param((60, 41, 23), 3.0, None, id="mixed-lengths"),
+            pytest.param((60, 47, 23), 3.0, 7, id="window-not-a-multiple-of-the-period"),
+            pytest.param((60, 44), 2.5, None, id="fractional-period"),
+        ],
+    )
+    def test_vectorized_logs_equal_serial_logs(self, durations, log_period_s, window_steps):
+        # The vectorized engine samples its record columns for the logger
+        # after each window; the serial engine logs tick by tick.
+        names = ("youtube", "game", "charging")
+        cells = [
+            ExperimentCell(
+                cell_id=f"logged{i}",
+                trace=build_benchmark(names[i], seed=i, duration_s=duration),
+                seed=i,
+                log_period_s=log_period_s,
+            )
+            for i, duration in enumerate(durations)
+        ]
+        plan = ExperimentPlan(cells)
+        vectorized = VectorizedExecutor(window_steps=window_steps)
+        assert len(vectorized.batch_plan(cells).batches) == 1
+        serial = BatchRunner(executor=SerialExecutor()).run(plan)
+        collected = BatchRunner(executor=vectorized).run(plan)
+        streamed = CollectorSink()
+        BatchRunner(executor=vectorized).run_stream(plan, streamed)
+        for index, cell in enumerate(cells):
+            expected = serial.get(cell.cell_id).logger.records
+            # 1 s ticks: both periods fall due on every third tick.
+            assert len(expected) == -(-durations[index] // 3)
+            assert collected.get(cell.cell_id).logger.records == expected
+            assert streamed.results[index].logger.records == expected
 
 
 class TestVectorizedPopulation:

@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from repro.sim.logger import FEATURE_NAMES, SCREEN_TARGET, SKIN_TARGET, SystemLogger
 from repro.sim.results import SimulationResult, StepRecord
@@ -99,6 +100,51 @@ class TestSystemLogger:
     def test_invalid_period(self):
         with pytest.raises(ValueError):
             SystemLogger(period_s=0.0)
+
+    @given(
+        dt=st.sampled_from([0.1, 0.3, 1.0, 0.7, 1 / 3]),
+        period=st.sampled_from([0.3, 0.9, 2.5, 3.0, 1.0]),
+        ticks=st.integers(1, 400),
+        cuts=st.lists(st.integers(1, 399), max_size=6),
+    )
+    def test_log_columns_equals_per_tick_maybe_log(self, dt, period, ticks, cuts):
+        # Times accumulate like the engine's clock, so they drift off the
+        # period grid; the columns may arrive in windows of any size.
+        times, clock = [], 0.0
+        for _ in range(ticks):
+            clock += dt
+            times.append(clock)
+        rng = np.random.default_rng(ticks)
+        columns = [rng.normal(40.0, 3.0, ticks) for _ in range(6)]
+        columns[3] = rng.choice([384_000, 1_512_000], ticks)
+        per_tick = SystemLogger(period_s=period)
+        for i, t in enumerate(times):
+            readings = {
+                "cpu": float(columns[0][i]),
+                "battery": float(columns[1][i]),
+                "skin": float(columns[4][i]),
+                "screen": float(columns[5][i]),
+            }
+            per_tick.maybe_log(t, "w", readings, float(columns[2][i]), int(columns[3][i]))
+        windowed = SystemLogger(period_s=period)
+        bounds = [0] + sorted(c for c in set(cuts) if c < ticks) + [ticks]
+        for start, stop in zip(bounds, bounds[1:]):
+            windowed.log_columns(
+                times[start:stop], "w", *(column[start:stop] for column in columns)
+            )
+        assert windowed.records == per_tick.records
+        assert windowed == per_tick
+
+    def test_log_columns_settles_on_the_exact_comparison(self):
+        # last + threshold rounds above the first tick whose difference from
+        # last already reaches the threshold; the bisect must step back to it.
+        last, threshold = 0.7, 2.5 - 1e-9
+        t = 3.1999999989999997
+        assert t - last >= threshold and t < last + threshold
+        logger = SystemLogger(period_s=2.5)
+        columns = [np.zeros(4)] * 6
+        logger.log_columns([last, t - 1e-6, t, t + 1.0], "w", *columns)
+        assert [r.time_s for r in logger.records] == [last, t]
 
 
 class TestSimulationResult:
