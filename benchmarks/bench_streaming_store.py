@@ -2,12 +2,14 @@
 
 Not a paper figure: these measure what the streaming record path buys — the
 *peak memory* of a sweep (the batch path accumulates every cell's full
-``StepRecord`` list; the streamed path holds ~one cell) and the throughput
-cost of writing sharded JSONL while executing, so regressions in either are
-visible over time.  The streamed sweep runs twice: record by record through
-the serial executor, and through the vectorized executor, whose batches
-reach the store as columns serialised once per cell (it holds one batch of
-columns, so its peak is higher than the serial stream's).
+``StepRecord`` list; the streamed path holds ~one cell plus at most one
+staged column block) and the cost of writing and reading back sharded
+stores, so regressions in either are visible over time.  The streamed sweep
+runs twice: record by record through the serial executor, and through the
+vectorized executor, whose batches reach the store as columns (it holds one
+batch of columns, so its peak is higher than the serial stream's).  Each
+streamed arm reports the shard bytes per record and the read-back rate
+(``stream_summaries`` over the written store, best of three).
 
 Peak memory is measured with :mod:`tracemalloc` (allocation peak, which is
 what accumulating record lists dominates), so the numbers are comparable
@@ -16,25 +18,36 @@ untraced run.
 
 Run under pytest-benchmark as part of the harness, or directly::
 
-    python benchmarks/bench_streaming_store.py
+    python benchmarks/bench_streaming_store.py [--baseline DIR]
 
 which re-measures everything and rewrites
 ``benchmarks/BENCH_streaming_store.json`` — the committed baseline that gives
-future PRs a memory/throughput trajectory.
+future PRs a memory/throughput trajectory — under ``"after"``.  With
+``--baseline DIR`` (another checkout, e.g. the parent commit unpacked with
+``git archive``) both sides run in fresh interpreters, alternating three
+times, and the medians land under ``"before"`` and ``"after"``.
 """
 
+import argparse
 import json
 import os
 import platform
 import shutil
+import statistics
+import subprocess
 import sys
 import tempfile
 import time
 import tracemalloc
 
 if __name__ == "__main__":  # allow running as a script without PYTHONPATH
-    sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
+    # A --worker run measures the checkout whose src/ it is given.
+    _SRC = os.path.join(os.path.dirname(os.path.abspath(__file__)), "..", "src")
+    if "--worker" in sys.argv:
+        _SRC = sys.argv[sys.argv.index("--worker") + 1]
+    sys.path.insert(0, _SRC)
 
+from repro.analysis.streaming import stream_summaries
 from repro.runtime import (
     BatchRunner,
     ExperimentCell,
@@ -127,64 +140,136 @@ BASELINE_PATH = os.path.join(
 )
 
 
-def write_baseline(path=BASELINE_PATH):
-    """Measure the batch vs streamed sweep and write the JSON baseline."""
+STREAMED_ARMS = (
+    ("streamed_to_shards", SerialExecutor),
+    ("vectorized_streamed_to_shards", VectorizedExecutor),
+)
+REPEATS = 3
+
+
+def _readback_s(directory):
+    """Best-of-three time to re-fold every cell of a written store."""
+    times = []
+    for _ in range(3):
+        start = time.perf_counter()
+        stream_summaries(StreamingResultStore(directory))
+        times.append(time.perf_counter() - start)
+    return min(times)
+
+
+def measure():
+    """Every figure of the baseline, for the ``repro`` this interpreter imports."""
     plan, trace = _plan()
     member_steps = len(trace) * N_CELLS
 
     batch_s, batch_peak = _measure(lambda: _run_batch(plan))
-
-    streamed, peaks = {}, {}
-    for name, executor in (
-        ("streamed_to_shards", SerialExecutor()),
-        ("vectorized_streamed_to_shards", VectorizedExecutor()),
-    ):
+    figures = {
+        "batch_in_memory": {
+            "seconds": batch_s,
+            "peak_mb": batch_peak / 1e6,
+            "member_steps_per_s": member_steps / batch_s,
+        }
+    }
+    for name, executor in STREAMED_ARMS:
         directory = tempfile.mkdtemp(prefix="bench-stream-")
 
         def run():
             shutil.rmtree(directory, ignore_errors=True)
-            _run_streamed(plan, directory, executor)
+            _run_streamed(plan, directory, executor())
 
         try:
             seconds, peak = _measure(run)
             shard_bytes = sum(
                 os.path.getsize(os.path.join(directory, entry))
                 for entry in os.listdir(directory)
+                if entry.startswith("shard-")
             )
+            readback_s = _readback_s(directory)
         finally:
             shutil.rmtree(directory, ignore_errors=True)
-        peaks[name] = peak
-        streamed[name] = {
+        figures[name] = {
             "seconds": seconds,
             "peak_mb": peak / 1e6,
             "member_steps_per_s": member_steps / seconds,
             "shard_mb_written": shard_bytes / 1e6,
+            "bytes_per_record": shard_bytes / member_steps,
+            "readback_records_per_s": member_steps / readback_s,
         }
+    figures["peak_memory_ratio"] = batch_peak / (figures["streamed_to_shards"]["peak_mb"] * 1e6)
+    return figures
 
-    baseline = {
+
+def _worker(root):
+    out = subprocess.run(
+        [sys.executable, os.path.abspath(__file__), "--worker", os.path.join(root, "src")],
+        check=True,
+        capture_output=True,
+        text=True,
+    )
+    return json.loads(out.stdout.strip().splitlines()[-1])
+
+
+def _median(samples):
+    """Figure-wise medians of several :func:`measure` results."""
+    first = samples[0]
+    if not isinstance(first, dict):
+        return statistics.median(samples)
+    return {key: _median([sample[key] for sample in samples]) for key in first}
+
+
+def write_baseline(path=BASELINE_PATH, baseline_root=None):
+    """Measure the batch vs streamed sweeps and write the JSON baseline."""
+    _, trace = _plan()
+    report = {
         "config": {
             "cells": N_CELLS,
             "trace": "skype",
             "trace_steps": len(trace),
             "cpu_count": os.cpu_count(),
             "python": platform.python_version(),
-        },
-        "batch_in_memory": {
-            "seconds": batch_s,
-            "peak_mb": batch_peak / 1e6,
-            "member_steps_per_s": member_steps / batch_s,
-        },
-        **streamed,
-        "peak_memory_ratio": batch_peak / peaks["streamed_to_shards"],
+        }
     }
+    if baseline_root is None:
+        report["after"] = measure()
+    else:
+        here = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+        sides = {"before": os.path.abspath(baseline_root), "after": here}
+        samples = {side: [] for side in sides}
+        for _ in range(REPEATS):
+            for side, root in sides.items():
+                samples[side].append(_worker(root))
+        report["config"]["repeats"] = REPEATS
+        report.update({side: _median(runs) for side, runs in samples.items()})
     with open(path, "w", encoding="utf-8") as handle:
-        json.dump(baseline, handle, indent=2)
+        json.dump(report, handle, indent=2)
         handle.write("\n")
-    return baseline
+    return report
+
+
+def main(argv=None):
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("--baseline", help="checkout root to compare against (its src/ is used)")
+    parser.add_argument("--worker", metavar="SRC", help=argparse.SUPPRESS)
+    args = parser.parse_args(argv)
+    if args.worker:
+        print(json.dumps(measure()))
+        return 0
+    report = write_baseline(baseline_root=args.baseline)
+    print(json.dumps(report, indent=2))
+    for side in ("before", "after"):
+        if side in report:
+            figures = report[side]
+            print(
+                f"{side}: streaming cuts sweep peak memory "
+                f"{figures['peak_memory_ratio']:.1f}x; bytes/record "
+                + ", ".join(
+                    f"{name} {figures[name]['bytes_per_record']:.0f}"
+                    for name, _ in STREAMED_ARMS
+                ),
+                file=sys.stderr,
+            )
+    return 0
 
 
 if __name__ == "__main__":
-    report = write_baseline()
-    print(json.dumps(report, indent=2))
-    ratio = report["peak_memory_ratio"]
-    print(f"\nstreaming cuts sweep peak memory {ratio:.1f}x", file=sys.stderr)
+    sys.exit(main())

@@ -12,8 +12,10 @@ same plan writes (wall times are the one nondeterministic field per line —
 Copying is byte-range based: opening a source directory as a
 ``StreamingResultStore`` heals crash artifacts (a killed worker's truncated
 final line is dropped) and self-repairs the ``index.jsonl`` sidecar, whose
-``(shard, offset, length)`` entries then let the merge stream each cell's
-bytes without parsing a single record.
+``(shard, offset, length, sha256)`` entries then let the merge stream each
+cell's bytes without parsing a single record.  Each copied line is hashed:
+a line that no longer matches its source stamp stops the merge, and the
+merged index carries the stamps on.
 
 The swap is crash-safe: new shards are staged in ``<dest>/.merge-tmp``, the
 old merged files (if any) move to ``<dest>/.merge-backup``, then the staged
@@ -24,6 +26,7 @@ or the source directories, so re-running the merge recovers.
 
 from __future__ import annotations
 
+import hashlib
 import json
 import shutil
 from dataclasses import dataclass, field
@@ -66,10 +69,15 @@ def _looks_like_store(directory: Path) -> bool:
     return any(directory.glob("shard-*.jsonl"))
 
 
+#: Where one committed cell's line lives: (shard path, offset, length, sha256
+#: stamp or ``None`` for an index entry written before stamps existed).
+Location = Tuple[Path, int, int, Optional[str]]
+
+
 def collect_cell_locations(
     directory: Path,
-) -> Tuple[Dict[str, Tuple[Path, int, int]], Optional[str]]:
-    """Map ``cell_id -> (shard path, offset, length)`` for one store directory.
+) -> Tuple[Dict[str, Location], Optional[str]]:
+    """Map ``cell_id -> (shard path, offset, length, sha256)`` for one store directory.
 
     Opening the directory as a :class:`StreamingResultStore` first heals any
     crash artifact (truncated/unterminated final line) and rewrites a stale
@@ -83,7 +91,7 @@ def collect_cell_locations(
     store = StreamingResultStore(directory)
     recovered = store.recovered_tail
     store.close()
-    locations: Dict[str, Tuple[Path, int, int]] = {}
+    locations: Dict[str, Location] = {}
     index_path = directory / INDEX_NAME
     if not index_path.exists():  # pragma: no cover - empty healed directory
         return locations, recovered
@@ -97,6 +105,7 @@ def collect_cell_locations(
                 directory / entry["shard"],
                 int(entry["offset"]),
                 int(entry["length"]),
+                entry.get("sha256"),
             )
     return locations, recovered
 
@@ -123,7 +132,7 @@ class _ShardWriter:
         self._shard_bytes = 0
         self._fh = None
 
-    def write_cell(self, cell_id: str, payload: bytes) -> None:
+    def write_cell(self, cell_id: str, payload: bytes, stamp: str) -> None:
         if self._fh is None:
             self._fh = open(self.directory / _shard_name(self._shard_index), "wb")
         offset = self._shard_bytes
@@ -135,6 +144,7 @@ class _ShardWriter:
                 "shard": _shard_name(self._shard_index),
                 "offset": offset,
                 "length": len(payload),
+                "sha256": stamp,
             }
         )
         self._cells_in_shard += 1
@@ -182,7 +192,7 @@ def merge_stores(
         if source not in scan_order:
             scan_order.append(source)
 
-    locations: Dict[str, Tuple[Path, int, int]] = {}
+    locations: Dict[str, Location] = {}
     source_cells: Dict[str, int] = {}
     recovered: List[str] = []
     for directory in scan_order:
@@ -213,18 +223,23 @@ def merge_stores(
     handles: Dict[Path, object] = {}
     try:
         for cell_id in cell_order:
-            path, offset, length = locations[cell_id]
+            path, offset, length, stamp = locations[cell_id]
             fh = handles.get(path)
             if fh is None:
                 fh = handles[path] = open(path, "rb")
             fh.seek(offset)
             payload = fh.read(length)
-            if len(payload) != length or not payload.endswith(b"\n"):
+            digest = hashlib.sha256(payload).hexdigest()
+            if (
+                len(payload) != length
+                or not payload.endswith(b"\n")
+                or stamp not in (None, digest)
+            ):
                 raise MergeError(
                     f"{path.name}: cell {cell_id!r} byte range "
                     f"[{offset}, {offset + length}) is damaged"
                 )
-            writer.write_cell(cell_id, payload)
+            writer.write_cell(cell_id, payload, digest)
     finally:
         for fh in handles.values():
             fh.close()

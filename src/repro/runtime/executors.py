@@ -22,7 +22,7 @@ bounded-memory form :meth:`BatchRunner.run_stream` drives: completed cells
 flow into a :class:`~repro.runtime.stream.RecordSink` instead of
 accumulating.  The serial executor streams record-by-record (live footprint
 ≤ one cell); the process pool has each worker *spill* its finished cell as
-one serialised JSONL line to a scratch file and the parent merges lines into
+one stored line to a scratch file and the parent merges lines into
 the sink in completion order, so neither the workers' result pickles nor the
 parent ever hold more than ~one cell; the vectorized executor integrates a
 batch in lockstep (inherently O(batch) live — bounded by its
@@ -52,8 +52,8 @@ from ..sim.results import RecordColumns
 from ..workloads.trace import WorkloadTrace
 from .plan import BatchPlan, ExperimentCell, plan_batches
 from .runner import run_cell, stream_cell
-from .store import CellResult, ResultStore, record_to_jsonable
-from .stream import RecordSink, emit_serialized_records, push_cell_result
+from .store import CellLineWriter, CellResult, parse_cell_line
+from .stream import RecordSink, forward_columns, push_cell_result
 from .vectorized import (
     DEFAULT_MAX_WINDOW_BYTES,
     PopulationMember,
@@ -84,45 +84,16 @@ class SerialExecutor:
             stream_cell(cell, sink)
 
 
-class _SpillSink:
-    """Record sink writing one cell as a single JSONL line to a scratch file.
-
-    This is the worker half of the process pool's spill-and-merge: the line
-    format is exactly the streaming store's (same prefix/suffix helpers), so
-    the parent can merge spill files into any sink — or, byte-for-byte, into
-    a shard — without the cell's records ever crossing the process pipe.
-    """
-
-    def __init__(self, path: Path):
-        self.path = path
-        self._fh = None
-        self._records = 0
-
-    def begin_cell(self, cell, workload_name, governor_name, dt_s) -> None:
-        from .streamstore import cell_line_prefix
-
-        self._fh = open(self.path, "w", encoding="utf-8")
-        self._records = 0
-        self._fh.write(cell_line_prefix(cell, workload_name, governor_name, dt_s))
-
-    def emit(self, record) -> None:
-        if self._records:
-            self._fh.write(",")
-        self._fh.write(json.dumps(record_to_jsonable(record), separators=(",", ":")))
-        self._records += 1
-
-    def end_cell(self, wall_time_s: float = 0.0, logger=None) -> None:
-        from .streamstore import cell_line_suffix
-
-        self._fh.write(cell_line_suffix(wall_time_s) + "\n")
-        self._fh.close()
-        self._fh = None
-
-
 def _spill_cell(cell: ExperimentCell, spill_dir: str) -> str:
-    """Pool-worker unit of work: run one cell, spill it, return the file path."""
+    """Pool-worker unit of work: run one cell, spill it, return the file path.
+
+    The cell becomes one stored line written by the store's own
+    :class:`~repro.runtime.store.CellLineWriter`, so the parent can merge
+    spill files into any sink without the records crossing the process pipe.
+    """
     path = Path(spill_dir) / f"{uuid.uuid4().hex}.jsonl"
-    stream_cell(cell, _SpillSink(path))
+    with open(path, "w", encoding="ascii") as fh:
+        stream_cell(cell, CellLineWriter(fh.write))
     return str(path)
 
 
@@ -131,17 +102,12 @@ class _WindowSpoolDrain:
 
     The windowed engine emits each live member's record rows at every window
     boundary, but the sink protocol commits whole cells — so the rows are
-    spooled to one JSONL file per member (one line per window: the window's
-    records serialised in one go from its columns, exactly the shard/spill
-    record serialization) and replayed into the sink cell by cell once the
-    batch finishes.  Peak memory is one window of staging plus one replay
-    chunk; the spool itself is sequential disk I/O.
+    spooled to one file per member (one line per window: the window's
+    columns as one column block, the store's own encoding) and replayed into
+    the sink cell by cell once the batch finishes, one window of columns at
+    a time.  Peak memory is one window of staging plus one replayed window;
+    the spool itself is sequential disk I/O.
     """
-
-    #: Replay chunk size: spooled windows are forwarded to the sink in
-    #: ~256 KiB ","-joined fragments (or one window, if larger), so replay
-    #: never holds a whole multi-hour cell in memory either.
-    CHUNK_CHARS = 256 * 1024
 
     def __init__(self, n_members: int):
         self._dir = tempfile.mkdtemp(prefix="repro-windowspool-")
@@ -149,40 +115,27 @@ class _WindowSpoolDrain:
             Path(self._dir) / f"member-{index:05d}.jsonl" for index in range(n_members)
         ]
         self._handles: List[Optional[object]] = [None] * n_members
-        #: Records on each spooled line, per member.
-        self._line_counts: List[List[int]] = [[] for _ in range(n_members)]
 
     def emit_member_window(self, index: int, records: RecordColumns, done: bool) -> None:
         """Spool one member's rows of the just-finished window."""
         fh = self._handles[index]
         if fh is None:
-            fh = self._handles[index] = open(self._paths[index], "w", encoding="utf-8")
+            fh = self._handles[index] = open(self._paths[index], "w", encoding="ascii")
         if len(records):
-            fh.write(records.to_fragment())
+            fh.write(records.to_block())
             fh.write("\n")
-            self._line_counts[index].append(len(records))
         if done:
             fh.close()
             self._handles[index] = None
 
     def replay_member(self, index: int, sink: RecordSink) -> None:
         """Forward one member's spooled records into an open sink cell."""
-        counts = self._line_counts[index]
-        if not counts:
+        path = self._paths[index]
+        if not path.exists():
             return
-        with open(self._paths[index], "r", encoding="utf-8") as fh:
-            pending: List[str] = []
-            records = size = 0
-            for line, count in zip(fh, counts):
-                pending.append(line.rstrip("\n"))
-                records += count
-                size += len(line)
-                if size >= self.CHUNK_CHARS:
-                    emit_serialized_records(sink, ",".join(pending), records)
-                    pending = []
-                    records = size = 0
-            if pending:
-                emit_serialized_records(sink, ",".join(pending), records)
+        with open(path, "rb") as fh:
+            for line in fh:
+                forward_columns(sink, RecordColumns.from_blocks([json.loads(line)]))
 
     def cleanup(self) -> None:
         for index, fh in enumerate(self._handles):
@@ -220,8 +173,8 @@ class ProcessPoolCellExecutor:
     def execute_stream(self, cells: Iterable[ExperimentCell], sink: RecordSink) -> None:
         """Fan cells out, spilling each finished cell to disk, and merge in order.
 
-        Each worker writes its cell's records as one serialised JSONL line to
-        a scratch file and returns only the path, so nothing heavier than a
+        Each worker writes its cell's records as one stored line to a
+        scratch file and returns only the path, so nothing heavier than a
         path crosses the process pipe and the parent holds at most one cell
         while forwarding it into the sink.  Spill files (and the scratch
         directory) are removed as they are merged.
@@ -242,9 +195,8 @@ class ProcessPoolCellExecutor:
                     chunksize=self.chunksize,
                 )
                 for cell, path in zip(cell_list, paths):
-                    with open(path, "r", encoding="utf-8") as fh:
-                        payload = json.loads(fh.readline())
-                    parsed = ResultStore._entry_from_jsonable(payload)
+                    with open(path, "rb") as fh:
+                        parsed = parse_cell_line(fh.readline(), path)
                     # Keep the parent's original cell object (the spill line's
                     # descriptive cell would detach explicit traces).
                     push_cell_result(
@@ -430,8 +382,8 @@ class VectorizedExecutor:
         batches run with a :class:`_WindowSpoolDrain`: the engine's record
         buffer stays one window long, each window's completed rows spool to
         per-member scratch files, and the spool replays into the sink cell by
-        cell — shard bytes are identical to the unwindowed path (the spool
-        lines are the exact record serialization).
+        cell — shard bytes are identical to the unwindowed path (the store
+        re-chunks the replayed windows into the same column blocks).
         """
         start = time.perf_counter()
         members, loggers = self._build_members(group)

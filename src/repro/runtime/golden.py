@@ -31,14 +31,16 @@ LAPACK build may legitimately differ in the last ulp — regenerate there too.
 from __future__ import annotations
 
 import json
-from dataclasses import replace
+from dataclasses import fields, replace
+from operator import attrgetter
 from pathlib import Path
 from typing import Dict, List, Optional, Tuple
 
 from ..api.specs import AdapterSpec, ManagerSpec, PolicySpec, PredictorSpec
+from ..sim.results import StepRecord
 from .plan import ExperimentCell, ExperimentPlan
 from .runner import BatchRunner
-from .store import ResultStore
+from .store import ResultStore, cell_to_jsonable
 
 __all__ = [
     "GOLDEN_DIR",
@@ -46,6 +48,7 @@ __all__ = [
     "golden_plan",
     "run_golden",
     "golden_lines",
+    "record_to_jsonable",
     "write_golden",
     "verify_golden",
 ]
@@ -141,18 +144,43 @@ def run_golden(scenario: str, executor: Optional[object] = None) -> ResultStore:
     return runner.run(golden_plan(scenario))
 
 
+_RECORD_FIELDS = tuple(f.name for f in fields(StepRecord))
+_record_values = attrgetter(*_RECORD_FIELDS)
+
+
+def record_to_jsonable(record: StepRecord) -> Dict[str, object]:
+    """One step record as the plain dictionary the golden files hold.
+
+    Keys in field order, values as stored — the same dictionary
+    ``dataclasses.asdict`` builds, without its per-field deep copy (every
+    field is an immutable scalar).
+    """
+    return dict(zip(_RECORD_FIELDS, _record_values(record)))
+
+
 def golden_lines(store: ResultStore) -> List[str]:
     """Canonical JSONL lines for a store (wall time zeroed, keys sorted).
 
-    Wall-clock time is the one field of a cell result that legitimately
-    differs between runs, so it is stripped before comparison; everything
-    else — cell identity, policy spec, every float of every record — must
-    match the committed file byte for byte.
+    The golden files keep their own human-diffable form — one JSON object
+    per record — which :meth:`ResultStore.load` still reads.  Wall-clock
+    time is the one field of a cell result that legitimately differs
+    between runs, so it is zeroed; everything else — cell identity, policy
+    spec, every float of every record — must match the committed file byte
+    for byte.
     """
     lines = []
     for entry in store:
-        stable = replace(entry, wall_time_s=0.0)
-        payload = ResultStore._entry_to_jsonable(stable)
+        result = entry.result
+        payload = {
+            "cell": cell_to_jsonable(entry.cell),
+            "result": {
+                "workload_name": result.workload_name,
+                "governor_name": result.governor_name,
+                "dt_s": result.dt_s,
+                "records": [record_to_jsonable(record) for record in result.records],
+            },
+            "wall_time_s": 0.0,
+        }
         lines.append(json.dumps(payload, sort_keys=True, separators=(",", ":")))
     return lines
 

@@ -8,9 +8,19 @@ rows for tabulation/export.
 Stores also round-trip through JSON Lines files (:meth:`ResultStore.save` /
 :meth:`ResultStore.load`): one line per cell, carrying the cell's identity
 (id, benchmark, governor or policy spec, seed, metadata) and the full
-:class:`~repro.sim.results.StepRecord` stream.  JSON serialises floats via
-``repr``, so the records survive the trip bit-for-bit — the first step
-toward out-of-core persistence for sweeps too large to keep in memory.
+:class:`~repro.sim.results.StepRecord` stream.  Every persisted line — save
+files, streamed shards, process-pool spill files — is written by one
+:class:`CellLineWriter` in store format 3::
+
+    {"cell":{...},"result":{"workload_name":...,"governor_name":...,
+     "dt_s":...,"format":3,"blocks":[{...},...],"n":N},"wall_time_s":...}
+
+Each block holds up to :data:`~repro.sim.results.BLOCK_ROWS` records as
+per-field little-endian column bytes in base64
+(:meth:`~repro.sim.results.RecordColumns.to_block`), so records survive the
+trip bit for bit.  ``n`` (the record count) follows the blocks because a
+streamed line is written block by block.  Lines of the earlier format —
+``"records"``, a list of per-record JSON objects — still load.
 """
 
 from __future__ import annotations
@@ -18,17 +28,36 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, fields
 from operator import attrgetter
-from typing import Dict, Iterator, List, Optional
+from typing import Callable, Dict, Iterator, List, Optional
 
 from ..api.specs import AdapterSpec, PolicySpec
 from ..sim.logger import SystemLogger
-from ..sim.results import RecordColumns, SimulationResult, StepRecord
+from ..sim.results import BLOCK_ROWS, RecordColumns, SimulationResult, StepRecord
 from .plan import ExperimentCell
 
-__all__ = ["CellResult", "ResultStore", "cell_to_jsonable", "record_to_jsonable"]
+__all__ = [
+    "STORE_FORMAT",
+    "CellLineWriter",
+    "CellResult",
+    "ResultStore",
+    "StoreCorruptionError",
+    "cell_to_jsonable",
+]
+
+#: The ``"format"`` written into every cell line's result object.
+STORE_FORMAT = 3
 
 _STEP_RECORD_FIELDS = tuple(f.name for f in fields(StepRecord))
 _record_values = attrgetter(*_STEP_RECORD_FIELDS)
+
+
+class StoreCorruptionError(ValueError):
+    """A stored line is damaged or unreadable (named by file and line)."""
+
+
+def _dumps(obj: object) -> str:
+    """Compact JSON: the separators of every stored line."""
+    return json.dumps(obj, separators=(",", ":"))
 
 
 def cell_to_jsonable(cell: ExperimentCell) -> Dict[str, object]:
@@ -67,16 +96,6 @@ def cell_to_jsonable(cell: ExperimentCell) -> Dict[str, object]:
     }
 
 
-def record_to_jsonable(record: StepRecord) -> Dict[str, object]:
-    """One step record as the plain dictionary persisted in result files.
-
-    Keys in field order, values as stored — the same dictionary
-    ``dataclasses.asdict`` builds, without its per-field deep copy (every
-    field is an immutable scalar).
-    """
-    return dict(zip(_STEP_RECORD_FIELDS, _record_values(record)))
-
-
 @dataclass(frozen=True)
 class CellResult:
     """The outcome of executing one experiment cell.
@@ -94,6 +113,75 @@ class CellResult:
     result: SimulationResult
     logger: Optional[SystemLogger] = None
     wall_time_s: float = 0.0
+
+
+class CellLineWriter:
+    """Record sink writing each cell as one line in store format 3.
+
+    The one writer of every stored form (save files, shards, spill files):
+    ``begin_cell`` writes the line's head, records arrive one at a time
+    (``emit``) or as column runs (``emit_columns``), and ``end_cell``
+    writes the tail and the newline.  Whatever the arrival pattern, the
+    records are re-chunked into blocks of exactly
+    :data:`~repro.sim.results.BLOCK_ROWS` rows (a cell's last block may be
+    shorter), so the line's bytes depend only on the records — and at most
+    one block is staged at a time.  ``write`` receives ASCII text pieces.
+    """
+
+    def __init__(self, write: Callable[[str], object]):
+        self._write = write
+        self._cell_id: Optional[str] = None
+        self._stage: List[list] = []
+        self._rows = 0
+
+    def begin_cell(self, cell, workload_name: str, governor_name: str, dt_s: float) -> None:
+        self._cell_id = cell.cell_id
+        self._stage = [[] for _ in _STEP_RECORD_FIELDS]
+        self._rows = 0
+        self._write(
+            '{"cell":'
+            + _dumps(cell_to_jsonable(cell))
+            + ',"result":{"workload_name":'
+            + _dumps(workload_name)
+            + ',"governor_name":'
+            + _dumps(governor_name)
+            + ',"dt_s":'
+            + _dumps(dt_s)
+            + f',"format":{STORE_FORMAT},"blocks":['
+        )
+
+    def emit(self, record: StepRecord) -> None:
+        for column, value in zip(self._stage, _record_values(record)):
+            column.append(value)
+        if len(self._stage[0]) == BLOCK_ROWS:
+            self._write_block()
+
+    def emit_columns(self, columns: RecordColumns) -> None:
+        n = len(columns)
+        start = 0
+        while start < n:
+            stop = min(n, start + BLOCK_ROWS - len(self._stage[0]))
+            for column, values in zip(self._stage, columns.columns):
+                column += values[start:stop]
+            start = stop
+            if len(self._stage[0]) == BLOCK_ROWS:
+                self._write_block()
+
+    def end_cell(self, wall_time_s: float = 0.0, logger=None) -> None:
+        if self._stage[0]:
+            self._write_block()
+        self._write(f'],"n":{self._rows}}},"wall_time_s":{_dumps(wall_time_s)}}}\n')
+        self._cell_id = None
+
+    def _write_block(self) -> None:
+        staged = RecordColumns(self._stage)
+        try:
+            block = staged.to_block()
+        except (TypeError, ValueError) as exc:
+            raise type(exc)(f"{exc} (cell {self._cell_id!r})") from None
+        self._write("," + block if self._rows else block)
+        self._rows += len(staged)
+        self._stage = [[] for _ in _STEP_RECORD_FIELDS]
 
 
 class ResultStore:
@@ -152,20 +240,23 @@ class ResultStore:
         The cell's identity (id, benchmark, governor name or policy spec,
         seed, duration and metadata) and the full step-record stream are
         preserved exactly; workload traces, factories, platform constructors
-        and attached loggers are not serialisable and are dropped.
+        and attached loggers are not serialisable and are dropped.  Lines are
+        byte-identical to the streaming store's shard lines.
 
         Returns:
             The number of cell results written.
         """
-        with open(path, "w", encoding="utf-8") as fh:
+        from .stream import push_cell_result
+
+        with open(path, "w", encoding="ascii") as fh:
+            writer = CellLineWriter(fh.write)
             for entry in self._results:
-                fh.write(json.dumps(self._entry_to_jsonable(entry), separators=(",", ":")))
-                fh.write("\n")
+                push_cell_result(writer, entry)
         return len(self._results)
 
     @classmethod
     def load(cls, path) -> "ResultStore":
-        """Rebuild a store from a :meth:`save` file.
+        """Rebuild a store from a :meth:`save` file (either line format).
 
         Loaded cells are descriptive (benchmark name, governor name or policy
         spec, seed, metadata) — enough for every lookup, summary and analysis
@@ -173,37 +264,26 @@ class ResultStore:
         re-executable; cells that carried an explicit trace come back with
         ``detached_trace=True`` and refuse to build a trace rather than
         silently replaying a different workload.
+
+        Raises:
+            StoreCorruptionError: a line does not parse as a cell result
+                (the message names the file and line).
         """
         store = cls()
-        with open(path, "r", encoding="utf-8") as fh:
-            for line in fh:
-                line = line.strip()
-                if not line:
-                    continue
-                store.append(cls._entry_from_jsonable(json.loads(line)))
+        with open(path, "rb") as fh:
+            for number, line in enumerate(fh):
+                if line.strip():
+                    store.append(parse_cell_line(line, f"{path}: line {number}"))
         return store
 
     @staticmethod
-    def _entry_to_jsonable(entry: CellResult) -> Dict[str, object]:
-        return {
-            "cell": cell_to_jsonable(entry.cell),
-            "result": {
-                "workload_name": entry.result.workload_name,
-                "governor_name": entry.result.governor_name,
-                "dt_s": entry.result.dt_s,
-                "records": [record_to_jsonable(record) for record in entry.result.records],
-            },
-            "wall_time_s": entry.wall_time_s,
-        }
-
-    @staticmethod
     def _entry_from_jsonable(data: Dict[str, object]) -> CellResult:
-        """Rebuild one saved cell result.
+        """Rebuild one stored cell result (format 3 blocks or legacy records).
 
         The result's records are deferred :class:`~repro.sim.results.
-        RecordColumns` built straight from the parsed dictionaries: no
-        :class:`StepRecord` exists until something reads ``result.records``,
-        so streaming consumers fold or forward the columns directly.
+        RecordColumns`: no :class:`StepRecord` exists until something reads
+        ``result.records``, so streaming consumers fold or forward the
+        columns directly.
         """
         cell_data = data["cell"]
         result_data = data["result"]
@@ -226,7 +306,7 @@ class ResultStore:
             dt_s=result_data["dt_s"],
         )
         try:
-            columns = RecordColumns.from_jsonable(result_data["records"])
+            columns = _result_columns(result_data)
         except ValueError as exc:
             raise ValueError(f"{exc} in {cell.cell_id!r}") from None
         result.defer_columns(lambda: columns)
@@ -248,3 +328,29 @@ class ResultStore:
             row.update(entry.result.summary())
             rows.append(row)
         return rows
+
+
+def _result_columns(result_data: Dict[str, object]) -> RecordColumns:
+    """The records of a stored result object, in either line format."""
+    if "records" in result_data:  # written before store format 3
+        return RecordColumns.from_jsonable(result_data["records"])
+    version = result_data.get("format")
+    if version != STORE_FORMAT:
+        raise ValueError(f"unknown store format {version!r}")
+    columns = RecordColumns.from_blocks(result_data["blocks"])
+    if len(columns) != result_data["n"]:
+        raise ValueError(f"{len(columns)} records in blocks but n={result_data['n']!r}")
+    return columns
+
+
+def parse_cell_line(line: bytes, where: str) -> CellResult:
+    """One stored line as a cell result; every failure is a named corruption.
+
+    Raises:
+        StoreCorruptionError: naming ``where`` (file and line) and the cause.
+    """
+    try:
+        return ResultStore._entry_from_jsonable(json.loads(line))
+    except (ValueError, KeyError, TypeError, AttributeError) as exc:
+        detail = f"missing key {exc}" if isinstance(exc, KeyError) else str(exc)
+        raise StoreCorruptionError(f"{where}: {detail}") from None

@@ -13,7 +13,7 @@ completed cell to sharded JSONL on disk; the analysis layer's
 :class:`~repro.analysis.streaming.SummarySink` folds records into O(1)
 running aggregates.  :class:`TeeSink` fans one stream out to several sinks.
 Batch producers hand a cell's records over as columns, and each sink gets
-them as columns, serialised text or records, whichever it takes.
+them as columns or as records, whichever it takes.
 """
 
 from __future__ import annotations
@@ -31,7 +31,7 @@ __all__ = [
     "RecordSink",
     "CollectorSink",
     "TeeSink",
-    "emit_serialized_records",
+    "forward_columns",
     "push_cell_result",
 ]
 
@@ -46,12 +46,11 @@ class RecordSink(Protocol):
     discard or recover the partial cell — this is what makes the streaming
     store's resume crash-safe.
 
-    A sink may also offer two optional hooks that take a whole run of the
+    A sink may also offer an optional hook that takes a whole run of the
     open cell's records in one call, in place of that many ``emit`` calls:
     ``emit_columns(columns)`` with :class:`~repro.sim.results.RecordColumns`
     (what batch engines produce; :class:`~repro.analysis.streaming.
-    SummarySink` folds them) and ``emit_serialized(fragment, records)`` with
-    the records' shard serialization (what the streaming store writes).
+    SummarySink` folds them and the streaming store encodes them).
     :func:`_forward` picks the form per sink.
     """
 
@@ -117,36 +116,19 @@ class CollectorSink:
             self.store.append(entry)
 
 
-def _forward(
-    sinks: Sequence[RecordSink],
-    count: int,
-    columns: Optional[RecordColumns] = None,
-    fragment: Optional[str] = None,
-) -> None:
-    """Deliver one run of ``count`` records to each sink in the form it takes.
+def _forward(sinks: Sequence[RecordSink], columns: RecordColumns) -> None:
+    """Deliver one run of records to each sink in the form it takes.
 
-    The run arrives as :class:`~repro.sim.results.RecordColumns` or as a
-    serialised ``fragment`` (``count`` compact-JSON record objects joined by
-    ``","`` — the shard/spool serialization).  A sink whose hook takes the
-    form in hand gets it verbatim; otherwise the column hook
-    (``emit_columns``) wins, then ``emit_serialized``, then per-record
-    :meth:`~RecordSink.emit`.  Each conversion happens at most once per run
-    however many sinks share it, and every form is bit-identical to the
-    others (the record JSON round-trips exactly).
+    A sink with an ``emit_columns`` hook gets the columns themselves; the
+    others get per-record :meth:`~RecordSink.emit` calls, with the
+    :class:`StepRecord` objects built at most once per run however many
+    sinks share them.
     """
-    if count <= 0:
+    if not len(columns):
         return
     records: Optional[List[StepRecord]] = None
     for sink in sinks:
         hook = getattr(sink, "emit_columns", None)
-        fast = getattr(sink, "emit_serialized", None)
-        if fast is not None and (fragment is not None or hook is None):
-            if fragment is None:
-                fragment = columns.to_fragment()
-            fast(fragment, count)
-            continue
-        if columns is None:
-            columns = RecordColumns.from_fragment(fragment)
         if hook is not None:
             hook(columns)
             continue
@@ -156,17 +138,16 @@ def _forward(
             sink.emit(record)
 
 
-def emit_serialized_records(sink: RecordSink, fragment: str, records: int) -> None:
-    """Deliver ``records`` pre-serialised records to a sink (see :func:`_forward`)."""
-    _forward((sink,), records, fragment=fragment)
+def forward_columns(sink: RecordSink, columns: RecordColumns) -> None:
+    """Deliver a run of the open cell's records to one sink (see :func:`_forward`)."""
+    _forward((sink,), columns)
 
 
 class TeeSink:
     """Fans one record stream out to several sinks (e.g. disk store + summaries).
 
-    Whole runs of records (columns or serialised fragments) reach each child
-    in the form it takes, converted at most once per run (see
-    :func:`_forward`).
+    Whole runs of records (columns) reach each child in the form it takes,
+    converted at most once per run (see :func:`_forward`).
     """
 
     def __init__(self, *sinks: RecordSink):
@@ -183,10 +164,7 @@ class TeeSink:
             sink.emit(record)
 
     def emit_columns(self, columns: RecordColumns) -> None:
-        _forward(self.sinks, len(columns), columns=columns)
-
-    def emit_serialized(self, fragment: str, records: int) -> None:
-        _forward(self.sinks, records, fragment=fragment)
+        _forward(self.sinks, columns)
 
     def end_cell(self, wall_time_s: float = 0.0, logger=None) -> None:
         for sink in self.sinks:
@@ -211,7 +189,7 @@ def push_cell_result(sink: RecordSink, entry: CellResult) -> None:
     )
     columns = result.record_columns()
     if columns is not None:
-        _forward((sink,), len(columns), columns=columns)
+        _forward((sink,), columns)
     else:
         for record in result.records:
             sink.emit(record)

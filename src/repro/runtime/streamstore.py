@@ -4,43 +4,55 @@ A :class:`StreamingResultStore` is the on-disk counterpart of the in-memory
 :class:`~repro.runtime.store.ResultStore` for sweeps that do not fit in RAM:
 executors push each cell's records through the
 :class:`~repro.runtime.stream.RecordSink` interface and the store appends one
-JSON line per completed cell to the current shard file, rotating to a new
-shard every ``max_cells_per_shard`` cells.  Lines are *byte-identical* to
-what :meth:`ResultStore.save` writes (both build on the same serialisation
-helpers), so a directory of shards is exactly a sharded save file.
+line per completed cell to the current shard file, rotating to a new shard
+every ``max_cells_per_shard`` cells.  Lines are written by the same
+:class:`~repro.runtime.store.CellLineWriter` as :meth:`ResultStore.save`
+(store format 3: the records as fixed-size column blocks), so a directory of
+shards is exactly a sharded save file, and a line's bytes do not depend on
+whether its records arrived one at a time (``emit``) or as column runs
+(``emit_columns``).
 
 Crash safety falls out of the write discipline: a cell's line is written
-incrementally (header at ``begin_cell``, one record per ``emit``, the closing
-``wall_time_s`` and newline at ``end_cell``), so a run killed mid-cell leaves
-a final line that is truncated or unterminated.  Re-opening the directory
-detects that tail, drops it, and leaves the cell out of
-:attr:`completed_cell_ids` — ``sweep --resume`` then re-runs exactly the
-missing cells.
+incrementally (head at ``begin_cell``, one column block per
+:data:`~repro.sim.results.BLOCK_ROWS` records, the closing ``wall_time_s``
+and newline at ``end_cell``), so a run killed mid-cell leaves a final line
+that is truncated or unterminated.  Re-opening the directory detects that
+tail, drops it, and leaves the cell out of :attr:`completed_cell_ids` —
+``sweep --resume`` then re-runs exactly the missing cells.
 
 Resume is O(shards), not O(lines): every committed cell also appends one
-``(cell_id, shard, offset, length)`` line to an ``index.jsonl`` sidecar
-*after* its shard line is flushed.  Re-opening a directory loads the sidecar,
-checks that the committed lines tile each shard exactly (byte sizes only —
-no shard line is read), and verifies just the final shard's tail bytes — the
-only place a crash artifact can live.  The sidecar is a pure accelerator: if
-it is missing (a legacy directory) or inconsistent in any way with the shard
-files, the store silently falls back to the full line-by-line scan and then
-rewrites the sidecar.  On the full-scan path, corruption anywhere *before*
-the final line raises :class:`StoreCorruptionError` instead of loading
-garbage; on the indexed path, in-place damage that preserves byte sizes is
-detected when the damaged line is actually read (:meth:`iter_results`).
+``(cell_id, shard, offset, length, sha256)`` line to an ``index.jsonl``
+sidecar *after* its shard line is flushed.  Re-opening a directory loads the
+sidecar, checks that the committed lines tile each shard exactly (byte sizes
+only — no shard line is read), and verifies just the final shard's tail
+bytes — the only place a crash artifact can live.  The sidecar is a pure
+accelerator: if it is missing (a legacy directory) or inconsistent in any
+way with the shard files, the store silently falls back to the full
+line-by-line scan and then rewrites the sidecar.  On the full-scan path,
+corruption anywhere *before* the final line raises
+:class:`StoreCorruptionError` instead of loading garbage.  In-place damage
+that keeps byte sizes — a flipped digit or base64 character still parses —
+is caught by the line's sha256 stamp when :meth:`iter_results` reads it;
+index entries written before the stamps existed are read unchecked.
 """
 
 from __future__ import annotations
 
+import hashlib
 import json
 import os
 import re
 from pathlib import Path
-from typing import Dict, Iterator, List, Optional
+from typing import Dict, Iterator, List, Optional, Tuple
 
-from ..sim.results import StepRecord
-from .store import CellResult, ResultStore, cell_to_jsonable, record_to_jsonable
+from ..sim.results import RecordColumns, StepRecord
+from .store import (
+    CellLineWriter,
+    CellResult,
+    ResultStore,
+    StoreCorruptionError,
+    parse_cell_line,
+)
 
 __all__ = ["StoreCorruptionError", "StreamingResultStore"]
 
@@ -55,39 +67,17 @@ def _shard_name(index: int) -> str:
     return f"shard-{index:05d}.jsonl"
 
 
-class StoreCorruptionError(ValueError):
-    """A shard is damaged somewhere other than its recoverable final line."""
-
-
 def _dumps(obj: object) -> str:
-    """Compact JSON, matching :meth:`ResultStore.save`'s separators."""
+    """Compact JSON, matching the shard lines' separators."""
     return json.dumps(obj, separators=(",", ":"))
 
 
-def cell_line_prefix(cell, workload_name: str, governor_name: str, dt_s: float) -> str:
-    """Everything of a cell's JSONL line that precedes its first record.
-
-    Writing the line as prefix + ","-joined records + suffix produces bytes
-    identical to ``json.dumps(ResultStore._entry_to_jsonable(entry))`` with
-    compact separators — the invariant that makes streamed shards, spill
-    files and batch save files one interchangeable format.
-    """
-    return (
-        '{"cell":'
-        + _dumps(cell_to_jsonable(cell))
-        + ',"result":{"workload_name":'
-        + _dumps(workload_name)
-        + ',"governor_name":'
-        + _dumps(governor_name)
-        + ',"dt_s":'
-        + _dumps(dt_s)
-        + ',"records":['
-    )
+def _sha256(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()
 
 
-def cell_line_suffix(wall_time_s: float) -> str:
-    """The closing piece of a cell's JSONL line (without the newline)."""
-    return ']},"wall_time_s":' + _dumps(wall_time_s) + "}"
+def _is_stamp(value: object) -> bool:
+    return isinstance(value, str) and len(value) == 64
 
 
 class StreamingResultStore:
@@ -120,10 +110,13 @@ class StreamingResultStore:
         self.resumed_via_index = False
         self._completed: List[str] = []
         self._completed_set: set = set()
+        #: sha256 stamp of each committed line, by (shard name, offset).
+        self._stamps: Dict[Tuple[str, int], str] = {}
         self._fh = None
         self._index_fh = None
+        self._line = CellLineWriter(self._write)
+        self._line_hash = None
         self._open_cell_id: Optional[str] = None
-        self._records_in_open_cell = 0
         self._cell_offset = 0
         self._shard_bytes = 0
         self._scan()
@@ -188,6 +181,7 @@ class StreamingResultStore:
                 and isinstance(entry.get("offset"), int)
                 and isinstance(entry.get("length"), int)
                 and entry["length"] > 0
+                and ("sha256" not in entry or _is_stamp(entry["sha256"]))
             ):
                 return None
             entries.append(entry)
@@ -255,15 +249,13 @@ class StreamingResultStore:
             return False
 
         for entry in entries:
-            self._completed.append(entry["cell_id"])
-            self._completed_set.add(entry["cell_id"])
+            self._register(entry)
         cells_in_tail = sum(1 for entry in entries if entry["shard"] == tail_name)
         tail_bytes = tail_expected
         if isinstance(healed, dict):
             # A committed cell the sidecar missed (crash between the two
             # flushes): register it and repair the sidecar.
-            self._completed.append(healed["cell_id"])
-            self._completed_set.add(healed["cell_id"])
+            self._register(healed)
             self._append_index_entry(healed)
             cells_in_tail += 1
             tail_bytes = healed["offset"] + healed["length"]
@@ -300,6 +292,7 @@ class StreamingResultStore:
                 "shard": path.name,
                 "offset": expected_end,
                 "length": len(data),
+                "sha256": _sha256(data),
             }
         self._drop_tail(path, expected_end, data, "unterminated")
         return None
@@ -390,14 +383,15 @@ class StreamingResultStore:
             raise StoreCorruptionError(
                 f"duplicate cell {cell_id!r} across shards in {self.directory}"
             )
-        self._completed.append(cell_id)
-        self._completed_set.add(cell_id)
-        return {
+        entry = {
             "cell_id": cell_id,
             "shard": path.name,
             "offset": offset,
             "length": len(raw),
+            "sha256": _sha256(raw),
         }
+        self._register(entry)
+        return entry
 
     def _parse_line(
         self, line: bytes, terminated: bool, path: Path, at_tail: bool, offset: int
@@ -424,6 +418,13 @@ class StreamingResultStore:
             f"{path.name}: {problem} line at byte {offset} is not the store's "
             "final line — this is data corruption, not a crash artifact"
         )
+
+    def _register(self, entry: Dict) -> None:
+        """Count one committed line (and remember its stamp, if it has one)."""
+        self._completed.append(entry["cell_id"])
+        self._completed_set.add(entry["cell_id"])
+        if "sha256" in entry:
+            self._stamps[(entry["shard"], entry["offset"])] = entry["sha256"]
 
     # -- the index sidecar writer ------------------------------------------------
 
@@ -464,14 +465,16 @@ class StreamingResultStore:
     def _writer(self):
         if self._fh is None:
             path = self.directory / _shard_name(self._shard_index)
-            self._fh = open(path, "a", encoding="utf-8")
+            self._fh = open(path, "ab")
         return self._fh
 
     def _write(self, text: str) -> None:
-        # Shard lines are pure ASCII (json.dumps escapes by default), so the
-        # character count *is* the byte count the index records.
-        self._writer().write(text)
-        self._shard_bytes += len(text)
+        # Lines are pure ASCII (compact JSON and base64), so the encoded
+        # length is the byte count the index records.
+        data = text.encode("ascii")
+        self._writer().write(data)
+        self._line_hash.update(data)
+        self._shard_bytes += len(data)
 
     def begin_cell(self, cell, workload_name: str, governor_name: str, dt_s: float) -> None:
         if self._open_cell_id is not None:
@@ -481,54 +484,43 @@ class StreamingResultStore:
         if cell.cell_id in self._completed_set:
             raise ValueError(f"duplicate result for cell {cell.cell_id!r}")
         self._open_cell_id = cell.cell_id
-        self._records_in_open_cell = 0
         self._cell_offset = self._shard_bytes
-        self._write(cell_line_prefix(cell, workload_name, governor_name, dt_s))
+        self._line_hash = hashlib.sha256()
+        self._line.begin_cell(cell, workload_name, governor_name, dt_s)
 
     def emit(self, record: StepRecord) -> None:
         if self._open_cell_id is None:
             raise RuntimeError("emit() without an open cell")
-        if self._records_in_open_cell:
-            self._write(",")
-        self._write(_dumps(record_to_jsonable(record)))
-        self._records_in_open_cell += 1
+        self._line.emit(record)
 
-    def emit_serialized(self, fragment: str, records: int) -> None:
-        """Append ``records`` pre-serialised records in one write.
+    def emit_columns(self, columns: RecordColumns) -> None:
+        """Append a run of the open cell's records held as columns.
 
-        ``fragment`` must be exactly what :meth:`emit` would have written for
-        those records minus the leading comma: ``records`` compact-JSON
-        record objects joined by ``","``.  The windowed streaming path uses
-        this to forward spooled record lines verbatim — the shard bytes are
-        identical to per-record :meth:`emit` calls.
+        The line's bytes are the same as for one :meth:`emit` per record:
+        the writer re-chunks both into the same column blocks.
         """
         if self._open_cell_id is None:
-            raise RuntimeError("emit_serialized() without an open cell")
-        if records <= 0:
-            return
-        if self._records_in_open_cell:
-            self._write(",")
-        self._write(fragment)
-        self._records_in_open_cell += records
+            raise RuntimeError("emit_columns() without an open cell")
+        self._line.emit_columns(columns)
 
     def end_cell(self, wall_time_s: float = 0.0, logger=None) -> None:
         if self._open_cell_id is None:
             raise RuntimeError("end_cell() without an open cell")
-        self._write(cell_line_suffix(wall_time_s) + "\n")
+        self._line.end_cell(wall_time_s)
         self._fh.flush()
         # The index entry follows the flushed shard line; a crash between the
         # two flushes is healed by the tail check on the next open.
-        self._append_index_entry(
-            {
-                "cell_id": self._open_cell_id,
-                "shard": _shard_name(self._shard_index),
-                "offset": self._cell_offset,
-                "length": self._shard_bytes - self._cell_offset,
-            }
-        )
-        self._completed.append(self._open_cell_id)
-        self._completed_set.add(self._open_cell_id)
+        entry = {
+            "cell_id": self._open_cell_id,
+            "shard": _shard_name(self._shard_index),
+            "offset": self._cell_offset,
+            "length": self._shard_bytes - self._cell_offset,
+            "sha256": self._line_hash.hexdigest(),
+        }
+        self._append_index_entry(entry)
+        self._register(entry)
         self._open_cell_id = None
+        self._line_hash = None
         self._cells_in_shard += 1
         if self._cells_in_shard >= self.max_cells_per_shard:
             self._fh.close()
@@ -552,26 +544,27 @@ class StreamingResultStore:
         the cell currently being processed is materialised, however many
         shards the sweep produced.  Each result holds its records as deferred
         columns (``result.record_columns()``), so a fold over them builds no
-        :class:`~repro.sim.results.StepRecord`.  In-place shard damage that
-        survived an indexed open (byte sizes unchanged) is caught here.
+        :class:`~repro.sim.results.StepRecord`.  A line whose bytes no longer
+        match its sha256 stamp, or that does not parse, raises
+        :class:`StoreCorruptionError` naming the shard and line.
         """
         if self._open_cell_id is not None:
             raise RuntimeError("cannot read while a cell is open for writing")
         self.flush()
+        stamps = self._stamps
         for path in self._shard_paths():
-            with open(path, "r", encoding="utf-8") as fh:
+            offset = 0
+            with open(path, "rb") as fh:
                 for number, line in enumerate(fh):
-                    line = line.strip()
-                    if not line:
-                        continue
-                    try:
-                        payload = json.loads(line)
-                    except ValueError:
+                    stamp = stamps.get((path.name, offset))
+                    offset += len(line)
+                    if stamp is not None and _sha256(line) != stamp:
                         raise StoreCorruptionError(
-                            f"{path.name}: unparseable line {number} — shard "
-                            "damaged in place (detected at read time)"
-                        ) from None
-                    yield ResultStore._entry_from_jsonable(payload)
+                            f"{path.name}: line {number} does not match its sha256 "
+                            "stamp — shard damaged in place (detected at read time)"
+                        )
+                    if line.strip():
+                        yield parse_cell_line(line, f"{path.name}: line {number}")
 
     def load(self) -> ResultStore:
         """Materialise the whole directory as an in-memory :class:`ResultStore`."""

@@ -8,11 +8,10 @@ and by the satisfaction model (delivered vs demanded work).
 
 from __future__ import annotations
 
+import base64
 import collections.abc
-import json
 import operator
 from dataclasses import MISSING, dataclass, field, fields
-from itertools import islice
 from typing import Callable, Dict, Iterator, List, Optional, Sequence
 
 import numpy as np
@@ -20,6 +19,7 @@ import numpy as np
 from ..users.comfort import ComfortAnalysis, analyse_comfort
 
 __all__ = [
+    "BLOCK_ROWS",
     "ColumnarRecordBuffer",
     "RecordColumns",
     "RecordsView",
@@ -64,8 +64,9 @@ class ColumnarRecordBuffer:
     Python objects; at the batch/record-sink boundary each member leaves as
     :class:`RecordColumns` (:meth:`member_columns`, one bulk ``.tolist()``
     per column per member — which yields exactly the Python ints/floats
-    scalar extraction would, so records built from them, and their JSONL
-    serialisation, stay byte-identical to the scalar engine's).
+    scalar extraction would, so records built from them, and the column
+    blocks the store encodes from them, stay byte-identical to the scalar
+    engine's).
 
     Columns are *step-major* (shape ``(n_steps, n_members)``): the engine
     writes one step across the live member prefix per tick, and a step-major
@@ -121,8 +122,8 @@ class ColumnarRecordBuffer:
 
         One bulk ``.tolist()`` per column yields exactly the Python
         ints/floats/bools scalar extraction would, so every form built from
-        the columns — :class:`StepRecord` objects, shard JSON — matches the
-        scalar engine's bit for bit.  The column order is pinned to the
+        the columns — :class:`StepRecord` objects, stored column blocks —
+        matches the scalar engine's bit for bit.  The column order is pinned to the
         dataclass field order by ``_check_field_order`` below.
 
         Args:
@@ -261,26 +262,21 @@ class RecordColumns:
     """A run of step records held as one Python list per :class:`StepRecord` field.
 
     This is the form batch engines hand to record sinks: sinks that fold or
-    serialise records read the columns directly, and only sinks that want
-    objects pay for :class:`StepRecord` construction (iterating yields them).
+    store records read the columns directly (the store encodes them as
+    column blocks, :meth:`to_block`), and only sinks that want objects pay
+    for :class:`StepRecord` construction (iterating yields them).
     ``columns`` is in field order, and indexing by field name
     (``run["skin_temp_c"]``) returns one column.
     """
 
     __slots__ = ("columns",)
 
-    #: Records serialised per ``json.dumps`` call in :meth:`to_fragment`.
-    #: Chunking bounds the transient row dictionaries to this many records:
-    #: serialising a whole 1800-step cell in one call adds ~3 MiB to a fleet
-    #: worker's peak RSS, at no gain in speed.
-    FRAGMENT_ROWS = 256
-
     def __init__(self, columns: List[list]):
         self.columns = columns
 
     @classmethod
     def from_jsonable(cls, records: Sequence[Dict[str, object]]) -> "RecordColumns":
-        """Columns of parsed record dictionaries (what the store's lines hold).
+        """Columns of parsed record dictionaries (what legacy store lines hold).
 
         Missing optional fields take the dataclass defaults, exactly as
         ``StepRecord(**record)`` would.
@@ -302,11 +298,6 @@ class RecordColumns:
             ]
         )
 
-    @classmethod
-    def from_fragment(cls, fragment: str) -> "RecordColumns":
-        """Columns of a serialised fragment (the inverse of :meth:`to_fragment`)."""
-        return cls.from_jsonable(json.loads("[" + fragment + "]"))
-
     def __len__(self) -> int:
         return len(self.columns[0])
 
@@ -324,21 +315,153 @@ class RecordColumns:
         """One field as an array (``np.array`` over the records' values)."""
         return np.array(self[name])
 
-    def to_fragment(self) -> str:
-        """The records as compact-JSON objects joined by ``","``.
+    # -- the column-block codec (store format 3) ----------------------------------
 
-        One ``json.dumps`` call per :attr:`FRAGMENT_ROWS` records; the text
-        is byte-identical to serialising each record on its own and joining
-        the pieces (the shard/spill/save line format), because a compact JSON
-        list separates its items with a bare ``","``.
+    def to_block(self) -> str:
+        """The run as one column block: compact JSON text, fields in order.
+
+        ``{"rows":R,"time_s":"<base64>",...}``: each field's values as
+        little-endian bytes in base64 — ``<f8`` floats, ``<i8`` ints, one
+        byte per ``usta_active`` flag.  A decision field (``None``-able) is
+        ``null`` when every row is ``None``, plain ``<f8`` text when none
+        is, and otherwise ``{"values":"<f8>","none":"<packed mask>"}`` with
+        ``0.0`` in the masked rows.  Values are never narrowed: a value of
+        the wrong type or out of int64 range raises naming the field, so
+        :meth:`from_blocks` gives back exactly the values and types put in
+        (NaN payloads and signed zeros included).
+
+        Raises:
+            TypeError: a value's type does not match its field.
+            ValueError: an int beyond the int64 range.
         """
-        names = _RECORD_FIELDS
-        rows = zip(*self.columns)
-        parts = []
-        while chunk := list(islice(rows, self.FRAGMENT_ROWS)):
-            rows_json = json.dumps([dict(zip(names, row)) for row in chunk], separators=(",", ":"))
-            parts.append(rows_json[1:-1])
-        return ",".join(parts)
+        parts = [f'{{"rows":{len(self)}']
+        for name, values in zip(_RECORD_FIELDS, self.columns):
+            parts.append(f',"{name}":{_column_text(name, values)}')
+        parts.append("}")
+        return "".join(parts)
+
+    @classmethod
+    def from_blocks(cls, blocks: Sequence[Dict[str, object]]) -> "RecordColumns":
+        """Columns of parsed :meth:`to_block` objects, concatenated in order.
+
+        Raises:
+            ValueError: a block is malformed (unknown or missing fields,
+                bad base64, a byte count that does not match ``rows``).
+        """
+        if not isinstance(blocks, list):
+            raise ValueError("column blocks are not a list")
+        columns: List[list] = [[] for _ in _RECORD_FIELDS]
+        for block in blocks:
+            for column, values in zip(columns, _decode_block(block)):
+                column += values
+        return cls(columns)
+
+
+#: Rows per column block of a stored cell line.  The store re-chunks every
+#: run it receives into blocks of exactly this many rows (only a cell's last
+#: block is shorter), so a line's bytes do not depend on how its records
+#: arrived — per record, per window or per cell.
+BLOCK_ROWS = 2048
+
+_F8 = np.dtype("<f8")
+_U1 = np.dtype("u1")
+
+
+def _is_float(kind) -> bool:
+    return issubclass(kind, float)
+
+
+def _is_int(kind) -> bool:
+    return issubclass(kind, int) and not issubclass(kind, bool)
+
+
+def _field_codec(name: str):
+    """(column dtype, accepted value type, what to call it in errors)."""
+    if name in ColumnarRecordBuffer._INT_COLUMNS:
+        return np.dtype("<i8"), _is_int, "an int"
+    if name == "usta_active":
+        return _U1, lambda kind: kind is bool, "a bool"
+    return _F8, _is_float, "a float"
+
+
+_FIELD_CODECS = {name: _field_codec(name) for name in _RECORD_FIELDS}
+_OPTIONAL = frozenset(ColumnarRecordBuffer._DECISION_COLUMNS)
+_BLOCK_KEYS = frozenset(_RECORD_FIELDS) | {"rows"}
+
+
+def _b64(array: np.ndarray) -> str:
+    return base64.b64encode(array.tobytes()).decode("ascii")
+
+
+def _column_text(name: str, values: list) -> str:
+    """One field's values as block JSON (see :meth:`RecordColumns.to_block`)."""
+    dtype, accepted, what = _FIELD_CODECS[name]
+    mask = None
+    if name in _OPTIONAL:
+        nones = values.count(None)
+        if nones == len(values):
+            return "null"
+        if nones:
+            mask = np.array([value is None for value in values])
+            values = [0.0 if value is None else value for value in values]
+    for kind in set(map(type, values)):
+        if not accepted(kind):
+            raise TypeError(f"{name}: {kind.__name__} value in {what} field")
+    try:
+        text = f'"{_b64(np.array(values, dtype=dtype))}"'
+    except OverflowError:
+        raise ValueError(f"{name}: int value beyond the int64 range") from None
+    if mask is None:
+        return text
+    return f'{{"values":{text},"none":"{_b64(np.packbits(mask))}"}}'
+
+
+def _raw(name: str, text: object, dtype: np.dtype, rows: int) -> np.ndarray:
+    if not isinstance(text, str):
+        raise ValueError(f"{name}: column is not base64 text")
+    data = base64.b64decode(text, validate=True)
+    if len(data) != rows * dtype.itemsize:
+        raise ValueError(f"{name}: {len(data)} bytes for {rows} rows")
+    return np.frombuffer(data, dtype)
+
+
+def _column_values(name: str, value: object, rows: int) -> list:
+    """The inverse of :func:`_column_text` for a block of ``rows`` rows."""
+    dtype = _FIELD_CODECS[name][0]
+    mask = None
+    if name in _OPTIONAL:
+        if value is None:
+            return [None] * rows
+        if isinstance(value, dict):
+            if value.keys() != {"values", "none"}:
+                raise ValueError(f"{name}: masked column needs exactly 'values' and 'none'")
+            mask = _raw(name, value["none"], _U1, (rows + 7) // 8)
+            value = value["values"]
+    array = _raw(name, value, dtype, rows)
+    if dtype is _U1:
+        if rows and array.max() > 1:
+            raise ValueError(f"{name}: flag byte other than 0 or 1")
+        array = array.view(np.bool_)
+    column = array.tolist()
+    if mask is not None:
+        for index in np.flatnonzero(np.unpackbits(mask, count=rows)).tolist():
+            column[index] = None
+    return column
+
+
+def _decode_block(block: object) -> List[list]:
+    """One :meth:`RecordColumns.to_block` object back to field-ordered lists."""
+    if not isinstance(block, dict):
+        raise ValueError("column block is not an object")
+    if block.keys() != _BLOCK_KEYS:
+        unknown = sorted(set(block) - _BLOCK_KEYS)
+        if unknown:
+            raise ValueError(f"unknown step-record field(s) {unknown}")
+        raise ValueError(f"missing step-record field(s) {sorted(_BLOCK_KEYS - set(block))}")
+    rows = block["rows"]
+    if type(rows) is not int or rows < 0:
+        raise ValueError(f"block row count {rows!r} is not a count")
+    return [_column_values(name, block[name], rows) for name in _RECORD_FIELDS]
 
 
 def _fast_records(series: List[list]) -> Iterator[StepRecord]:

@@ -2,10 +2,11 @@
 
 The contract: a batch engine's records travel to sinks as
 :class:`~repro.sim.results.RecordColumns`, and every form built from them is
-bit-identical to the per-record path it replaces — the serialised fragment
-to per-record ``json.dumps``, the column fold to :meth:`StreamingCellSummary.
-add`, the columnar read-back to the record read-back — while a vectorized
-stream into a store and a summary builds no :class:`StepRecord` at all.
+bit-identical to the per-record path it replaces — the column blocks to the
+blocks of the same records written one by one, the column fold to
+:meth:`StreamingCellSummary.add`, the columnar read-back to the record
+read-back — while a vectorized stream into a store and a summary builds no
+:class:`StepRecord` at all.
 """
 
 import json
@@ -33,8 +34,9 @@ from repro.runtime import (
     TeeSink,
     VectorizedExecutor,
 )
-from repro.runtime.store import CellResult, record_to_jsonable
-from repro.runtime.stream import emit_serialized_records, push_cell_result
+from repro.runtime.golden import record_to_jsonable
+from repro.runtime.store import CellLineWriter, CellResult
+from repro.runtime.stream import forward_columns, push_cell_result
 from repro.sim.results import RecordColumns, SimulationResult, StepRecord
 from repro.workloads.benchmarks import build_benchmark
 
@@ -89,19 +91,30 @@ def _columns(records):
     )
 
 
-def _per_record_fragment(records):
-    return ",".join(json.dumps(asdict(r), separators=(",", ":")) for r in records)
+def _line(feed):
+    """The stored line a :class:`CellLineWriter` writes when ``feed(writer)`` adds."""
+    out = []
+    writer = CellLineWriter(out.append)
+    writer.begin_cell(ExperimentCell("c0", benchmark="skype"), "skype", "ondemand", 1.0)
+    feed(writer)
+    writer.end_cell()
+    return "".join(out)
 
 
 class TestSerialization:
-    @given(_records(), st.integers(min_value=1, max_value=8))
-    def test_fragment_is_per_record_json_joined(self, records, rows_per_dumps):
-        class Chunked(RecordColumns):
-            FRAGMENT_ROWS = rows_per_dumps
+    @given(_records(), st.lists(st.integers(min_value=1, max_value=8), max_size=6))
+    def test_columns_store_like_the_records_one_by_one(self, records, cuts):
+        def by_record(writer):
+            for record in records:
+                writer.emit(record)
 
-        expected = _per_record_fragment(records)
-        assert _columns(records).to_fragment() == expected
-        assert Chunked(_columns(records).columns).to_fragment() == expected
+        def by_columns(writer):
+            start = 0
+            for size in cuts + [len(records)]:
+                writer.emit_columns(_columns(records[start : start + size]))
+                start += size
+
+        assert _line(by_columns) == _line(by_record)
 
     @given(_records(max_size=5))
     def test_record_to_jsonable_matches_asdict(self, records):
@@ -111,12 +124,9 @@ class TestSerialization:
             assert json.dumps(got) == json.dumps(asdict(record))
 
     @given(_records())
-    def test_fragment_round_trips_to_the_same_records(self, records):
-        fragment = _columns(records).to_fragment()
-        if not records:
-            assert fragment == ""
-            return
-        back = list(RecordColumns.from_fragment(fragment))
+    def test_block_round_trips_to_the_same_records(self, records):
+        block = json.loads(_columns(records).to_block())
+        back = list(RecordColumns.from_blocks([block]))
         # repr compares NaNs and signed zeros bit-for-bit where == cannot.
         assert repr(back) == repr(records)
 
@@ -136,7 +146,7 @@ class TestSerialization:
         path = tmp_path / "s.jsonl"
         store.save(path)
         payload = json.loads(path.read_text())
-        payload["result"]["records"][0]["bogus"] = 1
+        payload["result"]["blocks"][0]["bogus"] = "AA=="
         path.write_text(json.dumps(payload) + "\n")
         with pytest.raises(ValueError, match=r"unknown step-record field.*'c0'"):
             ResultStore.load(path)
@@ -166,7 +176,7 @@ class TestColumnFold:
     def test_column_fold_equals_record_fold(self, records, limit_c, cuts):
         by_record = summarize_records(records, dt_s=1.0, limit_c=limit_c)
         by_columns = StreamingCellSummary(1.0, limit_c=limit_c)
-        # Fold in arbitrary runs, as window replays and chunked fragments do.
+        # Fold in arbitrary runs, as window replays and column blocks do.
         start = 0
         for size in cuts + [len(records)]:
             by_columns.add_columns(_columns(records[start : start + size]))
@@ -193,13 +203,6 @@ class _ColumnSpy:
         pass
 
 
-class _SerializedSpy(_ColumnSpy):
-    emit_columns = None
-
-    def emit_serialized(self, fragment, records):
-        self.got.append(("fragment", fragment, records))
-
-
 class _RecordSpy(_ColumnSpy):
     emit_columns = None
 
@@ -212,31 +215,20 @@ class TestDispatch:
         records = [_columns_one()] * 3
         columns = _columns(records)
         calls = []
-        real = RecordColumns.to_fragment
+        real = results_module._fast_records
         monkeypatch.setattr(
-            RecordColumns, "to_fragment", lambda self: calls.append(1) or real(self)
+            results_module, "_fast_records", lambda series: calls.append(1) or real(series)
         )
-        spies = [_ColumnSpy(), _SerializedSpy(), _SerializedSpy(), _RecordSpy()]
+        spies = [_ColumnSpy(), _RecordSpy(), _RecordSpy()]
         TeeSink(*spies).emit_columns(columns)
         assert spies[0].got == [("columns", columns)]
-        fragment = _per_record_fragment(records)
-        assert spies[1].got == spies[2].got == [("fragment", fragment, 3)]
-        assert len(calls) == 1  # serialised once for both fragment takers
-        assert [r for _, r in spies[3].got] == records
-
-    def test_serialized_input_reaches_text_takers_verbatim(self):
-        records = [_columns_one()] * 2
-        fragment = _per_record_fragment(records)
-        spies = [_SerializedSpy(), _ColumnSpy(), _RecordSpy()]
-        TeeSink(*spies).emit_serialized(fragment, 2)
-        assert spies[0].got[0][1] is fragment
-        assert list(spies[1].got[0][1]) == records
-        assert [r for _, r in spies[2].got] == records
+        assert [r for _, r in spies[1].got] == [r for _, r in spies[2].got] == records
+        assert len(calls) == 1  # records built once for both record takers
 
     def test_single_sinks_get_the_same_forms(self):
         records = [_columns_one()] * 2
         column_spy, record_spy = _ColumnSpy(), _RecordSpy()
-        emit_serialized_records(column_spy, _per_record_fragment(records), 2)
+        forward_columns(column_spy, _columns(records))
         result = SimulationResult("w", "g", 1.0)
         result.defer_columns(lambda: _columns(records))
         push_cell_result(record_spy, CellResult(cell=None, result=result))
