@@ -5,8 +5,8 @@
 # process pool at a tiny duration scale) and of the online policy-session
 # driver (`repro serve --smoke`), the cold set-up parity stamps, plus the
 # repository benchmark's self-test.
-# `plane-residency` checks that the default serving policy runs every
-# session on the resident plane.
+# `plane-residency` checks that serving sessions and sweep members stay on
+# the policy plane.
 # `make lint` needs ruff on the PATH.
 #
 # The coverage gate (--cov=repro --cov-fail-under=80) switches on
@@ -38,12 +38,14 @@ smoke:
 serve-smoke:
 	$(PYTHON) -m repro serve --smoke
 
-# Every session of the default serving policy (USTA over the deployed REPTree
-# predictor) must ride the resident session plane: a predictor model that
-# stops declaring batch-row invariance would silently send them all to the
-# scalar pool.  Fails unless the dry run reports 20 of 20 resident.
+# Both adapters of the one policy plane must keep their managers on it: every
+# session of the default serving policy (USTA over the deployed REPTree
+# predictor) and of an MLP-predictor policy, and every managed cell of a
+# sweep.  A silent fallback to the scalar loop fails the dry runs.
 plane-residency:
 	$(PYTHON) -m repro serve --explain-plane --sessions 20 --scale 0.05 | grep "20 of 20 session(s) resident"
+	$(PYTHON) -m repro serve --explain-plane --sessions 20 --scale 0.05 --model multilayer_perceptron | grep "20 of 20 session(s) resident"
+	$(PYTHON) -m repro sweep --explain-batching --scale 0.02 --model linear_regression | grep "policy plane: 10 of 10"
 
 # Exercises the crash-safe streaming path end to end: a tiny sweep streamed
 # to sharded JSONL, then the same sweep again with --resume (which must skip

@@ -13,8 +13,9 @@ serve`` population driver are others.
 :class:`SessionPool` scales the same interface to thousands of concurrent
 sessions: per-user session state stays isolated, but the expensive part of a
 tick — the predictor evaluation — is batched across every session whose
-prediction window is due, through one matrix call into the underlying
-regressors (:meth:`~repro.core.predictor.RuntimePredictor.predict_batch`).
+prediction window is due.  Eligible sessions stay resident on the shared
+:class:`~repro.runtime.plane.PolicyPlane` (the batch engine's too), through
+the serving adapter at the bottom of this module.
 """
 
 from __future__ import annotations
@@ -25,9 +26,9 @@ import numpy as np
 
 from ..core.predictor import PredictionFeatures, RuntimePredictor
 from ..core.usta import USTAController
+from ..runtime.plane import NO_CAP, PolicyPlane, manager_vectorization_ineligibility
 from ..sim.engine import ThermalManager
 from ..users.adaptation import AdaptiveComfortManager
-from .plane import SessionPlane, session_plane_ineligibility
 from .specs import PolicySpec
 from .types import CapDecision, FeedbackEvent, TelemetrySample
 
@@ -65,10 +66,10 @@ class PolicySession:
         self._feed_count = 0
         self._cap_count = 0
         # Resident-plane adoption state: when a SessionPool adopts this
-        # session onto its SessionPlane, the plane's arrays become the master
+        # session onto its policy plane, the plane's columns become the master
         # copy and every out-of-band object access below brackets itself with
         # sync_to_session / refresh_from_session.
-        self._plane: Optional[SessionPlane] = None
+        self._plane: Optional[_PoolPlane] = None
         self._plane_row: int = -1
 
     # -- the online loop --------------------------------------------------------
@@ -200,7 +201,7 @@ class PolicySession:
         if self._plane is not None:
             # Resident sessions always have a manager; the plane's live-limit
             # column is the same value set_skin_limit would have installed.
-            return self._plane.ad.limit_obj[self._plane_row]
+            return self._plane.limit_obj[self._plane_row]
         if self.manager is None:
             return None
         limit = getattr(self.manager, "current_limit_c", None)
@@ -285,18 +286,21 @@ class SessionPool:
     """Thousands of concurrent policy sessions with batched prediction.
 
     Sessions keep their per-user state (comfort limit, prediction clock,
-    current cap); the pool's contribution is scheduling.  Eligible sessions
-    (:func:`~repro.api.plane.session_plane_ineligibility`) are adopted onto a
-    resident :class:`~repro.api.plane.SessionPlane`: their controller/adapter/
-    counter state lives in columnar arrays across ticks, so :meth:`feed_many`
-    advances them with vectorized due masks, one batched predict per
-    predictor group and array-wide cap math — bit-identical to the scalar
-    path.  Everything else keeps the historical treatment: on
-    :meth:`feed_many`, every batchable USTA session whose prediction window
-    is due is collected, their feature vectors are stacked, and the
-    underlying regressors run once per (predictor, screen-flag) group instead
-    of once per session; managers the pool does not understand at all fall
-    back to their sessions' scalar :meth:`PolicySession.feed`.
+    current cap); the pool's contribution is scheduling.  Sessions whose
+    manager the policy plane accepts
+    (:func:`~repro.runtime.plane.manager_vectorization_ineligibility`; a
+    bare-governor policy has nothing to put there) stay resident on the
+    pool's :class:`~repro.runtime.plane.PolicyPlane` — the same plane the
+    batch engine runs its members on.  Their controller/adapter/counter state
+    lives in columns across ticks, so :meth:`feed_many` advances them with
+    vectorized due masks, one batched predict per predictor group and
+    array-wide cap math — bit-identical to the scalar path.  Everything else
+    keeps the historical treatment: on :meth:`feed_many`, every batchable
+    USTA session whose prediction window is due is collected, their feature
+    vectors are stacked, and the underlying regressors run once per
+    (predictor, screen-flag) group instead of once per session; managers the
+    pool does not understand at all fall back to their sessions' scalar
+    :meth:`PolicySession.feed`.
     """
 
     def __init__(self, use_plane: bool = True) -> None:
@@ -304,7 +308,7 @@ class SessionPool:
         self._feed_count = 0
         self._prediction_count = 0
         self._batch_count = 0
-        self._plane: Optional[SessionPlane] = SessionPlane() if use_plane else None
+        self._plane: Optional[_PoolPlane] = _PoolPlane() if use_plane else None
         #: session_id -> why it stayed off the plane (``--explain-plane``).
         self._plane_reasons: Dict[str, str] = {}
 
@@ -335,9 +339,12 @@ class SessionPool:
     def _adopt(self, session: PolicySession) -> None:
         if self._plane is None:
             return
-        reason = session_plane_ineligibility(session)
+        if session.manager is None:
+            reason = "bare-governor policy (no thermal manager)"
+        else:
+            reason = manager_vectorization_ineligibility(session.manager)
         if reason is None:
-            self._plane.add(session)
+            self._plane.adopt(session)
         else:
             self._plane_reasons[session.session_id] = reason
 
@@ -349,7 +356,7 @@ class SessionPool:
         """Remove a session from the pool."""
         session = self._session(session_id)  # same known-ids hint as every lookup
         if session._plane is not None:
-            self._plane.remove(session)
+            self._plane.drop(session)
         self._plane_reasons.pop(session_id, None)
         del self._sessions[session_id]
 
@@ -392,7 +399,7 @@ class SessionPool:
             and plane.size
             and plane.size == len(self._sessions)
         ):
-            plane.tick_all(sample)
+            plane.feed_shared(sample)
             self._feed_count += plane.size
             decisions = plane.decisions
             return {
@@ -472,7 +479,7 @@ class SessionPool:
                 )
 
         if plane_rows:
-            plane_decisions = plane.tick_many(plane_rows, plane_samples)
+            plane_decisions = plane.feed(plane_rows, plane_samples)
             self._feed_count += len(plane_rows)
             if not others and not scalar_resident:
                 # The common serving batch: every session resident, output
@@ -623,3 +630,226 @@ class SessionPool:
             "fallback_count": len(sessions) - resident,
             "sessions": sessions,
         }
+
+
+class _PoolPlane(PolicyPlane):
+    """The serve adapter: a :class:`SessionPool`'s resident sessions.
+
+    Rows are owned by sessions.  Besides the shared plane columns each row
+    holds its session's feed/cap counters and its cached ``CapDecision``.
+    A decision is only rebuilt when its inputs changed (a due prediction, a
+    moved comfort limit, an out-of-band refresh): between prediction windows
+    the scalar path returns a *value-equal* held decision every tick, so
+    reusing the frozen object is observably identical.
+
+    **Coherence protocol.**  The columns are the master copy while a session
+    is resident.  Out-of-band object access brackets itself with
+    :meth:`sync_to_session` (columns → objects) before reading or mutating
+    and :meth:`refresh_from_session` (objects → columns, cached decision
+    dropped) after — :class:`PolicySession` does this inside ``feed``,
+    ``feed_feedback`` and ``reset``, and :mod:`repro.fleet.state` around
+    snapshot/restore.
+    """
+
+    _FIELDS = PolicyPlane._FIELDS + (
+        ("feeds", np.int64, 0),
+        ("caps", np.int64, 0),
+        ("valid", bool, False),
+    )
+    _OBJECT_FIELDS = PolicyPlane._OBJECT_FIELDS + ("decisions", "freq_levels")
+
+    def __init__(self) -> None:
+        super().__init__()
+        self._freq_cache: Dict[Tuple, Tuple] = {}
+        # Value-keyed CapDecision memo: fleets have far fewer *distinct*
+        # decisions than sessions (shared tables, quantized sensor grids), and
+        # frozen-dataclass construction is the rebuild loop's dominant cost.
+        # Decisions are immutable, so sharing one object per value is
+        # observably identical.  Cleared when it outgrows its cap (a bound on
+        # long-run growth, not an LRU — hit rates are all-or-nothing here).
+        self._decision_memo: Dict[Tuple, CapDecision] = {}
+        #: Vectorized ticks executed (PolicyService.stats / ServeReport).
+        self.tick_count = 0
+
+    # -- membership and coherence -------------------------------------------------
+
+    def _freq_tuple(self, table) -> Optional[Tuple[int, ...]]:
+        """Cached level→frequency lookup for decision building.
+
+        Keyed by the table's *frequency ladder*, not object identity: every
+        session owns its own ``FrequencyTable`` instance, and the decision
+        memo uses ``id(levels)`` as the table component of its key — without
+        value canonicalization here, 100k sessions on the same ladder would
+        produce 100k distinct memo keys and the memo would never hit.
+        """
+        if table is None:
+            return None
+        key = tuple(table.frequencies_khz)
+        cached = self._freq_cache.get(key)
+        if cached is None:
+            cached = tuple(
+                table.frequency_at(level)
+                for level in range(table.min_level, table.max_level + 1)
+            )
+            self._freq_cache[key] = cached
+        return cached
+
+    def adopt(self, session: PolicySession) -> None:
+        """Make one eligible session resident."""
+        i = self.add(session.manager, session)
+        self.freq_levels[i] = self._freq_tuple(
+            session.table if session.resolve_frequency else None
+        )
+        session._plane = self
+        session._plane_row = i
+
+    def drop(self, session: PolicySession) -> None:
+        """Write one session's state back and swap-remove its row."""
+        self.sync_to_session(session)
+        row = session._plane_row
+        moved = self.remove(row)
+        if moved is not None:
+            moved._plane_row = row
+        session._plane = None
+        session._plane_row = -1
+
+    def load_row(self, i: int) -> None:
+        super().load_row(i)
+        session = self.owners[i]
+        self.feeds[i] = session._feed_count
+        self.caps[i] = session._cap_count
+        self.decisions[i] = session._last_decision
+        # Force a rebuild from the (authoritative) columns on the next tick:
+        # the cached object may predate an adapter/limit mutation.
+        self.valid[i] = False
+
+    def sync_to_session(self, session: PolicySession) -> None:
+        """Write the row back into the session's objects (columns → objects).
+
+        Callers that then mutate the objects must :meth:`refresh_from_session`.
+        """
+        i = session._plane_row
+        self.writeback(i)
+        session._feed_count = int(self.feeds[i])
+        session._cap_count = int(self.caps[i])
+        session._last_decision = self.decisions[i]
+
+    def refresh_from_session(self, session: PolicySession) -> None:
+        """Re-adopt a session's object state after out-of-band mutation."""
+        self.load_row(session._plane_row)
+
+    def set_counters(self, row: int, feed_count: int, cap_count: int) -> None:
+        """Install restored feed/cap counters (``restore_counters`` support)."""
+        self.feeds[row] = feed_count
+        self.caps[row] = cap_count
+
+    # -- feeding ------------------------------------------------------------------
+
+    def feed(self, rows_list: List[int], samples: List[TelemetrySample]) -> List[CapDecision]:
+        """Advance the given rows by their per-session samples."""
+        rows = np.array(rows_list, dtype=np.int64)
+        t = np.fromiter((s.time_s for s in samples), dtype=float, count=len(samples))
+        self._advance(
+            rows,
+            t,
+            lambda pos: _stacked_features(_pick(samples, pos)),
+            lambda pos: [sample.sensor_readings.get("skin") for sample in _pick(samples, pos)],
+        )
+        return self.decisions[rows].tolist()
+
+    def feed_shared(self, sample: TelemetrySample) -> None:
+        """Advance every row by one shared sample (``feed_all``).
+
+        The feature row is built once and predicted once per predictor
+        group.  Decisions land in :attr:`decisions`; the caller gathers them
+        by row.
+        """
+        rows = np.arange(self.size, dtype=np.int64)
+        skin = sample.sensor_readings.get("skin")
+        self._advance(
+            rows,
+            sample.time_s,
+            lambda pos: _shared_features(sample),
+            None if skin is None else (lambda pos: [skin] * len(rows[pos])),
+        )
+
+    def _advance(self, rows, t, features, felt) -> None:
+        """One plane tick, then the decision cache and the counters."""
+        self.tick_count += 1
+        due, moved = self.tick(rows, t, features, felt)
+        if moved:
+            # A moved limit invalidates the cached decision objects.
+            self.valid[moved] = False
+        need = ~self.valid[rows]
+        if due is not None:
+            need |= due
+        if need.any():
+            self._decide(rows[need])
+        self.feeds[rows] += 1
+        self.caps[rows] += self.cap_req[rows] != NO_CAP
+
+    def _decide(self, rows: np.ndarray) -> None:
+        """Rebuild the cached decisions of ``rows`` from the columns."""
+        caps_list = self.cap_req[rows].tolist()
+        skins = self.skin_obj[rows].tolist()
+        screens = self.screen_obj[rows].tolist()
+        limits = self.limit_obj[rows].tolist()
+        tables = self.freq_levels[rows].tolist()
+        decisions = self.decisions
+        memo = self._decision_memo
+        if len(memo) > 65_536:
+            memo.clear()
+        for j, r in enumerate(rows.tolist()):
+            cap = caps_list[j]
+            levels = tables[j]
+            # id(levels) stands in for the table: the tuples live in
+            # _freq_cache for the plane's lifetime, so ids are stable.
+            key = (cap, skins[j], screens[j], limits[j], id(levels))
+            decision = memo.get(key)
+            if decision is None:
+                if cap == NO_CAP:
+                    decision = CapDecision(None, None, skins[j], screens[j], limits[j])
+                else:
+                    decision = CapDecision(
+                        cap,
+                        None if levels is None else levels[cap],
+                        skins[j],
+                        screens[j],
+                        limits[j],
+                    )
+                memo[key] = decision
+            decisions[r] = decision
+        self.valid[rows] = True
+
+
+def _shared_features(sample: TelemetrySample) -> Tuple[float, float, float, float]:
+    """The one feature row every session shares on a ``feed_all`` tick."""
+    readings = sample.sensor_readings
+    try:
+        return (readings["cpu"], readings["battery"], sample.utilization, sample.frequency_khz)
+    except KeyError:
+        # Re-raise the scalar path's exact channel-naming error.
+        PredictionFeatures.from_readings(readings, sample.utilization, sample.frequency_khz)
+        raise
+
+
+def _pick(samples: List[TelemetrySample], pos) -> List[TelemetrySample]:
+    """The samples at plane-tick positions ``pos`` (a prefix slice or an index array)."""
+    return samples[pos] if isinstance(pos, slice) else [samples[j] for j in pos.tolist()]
+
+
+def _stacked_features(samples: List[TelemetrySample]) -> Tuple[np.ndarray, ...]:
+    """Feature columns for the due subset, without per-session objects."""
+    k = len(samples)
+    try:
+        cpu = np.fromiter((s.sensor_readings["cpu"] for s in samples), dtype=float, count=k)
+        battery = np.fromiter((s.sensor_readings["battery"] for s in samples), dtype=float, count=k)
+    except KeyError:
+        for sample in samples:
+            PredictionFeatures.from_readings(
+                sample.sensor_readings, sample.utilization, sample.frequency_khz
+            )
+        raise
+    util = np.fromiter((s.utilization for s in samples), dtype=float, count=k)
+    freq = np.fromiter((s.frequency_khz for s in samples), dtype=float, count=k)
+    return cpu, battery, util, freq

@@ -170,11 +170,12 @@ class RuntimePredictor:
     def predict_batch(
         self, features: np.ndarray, predict_screen: bool = True
     ) -> List[SkinScreenPrediction]:
-        """Predict for a whole batch of feature rows in one regressor call.
+        """Predict for a whole batch of feature rows at once.
 
         This is the session pool's fast path: when N concurrent policy
-        sessions hit their prediction window on the same tick, one
-        ``(N, 4)`` matrix predict replaces N scalar calls.  The reported
+        sessions hit their prediction window on the same tick, one batched
+        call replaces N scalar ones (see :meth:`predict_batch_arrays` for how
+        each row keeps the bits of a single-row predict).  The reported
         per-prediction latency is the batch wall-clock divided by N (the
         amortized cost each session pays).
 
@@ -196,26 +197,23 @@ class RuntimePredictor:
         ]
 
     def predict_batch_arrays(
-        self, features: np.ndarray, predict_screen: bool = True, exact: bool = False
+        self, features: np.ndarray, predict_screen: bool = True
     ) -> BatchPredictionArrays:
         """Batched prediction returning columns instead of row objects.
 
-        The SoA engine's policy plane consumes this form directly: the skin
-        (and optionally screen) predictions stay arrays, avoiding N
-        ``SkinScreenPrediction`` allocations per prediction window.  With
-        ``exact=False`` values are identical to :meth:`predict_batch` — both
-        run the same single matrix predict.
+        The policy plane consumes this form directly: the skin (and
+        optionally screen) predictions stay arrays, avoiding N
+        ``SkinScreenPrediction`` allocations per prediction window.
 
-        ``exact=True`` evaluates a model one row at a time instead: a
-        whole-matrix predict may differ from N single-row predicts in the
-        last ulp when the model's batched evaluation depends on the row
-        count (a BLAS matmul picks different kernels by shape), and the
-        vectorized engine's bit-parity contract against the scalar path
-        cannot tolerate that — the same reason its thermal solve
-        back-substitutes per column.  Models declaring
+        Every row carries exactly the bits of a single-row :meth:`predict`,
+        whatever else is in the batch.  Models declaring
         ``batch_row_invariant`` (trees; the order-fixed linear sweep)
-        guarantee matrix == per-row bitwise, so they keep the one-call
-        shortcut even in exact mode.
+        guarantee that for a whole-matrix predict, so they run as one call.
+        Any other model is evaluated one row at a time: a whole-matrix
+        predict may differ from N single-row predicts in the last ulp when
+        its batched evaluation depends on the row count (a BLAS matmul picks
+        different kernels by shape), which would make a decision depend on
+        which other rows shared its batch.
         """
         matrix = np.atleast_2d(np.asarray(features, dtype=float))
         if matrix.shape[1] != len(self.feature_names):
@@ -228,7 +226,7 @@ class RuntimePredictor:
         screen: Optional[np.ndarray] = None
 
         def _rows(model) -> np.ndarray:
-            if exact and len(matrix) > 1 and not getattr(model, "batch_row_invariant", False):
+            if len(matrix) > 1 and not getattr(model, "batch_row_invariant", False):
                 predict = model.predict
                 return np.array([predict(matrix[i : i + 1])[0] for i in range(len(matrix))])
             return np.asarray(model.predict(matrix), dtype=float)

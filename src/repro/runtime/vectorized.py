@@ -31,7 +31,7 @@ window-sized staging buffers — the seven trace columns, the five derived
 power matrices, the pre-drawn sensor noise (:class:`_WindowStage`) — is
 refilled per window instead of materialising O(trace) matrices, while every
 piece of cross-step state (node temperatures, the cached LU factorizations,
-governor/manager objects, :class:`_PolicyPlane` arrays, the live-prefix
+governor/manager objects, the policy plane's columns, the live-prefix
 ordering, battery SoC, CPU backlog) carries across window boundaries
 untouched — so windowed runs are bit-identical to unwindowed ones and to the
 scalar engine.  A ``window_drain`` additionally flushes each live member's
@@ -63,12 +63,15 @@ implementations, so any :class:`~repro.governors.base.Governor` subclass or
 ondemand populations additionally take a fully vectorized governor path, and
 stock USTA-family managers (bare :class:`~repro.core.usta.USTAController` or
 :class:`~repro.users.adaptation.AdaptiveComfortManager` around one, with a
-stock adapter/feedback model) take a vectorized *policy plane*: prediction-due
-masks, one batched predictor call per tick over the due rows, array-wide cap
-computation and grouped comfort-adapter updates, with controller state held in
-arrays and written back to the objects only at the batch boundary
-(:class:`_PolicyPlane`; eligibility via
-:func:`manager_vectorization_ineligibility`).
+stock adapter/feedback model) ride the shared *policy plane*
+(:class:`~repro.runtime.plane.PolicyPlane`, the same one ``repro serve``
+keeps its sessions on): prediction-due masks, one batched predictor call per
+tick over the due rows, array-wide cap computation and grouped
+comfort-adapter updates.  The engine's adapter (:class:`_EnginePlane`)
+feeds it from the sensor block, stages its decisions into the record
+columns, and writes its state back to the objects only at the batch
+boundary.  Eligibility is decided by
+:func:`manager_vectorization_ineligibility`.
 """
 
 from __future__ import annotations
@@ -76,47 +79,26 @@ from __future__ import annotations
 import copy
 import math
 import os
-import time
 from collections import OrderedDict
 from dataclasses import dataclass
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
-from ..core.policy import ThrottlePolicy
-from ..core.predictor import RuntimePredictor
-from ..core.usta import USTAController
 from ..device.platform import DevicePlatform
 from ..governors.base import Governor, GovernorObservation
 from ..governors.ondemand import OndemandGovernor
-from ..ml.linear import LinearRegression
 from ..sim.engine import ThermalManager
 from ..sim.logger import SystemLogger
 from ..sim.results import ColumnarRecordBuffer, SimulationResult
 from ..thermal.ambient import HandContact
 from ..thermal.solver import ThermalSolver
-from ..users.adaptation import (
-    AdaptiveComfortManager,
-    FeedbackStep,
-    FixedLimit,
-    QuantileTracker,
-    UserFeedbackModel,
-)
 from ..workloads.trace import WorkloadTrace
-from .plane_kernels import (
-    ADAPTER_FIXED as _ADAPTER_FIXED,
-    ADAPTER_NONE as _ADAPTER_NONE,
-    ADAPTER_QUANTILE as _ADAPTER_QUANTILE,
-    ADAPTER_STEP as _ADAPTER_STEP,
-    AdapterArrays,
+from .plane import (  # the predicate and the linear probe stay importable from here
     NO_CAP as _NO_CAP,
-    NO_CAP_64 as _NO_CAP_64,
-    caps_from_margins,
+    PolicyPlane,
     columnwise_linear_form as _columnwise_linear_form,
-    compile_policy_steps,
-    linear_kernel as _linear_kernel,
     manager_vectorization_ineligibility,
-    predictor_fast_kernel,
 )
 
 __all__ = [
@@ -333,213 +315,31 @@ def _hand_state_solvers(template: DevicePlatform) -> Dict[bool, ThermalSolver]:
     return solvers
 
 
-class _PolicyPlane:
-    """SoA state for the batch's vectorizable USTA-family managers.
+class _EnginePlane:
+    """The batch engine's adapter onto the shared :class:`PolicyPlane`.
 
-    One instance owns the plane-eligible manager rows of a population batch
-    (see :func:`manager_vectorization_ineligibility`).  Per tick it performs,
-    in the exact order of the scalar ``observe()`` chain:
-
-    1. feedback ingestion — the per-member seeded
-       :class:`UserFeedbackModel` objects stay authoritative, but they are
-       only *called* on ticks where they could report or deliver (a gate
-       computed array-wide from their report clocks and thresholds, which is
-       exact: on every other tick ``observe()`` returns ``None`` without
-       mutating state), and the resulting events update the comfort limits
-       through grouped per-strategy array math;
-    2. a vectorized ``prediction_due`` mask over the live plane rows;
-    3. one :meth:`RuntimePredictor.predict_batch_arrays` call per predictor
-       group over the due rows, features assembled column-wise from the
-       engine's sensor arrays;
-    4. an array-wide cap computation per policy group
-       (:meth:`ThrottlePolicy.cap_for_predictions`), with
-       :data:`ThrottlePolicy.NO_CAP` standing in for "no cap".
-
-    Controller/adapter state (last prediction, cap, latency, count, live
-    limit, adapter internals) lives in arrays during the run and is written
-    back to the owning objects once, at the batch boundary
-    (:meth:`finish`), leaving them exactly as a scalar run would.
+    Plane row ``i`` is the ``i``-th plane-eligible member in the engine's
+    internal (longest-trace-first) order, so the live plane rows are always
+    a prefix and every tick passes ``slice(0, k)``.  Per tick the adapter
+    hands the plane the features and the felt skin temperature from the
+    sensor block, then stages the plane's decision columns into the record
+    buffer and the engine's cap array.  State goes back to the controller,
+    adapter and governor objects once, at the batch boundary (:meth:`finish`).
     """
 
     def __init__(
-        self,
-        entries: Sequence[Tuple[int, "PopulationMember"]],
-        table,
-        has_skin_sensor: bool,
-        exact: bool = True,
+        self, entries: Sequence[Tuple[int, PopulationMember]], block_row: Dict[str, int]
     ) -> None:
-        n = len(entries)
-        self.table = table
-        # Row-exact batched prediction (see predict_batch_arrays): whole-matrix
-        # model evaluation may differ from single-row predicts in the last ulp.
-        self.exact = exact
-        self.rows = np.array([row for row, _ in entries], dtype=np.int64)
-        self.governors: List[Governor] = [member.governor for _, member in entries]
-        self.managers = [member.thermal_manager for _, member in entries]
-        self.inners: List[USTAController] = []
-        self.adapters: List[Optional[object]] = []
-        self.feedbacks: List[Optional[UserFeedbackModel]] = []
-        for manager in self.managers:
-            if isinstance(manager, AdaptiveComfortManager):
-                self.inners.append(manager.inner)
-                self.adapters.append(manager.adapter)
-                self.feedbacks.append(manager.feedback)
-            else:
-                self.inners.append(manager)
-                self.adapters.append(None)
-                self.feedbacks.append(None)
-
-        # -- USTA controller state (mirrors apply_prediction) ------------------
-        self.period_minus = np.array(
-            [inner.prediction_period_s - 1e-9 for inner in self.inners]
-        )
-        self.last_time = np.full(n, np.nan)
-        self.pred_skin = np.full(n, np.nan)
-        self.skin_obj = np.full(n, None, dtype=object)
-        self.screen_obj = np.full(n, None, dtype=object)
-        self.latency = np.zeros(n)
-        self.count = np.zeros(n, dtype=np.int64)
-        self.cap_req = np.full(n, _NO_CAP, dtype=np.int64)
-        # Columnar adapter state + the live comfort limit (the master copy
-        # shared by the adapter updates and the cap computation — the scalar
-        # path keeps the two in sync through set_skin_limit).
-        self.ad = AdapterArrays(n)
-        for i, adapter in enumerate(self.adapters):
-            self.ad.load(i, adapter, self.inners[i].current_skin_limit_c)
-        self.limit = self.ad.limit
-        self.limit_obj = self.ad.limit_obj
-        self.adapter_kind = self.ad.kind
-        # Initial state need not be the post-reset default (the engine resets
-        # members first, but stays faithful if that ever changes).
-        for i, inner in enumerate(self.inners):
-            if inner._last_prediction_time is not None:
-                self.last_time[i] = inner._last_prediction_time
-                self.pred_skin[i] = (
-                    np.nan if inner._last_prediction is None else inner._last_prediction
-                )
-            self.skin_obj[i] = inner._last_prediction
-            self.screen_obj[i] = inner._last_screen_prediction
-            self.latency[i] = inner._total_latency_s
-            self.count[i] = inner._prediction_count
-            self.cap_req[i] = _NO_CAP if inner._current_cap is None else inner._current_cap
-
-        # One shared prediction period and no prior prediction state means
-        # every live row's due clock stays in lockstep for the whole run
-        # (rows only ever drop out), so the per-tick due mask reduces to a
-        # single scalar clock comparison.
-        self.uniform_clock = bool(
-            n > 0
-            and np.isnan(self.last_time).all()
-            and (self.period_minus == self.period_minus[0]).all()
-        )
-        self._clock_period = float(self.period_minus[0]) if self.uniform_clock else 0.0
-        self._clock_last: Optional[float] = None
-
-        # -- predictor groups (one batched predict per group per due tick) -----
-        groups: "OrderedDict[Tuple[int, bool], List[int]]" = OrderedDict()
-        for i, inner in enumerate(self.inners):
-            groups.setdefault((id(inner.predictor), bool(inner.predict_screen)), []).append(i)
-        self.pred_groups = [
-            (np.array(local, dtype=np.int64), self.inners[local[0]].predictor, screen)
-            for (_, screen), local in groups.items()
-        ]
-        # Probe-verified column-sweep kernels (see _columnwise_linear_form):
-        # one ``(kernel, has_screen)`` entry per predictor group, None when
-        # the group must go through predict_batch_arrays.  Skin and screen
-        # models probing to the same sweep order share one stacked kernel
-        # call.  Only meaningful in exact mode — the inexact path's single
-        # matrix predict is already one BLAS call.
-        self.pred_fast: List[Optional[Tuple]] = [
-            predictor_fast_kernel(predictor, predict_screen) if exact else None
-            for _, predictor, predict_screen in self.pred_groups
-        ]
-
-        # -- policy groups (cap math depends only on the step table) -----------
-        # step_caps/thresholds are what caps_for_margins would rebuild per
-        # call; precomputing them lets tick() inline the (bit-identical)
-        # count-of-crossed-rules cap computation.
-        pgroups: "OrderedDict[Tuple, List[int]]" = OrderedDict()
-        for i, inner in enumerate(self.inners):
-            pgroups.setdefault(inner.policy.steps, []).append(i)
-        self.policy_groups = []
-        for local in pgroups.values():
-            policy = self.inners[local[0]].policy
-            step_caps, thresholds, activation = compile_policy_steps(policy, table)
-            self.policy_groups.append(
-                (np.array(local, dtype=np.int64), policy, step_caps, thresholds, activation)
-            )
-
+        self.plane = PolicyPlane()
+        for _, member in entries:
+            self.plane.add(member.thermal_manager, member.governor)
+        self.cols = np.array([row for row, _ in entries], dtype=np.int64)
         # Plane rows are very often the whole batch prefix (every member
         # managed); basic slices then replace every fancy-index gather.
-        self.rows_contiguous = bool(np.array_equal(self.rows, np.arange(n)))
-        # Live-prefix views per group, cached by the live plane count k (k only
-        # changes when a member's trace ends, so the cache has O(members)
-        # entries over a whole run instead of per-tick searchsorted calls).
-        self._prefix_cache: Dict[int, Tuple] = {}
-
-        # -- feedback gate state -----------------------------------------------
-        fb_local = [
-            i
-            for i, feedback in enumerate(self.feedbacks)
-            if feedback is not None and has_skin_sensor
-        ]
-        self.fb_local = np.array(fb_local, dtype=np.int64)
-        self.fb_last = np.full(n, np.nan)
-        self.fb_period_minus = np.zeros(n)
-        self.fb_threshold = np.zeros(n)
-        self.fb_pending = np.zeros(n, dtype=bool)
-        for i in fb_local:
-            model = self.feedbacks[i]
-            if model._last_report_s is not None:
-                self.fb_last[i] = model._last_report_s
-            self.fb_period_minus[i] = model.report_period_s - 1e-9
-            self.fb_threshold[i] = model.true_limit_c - model.comfort_band_c
-            self.fb_pending[i] = bool(model._pending)
-        # Earliest future time any feedback clock can fire (-inf while any
-        # model has never reported or holds a delayed event): between firings
-        # the candidate mask is provably all-False, so tick() skips it.
-        self._fb_wake = -np.inf
-
-    def bind_sensor_rows(self, block_row: Dict[str, int]) -> None:
-        """Resolve the engine sensor-block rows this plane reads per tick.
-
-        The cpu/battery rows feed the predictor features and the skin row the
-        feedback gate; binding them once lets tick() index the block matrix
-        directly instead of going through a per-tick name->array dict.
-        """
+        self.contiguous = bool(np.array_equal(self.cols, np.arange(len(entries))))
         self._cpu_row = block_row["cpu"]
         self._battery_row = block_row["battery"]
         self._skin_row = block_row.get("skin")
-
-    # -- per-tick update -------------------------------------------------------
-
-    def _prefixes(self, k: int) -> Tuple:
-        """Cached live-prefix state for ``k`` live plane rows.
-
-        Returns ``(rows, dest, fbl, fb_prefix, pred_pre, pol_pre)`` where each
-        ``*_pre`` entry is ``(g, is_prefix)``: the group's live local indices
-        and whether they are exactly ``0..size-1`` (so basic slices can stand
-        in for fancy indexing on the plane-state arrays).
-        """
-        cached = self._prefix_cache.get(k)
-        if cached is None:
-            rows = self.rows[:k]
-            dest = slice(0, k) if self.rows_contiguous else rows
-            fk = int(self.fb_local.searchsorted(k))
-            fbl = self.fb_local[:fk]
-            fb_prefix = bool(fk) and int(self.fb_local[fk - 1]) == fk - 1
-            pred_pre = []
-            for local, _, _ in self.pred_groups:
-                size = int(local.searchsorted(k))
-                pred_pre.append((local[:size], bool(size) and int(local[size - 1]) == size - 1))
-            pol_pre = []
-            for entry in self.policy_groups:
-                local = entry[0]
-                size = int(local.searchsorted(k))
-                pol_pre.append((local[:size], bool(size) and int(local[size - 1]) == size - 1))
-            cached = (rows, dest, fbl, fb_prefix, pred_pre, pol_pre)
-            self._prefix_cache[k] = cached
-        return cached
 
     def tick(
         self,
@@ -554,169 +354,53 @@ class _PolicyPlane:
         max_level: int,
         sync_governors: bool,
     ) -> None:
-        k = int(self.rows.searchsorted(n_act))
+        k = int(self.cols.searchsorted(n_act))
         if k == 0:
             return
-        rows, dest, fbl, fb_prefix, pred_pre, pol_pre = self._prefixes(k)
+        cols = self.cols
+        contiguous = self.contiguous
 
-        # -- 1. simulated-user feedback → grouped adapter updates --------------
-        fk = fbl.size
-        if fk and time_s >= self._fb_wake:
-            fsl = slice(0, fk) if fb_prefix else fbl
-            felt = sensor_block[self._skin_row][
-                fsl if fb_prefix and self.rows_contiguous else rows[fbl]
-            ]
-            last = self.fb_last[fsl]
-            candidate = (np.isnan(last) | (time_s - last >= self.fb_period_minus[fsl])) & (
-                felt > self.fb_threshold[fsl]
+        def features(pos):
+            at = pos if contiguous else cols[pos]
+            return (
+                sensor_block[self._cpu_row, at],
+                sensor_block[self._battery_row, at],
+                utilization[at],
+                freq_khz[at],
             )
-            needs = candidate | self.fb_pending[fsl]
-            if needs.any():
-                step_events: List[Tuple[int, object]] = []
-                quant_events: List[Tuple[int, object]] = []
-                ask = fbl[needs]
-                for i, felt_c in zip(ask.tolist(), felt[needs].tolist()):
-                    model = self.feedbacks[i]
-                    event = model.observe(time_s, felt_c)
-                    report_s = model._last_report_s
-                    self.fb_last[i] = np.nan if report_s is None else report_s
-                    self.fb_pending[i] = bool(model._pending)
-                    if event is not None:
-                        kind = self.adapter_kind[i]
-                        if kind == _ADAPTER_STEP:
-                            step_events.append((i, event))
-                        elif kind == _ADAPTER_QUANTILE:
-                            quant_events.append((i, event))
-                        # _ADAPTER_FIXED consumes the event without state.
-                if step_events:
-                    self.ad.apply_step_events(step_events)
-                if quant_events:
-                    self.ad.apply_quantile_events(quant_events)
-                # Re-arm the wake clock from the updated report times.  A
-                # shrinking k only widens the row set the minimum ranges
-                # over, so a cached wake never skips a live row's firing.
-                last = self.fb_last[fsl]
-                if np.isnan(last).any() or self.fb_pending[fsl].any():
-                    self._fb_wake = -np.inf
-                else:
-                    self._fb_wake = float((last + self.fb_period_minus[fsl]).min())
 
-        # -- 2./3./4. due mask → batched predict → array-wide caps -------------
-        if self.uniform_clock:
-            # Lockstep clocks: one scalar comparison replaces the mask.
-            due = None
-            all_due = True
-            any_due = (
-                self._clock_last is None or time_s - self._clock_last >= self._clock_period
-            )
-            if any_due:
-                self._clock_last = time_s
-        else:
-            last_pred = self.last_time[:k]
-            due = np.isnan(last_pred) | (time_s - last_pred >= self.period_minus[:k])
-            any_due = bool(due.any())
-            all_due = any_due and bool(due.all())
-        if any_due:
-            for (local, predictor, predict_screen), fast, (g, g_is_prefix) in zip(
-                self.pred_groups, self.pred_fast, pred_pre
-            ):
-                if all_due:
-                    gd = g
-                else:
-                    gd = g[due[g]]
-                    g_is_prefix = False
-                gsize = gd.size
-                if gsize == 0:
-                    continue
-                # sl indexes the plane-state arrays; a basic slice when the
-                # live group is exactly the 0..gsize-1 prefix.
-                sl = slice(0, gsize) if g_is_prefix else gd
-                if self.rows_contiguous and g_is_prefix:
-                    grows = slice(0, gsize)
-                else:
-                    grows = self.rows[gd]
-                cpu_col = sensor_block[self._cpu_row, grows]
-                battery_col = sensor_block[self._battery_row, grows]
-                util_col = utilization[grows]
-                freq_col = freq_khz[grows]
-                if fast is not None:
-                    kernel, has_screen = fast
-                    start = time.perf_counter()
-                    stacked = kernel(cpu_col, battery_col, util_col, freq_col)
-                    latency = (time.perf_counter() - start) / gsize
-                    skin = stacked[0]
-                    screen = stacked[1] if has_screen else None
-                else:
-                    features = np.empty((gsize, 4))
-                    features[:, 0] = cpu_col
-                    features[:, 1] = battery_col
-                    features[:, 2] = util_col
-                    features[:, 3] = freq_col
-                    arrays = predictor.predict_batch_arrays(
-                        features, predict_screen=predict_screen, exact=self.exact
-                    )
-                    skin = arrays.skin_temp_c
-                    screen = arrays.screen_temp_c
-                    latency = arrays.latency_s
-                self.pred_skin[sl] = skin
-                # Assigning the tolist() result keeps Python floats in the
-                # object columns (records must serialize like scalar runs).
-                self.skin_obj[sl] = skin.tolist()
-                if screen is not None:
-                    self.screen_obj[sl] = screen.tolist()
-                self.latency[sl] += latency
-                self.count[sl] += 1
-                self.last_time[sl] = time_s
-            for (local, policy, step_caps, thresholds, activation), (g, g_is_prefix) in zip(
-                self.policy_groups, pol_pre
-            ):
-                if all_due:
-                    gd = g
-                else:
-                    gd = g[due[g]]
-                    g_is_prefix = False
-                if gd.size == 0:
-                    continue
-                sl = slice(0, gd.size) if g_is_prefix else gd
-                # caps_from_margins over the precompiled step tables is
-                # bit-identical to the scalar cap_for_prediction.
-                margins = self.limit[sl] - self.pred_skin[sl]
-                new_caps = caps_from_margins(margins, step_caps, thresholds, activation)
-                self.cap_req[sl] = new_caps
-                if sync_governors:
-                    # Custom-governor path: select_level reads the governor's
-                    # internal cap, so install changes as they happen (between
-                    # due ticks the scalar path re-installs the same value —
-                    # a no-op the plane skips).
-                    for i, cap in zip(gd.tolist(), new_caps.tolist()):
-                        self.governors[i].set_level_cap(None if cap == _NO_CAP else cap)
+        felt = None
+        if self._skin_row is not None:
+            skin = sensor_block[self._skin_row]
+            felt = lambda pos: skin[pos if contiguous else cols[pos]]
 
-        # -- record staging + engine cap array ---------------------------------
-        cap_req = self.cap_req[:k]
+        plane = self.plane
+        live = slice(0, k)
+        due, _ = plane.tick(live, time_s, features, felt)
+        if sync_governors and due is not None:
+            # Custom-governor path: select_level reads the governor's internal
+            # cap, so install changes as they happen (between due ticks the
+            # scalar path re-installs the same value — a no-op skipped here).
+            owners = plane.owners
+            for i in np.flatnonzero(due).tolist():
+                cap = int(plane.cap_req[i])
+                owners[i].set_level_cap(None if cap == _NO_CAP else cap)
+
+        dest = live if contiguous else cols[:k]
+        cap_req = plane.cap_req[:k]
         buf.usta_active[buf_row, dest] = (cap_req != _NO_CAP) & (cap_req < max_level)
-        buf.predicted_skin_temp_c[buf_row, dest] = self.skin_obj[:k]
-        buf.predicted_screen_temp_c[buf_row, dest] = self.screen_obj[:k]
-        buf.comfort_limit_c[buf_row, dest] = self.limit_obj[:k]
+        buf.predicted_skin_temp_c[buf_row, dest] = plane.skin_obj[:k]
+        buf.predicted_screen_temp_c[buf_row, dest] = plane.screen_obj[:k]
+        buf.comfort_limit_c[buf_row, dest] = plane.limit_obj[:k]
         caps[dest] = np.where(cap_req == _NO_CAP, max_level, cap_req)
 
-    # -- batch-boundary writeback ---------------------------------------------
-
     def finish(self) -> None:
-        """Write the accumulated array state back to the owning objects."""
-        for i, inner in enumerate(self.inners):
-            last_time = self.last_time[i]
-            cap = int(self.cap_req[i])
-            inner.restore_batch_state(
-                last_prediction_time=None if math.isnan(last_time) else float(last_time),
-                last_prediction=self.skin_obj[i],
-                last_screen_prediction=self.screen_obj[i],
-                total_latency_s=float(self.latency[i]),
-                prediction_count=int(self.count[i]),
-                current_cap=None if cap == _NO_CAP else cap,
-                live_limit_c=float(self.limit[i]),
-            )
-            self.ad.writeback(i, self.adapters[i])
-            self.governors[i].set_level_cap(None if cap == _NO_CAP else cap)
+        """Write the plane's state back to the controllers, adapters and governors."""
+        plane = self.plane
+        for i, governor in enumerate(plane.owners):
+            plane.writeback(i)
+            cap = int(plane.cap_req[i])
+            governor.set_level_cap(None if cap == _NO_CAP else cap)
 
 
 #: Bounded memo of stacked trace batches, keyed by the identity of the trace
@@ -1327,20 +1011,15 @@ def simulate_population_mixed(
     # --explain-batching).  Plane feature assembly needs the cpu and battery
     # sensors the scalar feature path reads.
     sensor_names = set(template.sensors.sensors)
-    plane: Optional[_PolicyPlane] = None
+    plane_rows: List[Tuple[int, PopulationMember]] = []
     scalar_manager_rows = manager_rows
     if vectorize_managers and manager_rows and {"cpu", "battery"} <= sensor_names:
-        plane_rows = []
         scalar_manager_rows = []
         for row, member in manager_rows:
             if manager_vectorization_ineligibility(member.thermal_manager, table) is None:
                 plane_rows.append((row, member))
             else:
                 scalar_manager_rows.append((row, member))
-        if plane_rows:
-            plane = _PolicyPlane(
-                plane_rows, table, has_skin_sensor="skin" in sensor_names, exact=exact
-            )
     needs_scalar_views = bool(scalar_manager_rows)
 
     # With a drain the record buffer is window-sized (rows are flushed at
@@ -1379,8 +1058,7 @@ def simulate_population_mixed(
         (getattr(buf, field), _block_row.get(sensor_name), node_idx)
         for field, sensor_name, node_idx in record_sensor_fields
     ]
-    if plane is not None:
-        plane.bind_sensor_rows(_block_row)
+    plane = _EnginePlane(plane_rows, _block_row) if plane_rows else None
     # SystemLogger.log_columns argument order.
     logged_columns = (
         buf.sensor_cpu_temp_c,

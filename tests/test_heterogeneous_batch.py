@@ -886,10 +886,11 @@ class TestLinearSweepInvariance:
                 ).astype(float),
             ]
         )
-        exact = linear_predictor.predict_batch_arrays(matrix, exact=True)
-        fast = linear_predictor.predict_batch_arrays(matrix, exact=False)
-        assert np.array_equal(exact.skin_temp_c, fast.skin_temp_c)
-        assert np.array_equal(exact.screen_temp_c, fast.screen_temp_c)
+        # Row-invariant models keep the one-call matrix predict.
+        batched = linear_predictor.predict_batch_arrays(matrix)
+        skin, screen = linear_predictor.skin_model, linear_predictor.screen_model
+        assert np.array_equal(batched.skin_temp_c, skin.predict(matrix))
+        assert np.array_equal(batched.screen_temp_c, screen.predict(matrix))
 
     def test_columnwise_form_accepts_stock_fitted_model(self, linear_predictor):
         form = _columnwise_linear_form(linear_predictor.skin_model)

@@ -1,6 +1,6 @@
 """Scalar-vs-plane parity tests for the resident session plane.
 
-The plane's contract (:mod:`repro.api.plane`) is *bit-identical* decisions:
+The plane's contract (:mod:`repro.runtime.plane`) is *bit-identical* decisions:
 a pool with the resident plane enabled must emit exactly the decisions a
 plane-disabled pool (and therefore the scalar ``PolicySession.feed`` path)
 emits, tick for tick, through every interleaving serving produces — due and
@@ -14,11 +14,13 @@ import json
 
 import pytest
 
-from repro.api.plane import session_plane_ineligibility
 from repro.api.session import SessionPool, open_session
 from repro.api.specs import AdapterSpec, GovernorSpec, ManagerSpec, PolicySpec
 from repro.api.types import FeedbackEvent, TelemetrySample
+from repro.core.predictor import RuntimePredictor
 from repro.fleet import PolicyService, restore_session_state, snapshot_session_state
+from repro.ml.mlp import MultilayerPerceptron
+from repro.runtime.plane import manager_vectorization_ineligibility
 
 REPORT_PERIOD_S = 3.0
 TRUE_LIMIT_C = 34.3
@@ -240,10 +242,12 @@ class TestPlaneParity:
         assert pool.plane_tick_count == 0
 
     def test_ineligibility_names_the_reason(self, linear_predictor):
-        bare = open_session(PolicySpec(governor=GovernorSpec("ondemand")))
-        assert "bare-governor" in session_plane_ineligibility(bare)
         eligible = open_session(_spec(), predictor=linear_predictor)
-        assert session_plane_ineligibility(eligible) is None
+        assert manager_vectorization_ineligibility(eligible.manager) is None
+        pool = SessionPool(use_plane=True)
+        pool.open("bare", PolicySpec(governor=GovernorSpec("ondemand")))
+        (entry,) = pool.describe_plane()["sessions"]
+        assert "bare-governor" in entry["fallback_reason"]
 
 
 class TestRepTreePlaneParity(TestPlaneParity):
@@ -258,6 +262,73 @@ class TestRepTreePlaneParity(TestPlaneParity):
     def linear_predictor(self, small_predictor):
         # Shadows the conftest fixture for the inherited tests.
         return small_predictor
+
+
+@pytest.fixture(scope="module")
+def mlp_predictor(small_training_data):
+    """A small MLP predictor: not batch-row-invariant (its matrix predict is
+    a BLAS matmul whose bits may depend on the row count)."""
+    make = lambda: MultilayerPerceptron(hidden_sizes=(8,), epochs=20, seed=3)
+    return RuntimePredictor(
+        skin_model=make().fit(small_training_data.skin_dataset()),
+        screen_model=make().fit(small_training_data.screen_dataset()),
+    )
+
+
+class TestMlpPlaneParity(TestPlaneParity):
+    """Every scenario above over an MLP predictor.
+
+    The plane predicts models that are not batch-row-invariant row by row,
+    so MLP sessions are resident too and decide exactly like the scalar pool.
+    """
+
+    @pytest.fixture
+    def linear_predictor(self, mlp_predictor):
+        # Shadows the conftest fixture for the inherited tests.
+        return mlp_predictor
+
+
+def test_mlp_decisions_do_not_depend_on_batch_composition(mlp_predictor):
+    """A plane-disabled pool batches due MLP sessions into one predict; each
+    decision must still equal a scalar feed, whichever sessions share the
+    batch."""
+    ids = [f"m{i:03d}" for i in range(60)]
+    whole = SessionPool(use_plane=False)
+    halves = SessionPool(use_plane=False)
+    scalar = {sid: open_session(_spec(), predictor=mlp_predictor) for sid in ids}
+    for sid in ids:
+        whole.open(sid, _spec(), predictor=mlp_predictor)
+        halves.open(sid, _spec(), predictor=mlp_predictor)
+    for t in range(6):
+        samples = {sid: _sample(float(t + 1), 5 * i + t) for i, sid in enumerate(ids)}
+        want = {sid: scalar[sid].feed(sample) for sid, sample in samples.items()}
+        assert whole.feed_many(samples) == want
+        got = {}
+        for part in (ids[t % 7 :: 2], [sid for sid in ids if sid not in ids[t % 7 :: 2]]):
+            got.update(halves.feed_many({sid: samples[sid] for sid in part}))
+        assert got == want
+
+
+def test_delayed_reports_wait_for_a_skin_reading(linear_predictor):
+    """A delayed report is only delivered on a tick whose sample carries a
+    skin reading — as the scalar feed, which skips the feedback model
+    entirely without one."""
+    spec = PolicySpec(
+        manager=ManagerSpec("usta", params={"skin_limit_c": 37.0}),
+        adapter=AdapterSpec(
+            "quantile_tracker",
+            feedback={"true_limit_c": TRUE_LIMIT_C, "report_period_s": 2.0, "delay_s": 4.0},
+        ),
+    )
+    plane_pool, scalar_pool, ids = _twin_pools(spec, 8, linear_predictor)
+    for t in range(24):
+        samples = {
+            sid: _sample(float(t + 1), i + t, skin=(i + t) % 3 != 0)
+            for i, sid in enumerate(ids)
+        }
+        assert plane_pool.feed_many(samples) == scalar_pool.feed_many(samples)
+    _assert_pools_agree(plane_pool, scalar_pool, ids)
+    assert any(plane_pool.get(sid).current_limit_c != 37.0 for sid in ids)
 
 
 def _wire(time_s: float, i: int, skin: bool) -> dict:
