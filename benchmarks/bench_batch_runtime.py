@@ -379,9 +379,9 @@ def bench_thermal_step_unfactored(benchmark):
 
 
 def bench_thermal_step_prefactored(benchmark):
-    """Prefactored implicit step: cached LU + getrs back-substitution."""
+    """Prefactored implicit step: the cached step map in its fixed order."""
     solver = ThermalSolver(build_nexus4_network())
-    solver.step(1.0, POWER)  # warm the factorization cache
+    solver.step(1.0, POWER)  # warm the step-map cache
     benchmark(lambda: solver.step(1.0, POWER))
 
 
@@ -395,22 +395,11 @@ def bench_population_16_sequential(benchmark):
 
 
 def bench_population_16_vectorized(benchmark):
-    """16 same-trace users as one vectorized population (bit-exact mode)."""
+    """16 same-trace users as one vectorized population."""
     trace = build_benchmark("skype", seed=0, duration_s=TRACE_SECONDS)
 
     def run():
         return simulate_population(trace, _population_members(POPULATION_SIZE))
-
-    results = benchmark.pedantic(run, rounds=3, iterations=1)
-    assert len(results) == POPULATION_SIZE
-
-
-def bench_population_16_vectorized_blocked(benchmark):
-    """Same population with one blocked multi-RHS solve per step (exact=False)."""
-    trace = build_benchmark("skype", seed=0, duration_s=TRACE_SECONDS)
-
-    def run():
-        return simulate_population(trace, _population_members(POPULATION_SIZE), exact=False)
 
     results = benchmark.pedantic(run, rounds=3, iterations=1)
     assert len(results) == POPULATION_SIZE
@@ -485,9 +474,6 @@ def write_baseline(path=BASELINE_PATH):
     vectorized_s = _time_call(
         lambda: simulate_population(trace, _population_members(POPULATION_SIZE))
     )
-    blocked_s = _time_call(
-        lambda: simulate_population(trace, _population_members(POPULATION_SIZE), exact=False)
-    )
 
     # -- heterogeneous mixed-trace sweep -----------------------------------
     pairs = _mixed_pairs()
@@ -528,11 +514,9 @@ def write_baseline(path=BASELINE_PATH):
         "population_16": {
             "sequential_s": sequential_s,
             "vectorized_exact_s": vectorized_s,
-            "vectorized_blocked_s": blocked_s,
             "sequential_member_steps_per_s": member_steps / sequential_s,
             "vectorized_member_steps_per_s": member_steps / vectorized_s,
             "speedup_exact": sequential_s / vectorized_s,
-            "speedup_blocked": sequential_s / blocked_s,
         },
         "mixed_trace_population": {
             "cells": len(pairs),

@@ -17,7 +17,7 @@ setup(
     package_dir={"": "src"},
     packages=find_packages("src"),
     python_requires=">=3.11",
-    install_requires=["numpy", "scipy"],
+    install_requires=["numpy"],
     extras_require={
         # What `make check` wants: hypothesis drives the property suites
         # (tests/test_properties*.py) and pytest-cov enables the coverage

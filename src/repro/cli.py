@@ -33,8 +33,7 @@ regression files under ``tests/golden/``.
 ``serve`` replays one benchmark's telemetry into thousands of concurrent
 online :class:`~repro.api.session.PolicySession` instances (``--sessions``),
 with predictions batched across sessions; ``--smoke`` shrinks it to a CI-
-sized run.  ``sweep --approx-solve`` opts the vectorized executor into the
-blocked thermal solve (faster, last-ulp-level deviations).
+sized run.
 """
 
 from __future__ import annotations
@@ -132,11 +131,6 @@ def build_parser() -> argparse.ArgumentParser:
             "limit and adapt it from simulated feedback.  For 'adapt' it "
             "restricts the convergence report to one strategy."
         ),
-    )
-    parser.add_argument(
-        "--approx-solve",
-        action="store_true",
-        help="sweep: allow the blocked (non-bit-exact) vectorized thermal solve",
     )
     parser.add_argument(
         "--window-steps",
@@ -368,7 +362,6 @@ def _run_sweep(context: ReproductionContext, args: argparse.Namespace) -> str:
 
     runner = BatchRunner.for_jobs(
         args.jobs,
-        approx_solve=args.approx_solve,
         window_steps=args.window_steps,
         window_bytes=args.window_bytes,
     )
@@ -480,12 +473,7 @@ def _fleet_sweep(plan, profiles, args):
     from .fleet import FleetCoordinator, FleetError
     from .runtime.streamstore import StreamingResultStore
 
-    coordinator = FleetCoordinator(
-        plan,
-        args.stream_to,
-        workers=args.fleet,
-        exact=not args.approx_solve,
-    )
+    coordinator = FleetCoordinator(plan, args.stream_to, workers=args.fleet)
     try:
         report = coordinator.run(resume=args.resume)
     except FleetError as exc:

@@ -100,8 +100,6 @@ class FleetCoordinator:
             so reassignment after a death stays cheap.
         max_cells_per_shard: shard rotation for worker and merged stores
             (must match the single-process run for byte-identical shards).
-        exact: ``False`` selects the blocked approximate solver
-            (``--approx-solve``), as in :meth:`BatchRunner.for_jobs`.
         max_unit_retries: how many times a unit may be reassigned after
             worker deaths before the sweep aborts.
         on_event: optional ``callback(event: str, info: dict)`` observability
@@ -117,7 +115,6 @@ class FleetCoordinator:
         *,
         unit_size: Optional[int] = None,
         max_cells_per_shard: int = 64,
-        exact: bool = True,
         max_unit_retries: int = 3,
         max_respawns: Optional[int] = None,
         on_event: Optional[Callable[[str, dict], None]] = None,
@@ -131,7 +128,6 @@ class FleetCoordinator:
         self.workers = workers
         self.unit_size = unit_size
         self.max_cells_per_shard = max_cells_per_shard
-        self.exact = exact
         self.max_unit_retries = max_unit_retries
         self.max_respawns = workers if max_respawns is None else max_respawns
         self.on_event = on_event
@@ -247,7 +243,6 @@ class FleetCoordinator:
                     cells,
                     str(directory),
                     self.max_cells_per_shard,
-                    self.exact,
                 ),
                 daemon=True,
                 name=f"repro-fleet-{worker_id}",

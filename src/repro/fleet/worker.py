@@ -29,7 +29,6 @@ def worker_main(
     cells: Sequence[ExperimentCell],
     directory,
     max_cells_per_shard: int = 64,
-    exact: bool = True,
 ) -> int:
     """Entry point for a fleet worker process (must stay module-level picklable)."""
     from multiprocessing.connection import Client
@@ -38,7 +37,7 @@ def worker_main(
     directory.mkdir(parents=True, exist_ok=True)
     store = StreamingResultStore(directory, max_cells_per_shard=max_cells_per_shard)
     conn = Client(address, authkey=authkey)
-    runner = BatchRunner(executor=VectorizedExecutor(exact=exact))
+    runner = BatchRunner(executor=VectorizedExecutor())
     import os
 
     send_msg(

@@ -16,9 +16,9 @@ Executors trade scheduling for the same deterministic results:
   batch-eligible cell, whatever its workload trace, integrates in lockstep
   as one structure-of-arrays batch through
   :func:`~repro.runtime.vectorized.simulate_population_mixed`, turning N
-  thermal solves per tick into one batched solve on the cached LU
-  factorization (with live-prefix early exit for short traces and a
-  columnar record path; ``plan_batches`` explains the partition).
+  thermal solves per tick into one batched evaluation of the cached step
+  map (with live-prefix early exit for short traces and a columnar record
+  path; ``plan_batches`` explains the partition).
 
 For sweeps too large to hold in memory, the record path also runs
 *streaming*: executors push each completed cell through the

@@ -228,8 +228,6 @@ class VectorizedExecutor:
     which cells batched and why the rest fell back.
 
     Attributes:
-        exact: forwarded to the population engine; keep True (default) for
-            bit-identical parity with the scalar engine.
         max_batch_members: ceiling on members per batch.  A batch's staging
             matrices (trace columns, sensor noise, the columnar record
             buffer) are O(members × steps) live, so the default cap keeps
@@ -252,7 +250,6 @@ class VectorizedExecutor:
     #: million-cell plan stages at most ~this many cells at a time.
     DEFAULT_MAX_BATCH_MEMBERS = 256
 
-    exact: bool = True
     max_batch_members: Optional[int] = DEFAULT_MAX_BATCH_MEMBERS
     window_steps: Optional[int] = None
     max_window_bytes: Optional[int] = DEFAULT_MAX_WINDOW_BYTES
@@ -340,7 +337,6 @@ class VectorizedExecutor:
             sim_results = simulate_population_mixed(
                 traces,
                 members,
-                exact=self.exact,
                 window_steps=self.window_steps,
                 max_window_bytes=self.max_window_bytes,
             )
@@ -390,9 +386,7 @@ class VectorizedExecutor:
         max_steps = max(len(trace) for trace in traces)
         if self._resolved_window_steps(members, traces) >= max_steps:
             try:
-                sim_results = simulate_population_mixed(
-                    traces, members, exact=self.exact
-                )
+                sim_results = simulate_population_mixed(traces, members)
             except VectorizationError:
                 for cell in group:
                     stream_cell(cell, sink)
@@ -413,7 +407,6 @@ class VectorizedExecutor:
                 sim_results = simulate_population_mixed(
                     traces,
                     members,
-                    exact=self.exact,
                     window_steps=self.window_steps,
                     max_window_bytes=self.max_window_bytes,
                     window_drain=spool,

@@ -169,7 +169,6 @@ class BatchRunner:
     def for_jobs(
         cls,
         jobs: Optional[int],
-        approx_solve: bool = False,
         window_steps: Optional[int] = None,
         window_bytes: Optional[int] = None,
     ) -> "BatchRunner":
@@ -181,10 +180,6 @@ class BatchRunner:
 
         Args:
             jobs: worker-process count (``None``/``0``/``1`` = in-process).
-            approx_solve: let the vectorized executor use the blocked
-                (``exact=False``) multi-RHS thermal solve — faster for large
-                populations, bit-parity with the scalar engine traded for
-                last-ulp-level differences.  Ignored by the process pool.
             window_steps: explicit step-window length for the vectorized
                 executor (``--window-steps``); ``None`` keeps the executor's
                 byte-budget default.  Ignored by the process pool.
@@ -201,4 +196,4 @@ class BatchRunner:
             kwargs["window_steps"] = window_steps
         if window_bytes is not None:
             kwargs["max_window_bytes"] = window_bytes
-        return cls(executor=VectorizedExecutor(exact=not approx_solve, **kwargs))
+        return cls(executor=VectorizedExecutor(**kwargs))

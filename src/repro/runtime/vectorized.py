@@ -14,8 +14,8 @@ TraceArrays` columns and stacked into padded step-major ``(n_steps,
 n_members)`` matrices, so each tick reads one contiguous row across the live
 members), members whose traces end early drop out of the live prefix instead
 of forcing the batch to its longest member, and per-tick hand-contact state is
-allowed to differ across members — the thermal solve partitions the live set
-between two canonical cached-LU factorizations (touching / not touching).
+allowed to differ across members — the thermal solve selects per member
+between two canonical step maps (touching / not touching).
 :func:`simulate_population` is the same-trace special case, kept as the
 historical entry point.
 
@@ -30,7 +30,7 @@ Long traces are processed in fixed-size step **windows** (an explicit
 window-sized staging buffers — the seven trace columns, the five derived
 power matrices, the pre-drawn sensor noise (:class:`_WindowStage`) — is
 refilled per window instead of materialising O(trace) matrices, while every
-piece of cross-step state (node temperatures, the cached LU factorizations,
+piece of cross-step state (node temperatures, the cached step maps,
 governor/manager objects, the policy plane's columns, the live-prefix
 ordering, battery SoC, CPU backlog) carries across window boundaries
 untouched — so windowed runs are bit-identical to unwindowed ones and to the
@@ -43,12 +43,13 @@ Bit-exactness is a hard requirement (the batched runtime must be a drop-in
 replacement for N sequential :meth:`Simulator.run` calls), which dictates a
 few implementation choices:
 
-* the thermal solve reuses cached LU factorizations but back-substitutes per
-  column (`exact=True`), because blocked multi-RHS LAPACK calls differ from
-  the scalar path in the last ulp;
+* the thermal solve evaluates the solver's precomputed step map in its one
+  fixed summation order (:meth:`~repro.thermal.solver.ThermalSolver.
+  make_stepper`), so a member's column is bit-identical to its scalar step
+  whatever batch it rides in;
 * hand-contact toggling must round-trip bitwise on the conductance matrices
-  (verified up front), so the two canonical factorizations reproduce exactly
-  the matrices a scalar run re-factors after each toggle;
+  (verified up front), so the two canonical step maps reproduce exactly the
+  matrices a scalar run rebuilds its map from after each toggle;
 * CPU leakage uses ``math.exp`` per instance (numpy's vectorized ``exp`` is
   not bit-identical to libm);
 * sensor noise is pre-drawn per (instance, sensor) in one block from the same
@@ -173,7 +174,7 @@ def _sensor_config(platform: DevicePlatform) -> Tuple:
 def _validate_members(members: Sequence[PopulationMember]) -> None:
     """Check that all members share one hardware configuration.
 
-    The population shares the canonical thermal factorizations and a single
+    The population shares the canonical thermal step maps and a single
     set of per-level power constants, so everything except seeds, traces,
     governors, managers and initial internal temperatures must be identical.
     Feedback models, adapters and other *per-member state* inside the
@@ -234,7 +235,7 @@ def _validate_members(members: Sequence[PopulationMember]) -> None:
             boundary = set(member.platform.network.boundary_names)
             if any(name in boundary for name in member.initial_temps):
                 raise VectorizationError(
-                    "per-member boundary temperatures break the shared factorization"
+                    "per-member boundary temperatures break the shared step map"
                 )
 
 
@@ -242,8 +243,8 @@ def _validate_members(members: Sequence[PopulationMember]) -> None:
 #: pays two network deep-copies plus the toggle round-trip probe otherwise;
 #: platforms built from one hardware config hash to the same key, so repeated
 #: sweeps (and the per-baseline reruns inside the benchmarks) reuse the
-#: factorizations.  The cached solvers' networks are private copies that the
-#: batch engines never mutate (they only call step_many / make_stepper).
+#: step maps.  The cached solvers' networks are private copies that the batch
+#: engines never mutate (they only call make_stepper).
 _HAND_SOLVER_CACHE: "OrderedDict[bytes, Dict[bool, ThermalSolver]]" = OrderedDict()
 _HAND_SOLVER_CACHE_MAX = 4
 
@@ -253,7 +254,7 @@ def _hand_state_solvers(template: DevicePlatform) -> Dict[bool, ThermalSolver]:
 
     A scalar run toggles the hand coupling on its own network in place, which
     rewrites the conductance matrices with ``+=`` deltas; for the batch to
-    share one factorization per touch state, those toggles must round-trip
+    share one step map per touch state, those toggles must round-trip
     bitwise (so every member in a given touch state sits on the *same*
     matrix, however many times its trace has toggled).  The round trip is
     probed on a deep copy of the template network — the members' own networks
@@ -500,7 +501,7 @@ def window_bytes_per_step(
     Counts what the engine holds per (step, member): the seven staged trace
     columns (four float64, three bool), the five derived power matrices, the
     pre-drawn noise rows, and the record buffer's float/int (and optional
-    decision) columns.  Cross-step state (temperatures, LU factorizations,
+    decision) columns.  Cross-step state (temperatures, thermal step maps,
     plane arrays) is excluded — it does not scale with the window.
     """
     per_member = 4 * 8 + 3 * 1  # staged trace columns
@@ -696,7 +697,6 @@ class _WindowStage:
 def simulate_population(
     trace: WorkloadTrace,
     members: Sequence[PopulationMember],
-    exact: bool = True,
     vectorize_managers: bool = True,
     window_steps: Optional[int] = None,
     max_window_bytes: Optional[int] = None,
@@ -706,13 +706,12 @@ def simulate_population(
 
     The same-trace special case of :func:`simulate_population_mixed`, kept as
     the historical entry point.  Semantically equivalent to
-    ``[Simulator(m...).run(trace) for m in members]`` and — with
-    ``exact=True`` — bit-for-bit identical to it.
+    ``[Simulator(m...).run(trace) for m in members]`` and bit-for-bit
+    identical to it.
     """
     return simulate_population_mixed(
         [trace] * len(members),
         members,
-        exact=exact,
         vectorize_managers=vectorize_managers,
         window_steps=window_steps,
         max_window_bytes=max_window_bytes,
@@ -723,7 +722,6 @@ def simulate_population(
 def simulate_population_mixed(
     traces: Sequence[WorkloadTrace],
     members: Sequence[PopulationMember],
-    exact: bool = True,
     vectorize_managers: bool = True,
     window_steps: Optional[int] = None,
     max_window_bytes: Optional[int] = None,
@@ -732,16 +730,15 @@ def simulate_population_mixed(
     """Advance a heterogeneous population — one trace per member — as one batch.
 
     Semantically equivalent to ``[Simulator(m...).run(t) for t, m in
-    zip(traces, members)]`` and — with ``exact=True`` — bit-for-bit identical
-    to it, but the per-step device work is evaluated across the whole live
-    population at once:
+    zip(traces, members)]`` and bit-for-bit identical to it, but the per-step
+    device work is evaluated across the whole live population at once:
 
     * traces of different lengths are padded; members are ordered internally
       by descending length so the live set is always a contiguous prefix, and
       a member simply drops out of it when its trace ends;
     * per-tick hand-contact state may differ across members; the thermal
-      solve partitions the live set between the two canonical cached-LU
-      factorizations (see :func:`_hand_state_solvers`);
+      solve selects per member between the two canonical step maps (see
+      :func:`_hand_state_solvers`);
     * per-step record data is staged columnar and materialised per member
       only at the end (:class:`~repro.sim.results.ColumnarRecordBuffer`).
 
@@ -750,9 +747,6 @@ def simulate_population_mixed(
             materialises it once).  All traces must share the sample period.
         members: the population (platforms must share one hardware
             configuration; see :class:`VectorizationError`).
-        exact: per-column thermal back-substitution for bitwise parity with
-            the scalar engine (default); ``False`` uses blocked solves, which
-            are faster for large populations but may differ in the last ulp.
         vectorize_managers: drive plane-eligible USTA-family managers through
             the vectorized policy plane (default; bit-identical).  ``False``
             forces every manager onto the scalar per-member ``observe()``
@@ -799,7 +793,7 @@ def simulate_population_mixed(
 
     # Validation runs on the freshly reset platforms (reset re-applies each
     # member's ambient and hand contact, which is exactly the state that must
-    # agree for the shared factorizations); no trace step has executed yet, so
+    # agree for the shared step maps); no trace step has executed yet, so
     # callers can still fall back to sequential execution safely.
     _validate_members(members)
 
@@ -827,15 +821,10 @@ def simulate_population_mixed(
     carry_over = template.cpu.carry_over
     max_backlog = template.cpu.max_backlog
     solver_by_touch = _hand_state_solvers(template)
-    if exact:
-        # Prebound steppers: same bits as step_many(exact=True), without the
-        # per-call validation/factorization lookups (600+ calls per run).
-        step_touching = solver_by_touch[True].make_stepper(dt)
-        step_free = solver_by_touch[False].make_stepper(dt)
-    else:
-        step_touching = lambda p, T: solver_by_touch[True].step_many(dt, p, T, exact=False)
-        step_free = lambda p, T: solver_by_touch[False].step_many(dt, p, T, exact=False)
-    step_by_touch = {True: step_touching, False: step_free}
+    # Prebound steppers: same bits as step_many, without the per-call
+    # validation and cache lookups (600+ calls per run).
+    step_touching = solver_by_touch[True].make_stepper(dt)
+    step_free = solver_by_touch[False].make_stepper(dt)
 
     internal_index = {name: i for i, name in enumerate(net.internal_names)}
     cpu_i = internal_index["cpu"]
@@ -1123,7 +1112,7 @@ def simulate_population_mixed(
             buf.demand[w0 : w0 + w_len, :n_live] = demand_mat[:w_len, :n_live]
 
         # Per-window trace classifications, hoisted: whether every / no live
-        # member is touching (selects the thermal factorization without
+        # member is touching (selects the thermal step map without
         # per-tick reductions) and whether anyone charges (gates the charging
         # branches; trace padding is all-False, so whole-row reductions see
         # the live prefix's truth).  Unwindowed runs compute these once.
@@ -1180,23 +1169,27 @@ def simulate_population_mixed(
                 battery_w = np_maximum(platform_draw, 0.0) * discharge_loss
             total_w = platform_draw + battery_w
 
-            # -- thermal (one solve per live hand-contact state) -------------------
+            # -- thermal (the step map of each member's hand-contact state) --------
             # node_power rows other than the four below stay zero for the whole run.
             np_add(cpu_w, gpu_w, out=node_power[cpu_i, live])
             node_power[screen_i, live] = screen_node_w_mat[r, live]
             node_power[board_i, live] = board_node_w_mat[r, live]
             node_power[battery_i, live] = battery_w
+            live_power = node_power[:, live]
+            live_temps = temps[:, live]
             if all_touching_w[r]:
-                temps[:, live] = step_touching(node_power[:, live], temps[:, live])
+                temps[:, live] = step_touching(live_power, live_temps)
             elif none_touching_w[r]:
-                temps[:, live] = step_free(node_power[:, live], temps[:, live])
+                temps[:, live] = step_free(live_power, live_temps)
             else:
-                touch_t = touching_mat[r, live]
-                for state in (True, False):
-                    members_in_state = np.flatnonzero(touch_t == state)
-                    temps[:, members_in_state] = step_by_touch[state](
-                        node_power[:, members_in_state], temps[:, members_in_state]
-                    )
+                # A column's result does not depend on its batch-mates, so
+                # stepping everyone through both maps and selecting per member
+                # gives the same bits as stepping each subset alone.
+                temps[:, live] = np_where(
+                    touching_mat[r, live],
+                    step_touching(live_power, live_temps),
+                    step_free(live_power, live_temps),
+                )
 
             # -- battery SoC (Battery.step, vectorized) ----------------------------
             draw_param = total_w - battery_w

@@ -71,7 +71,7 @@ class ThermalNetwork:
         self._nodes: Dict[str, ThermalNode] = {}
         self._conductances: List[ThermalConductance] = []
         self._assembled = False
-        # Monotonic counters solvers use to invalidate cached factorizations:
+        # Monotonic counters solvers use to invalidate cached step maps:
         # matrix_version covers the (C, G, G_b) matrices, boundary_version the
         # imposed boundary temperatures.
         self._matrix_version = 0
@@ -191,9 +191,9 @@ class ThermalNetwork:
     def matrix_version(self) -> int:
         """Counter bumped whenever the solver matrices (C, G, G_b) change.
 
-        Solvers key cached factorizations of ``C/dt + G`` on this value so a
+        Solvers key their cached inverse of ``C/dt + G`` on this value so a
         re-assembly or a run-time conductance change (hand contact toggling)
-        invalidates them.
+        invalidates it.
         """
         return self._matrix_version
 
@@ -256,10 +256,8 @@ class ThermalNetwork:
     def temperatures(self) -> Dict[str, float]:
         """All node temperatures keyed by node name."""
         self._require_assembled()
-        temps = {name: float(self._temps[i]) for name, i in self._index.items()}
-        temps.update(
-            {name: float(self._boundary_temps[i]) for name, i in self._boundary_index.items()}
-        )
+        temps = dict(zip(self._internal_names, self._temps.tolist()))
+        temps.update(zip(self._boundary_names, self._boundary_temps.tolist()))
         return temps
 
     def temperature_of(self, name: str) -> float:
@@ -322,15 +320,13 @@ class ThermalNetwork:
         an infinite reservoir); unknown node names raise ``KeyError``.
         """
         self._require_assembled()
-        vector = np.zeros(len(self._internal_names), dtype=float)
+        vector = [0.0] * len(self._internal_names)
         for name, value in power_w.items():
             if name in self._index:
                 vector[self._index[name]] += float(value)
-            elif name in self._boundary_index:
-                continue
-            else:
+            elif name not in self._boundary_index:
                 raise KeyError(f"unknown node {name!r}")
-        return vector
+        return np.array(vector)
 
     def apply_temperature_vector(self, temps: np.ndarray) -> None:
         """Overwrite the internal temperature vector (solver callback)."""

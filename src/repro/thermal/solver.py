@@ -11,33 +11,72 @@ sub-cycling.  A forward-Euler integrator with automatic sub-stepping is kept
 for cross-checking, and a direct steady-state solve supports calibration and
 property tests.
 
-Because the step matrix ``A = C/dt + G`` only depends on the network topology
-and the step size, the implicit path factors it once (LU) and reuses the
-factorization across steps; the factorization is invalidated through the
-network's :attr:`~repro.thermal.network.ThermalNetwork.matrix_version`
-counter when the topology or ``dt`` changes.  The same factorization also
-backs :meth:`ThermalSolver.step_many`, which integrates N independent device
-instances that share one network as a single ``(n_nodes, N)`` solve — the
-substrate of the batched experiment runtime in :mod:`repro.runtime`.
+With a fixed step ``dt`` backward Euler is a precomputed discrete map
+
+    T[k+1] = M (C/dt * T[k] + G_b T_b + P[k]),    M = (C/dt + G)^-1
+
+so the implicit path inverts ``A = C/dt + G`` once per ``(dt, topology)``
+(invalidated through the network's
+:attr:`~repro.thermal.network.ThermalNetwork.matrix_version` counter) and
+every step evaluates ``x_i = sum_k M[i, k] * b[k]`` with ``k`` ascending
+(:func:`_ordered_sum`).  That one fixed order is shared by the scalar
+:meth:`ThermalSolver.step` (Python floats), :meth:`ThermalSolver.step_many`
+and :meth:`ThermalSolver.make_stepper` (``(n_nodes, N)`` arrays, one column
+per device instance — the substrate of the batched runtime in
+:mod:`repro.runtime`).  IEEE float64 rounds each product and each partial sum
+the same way in both forms, so an instance's temperatures are bit-identical
+whether it is stepped alone or in any batch.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
-from typing import Dict, Mapping, Optional, Tuple
+from functools import partial
+from operator import mul
+from typing import Dict, List, Mapping, Optional, Tuple
 
 import numpy as np
-
-try:  # pragma: no cover - exercised implicitly on machines with SciPy
-    from scipy.linalg import get_lapack_funcs as _get_lapack_funcs
-    from scipy.linalg import lu_factor as _lu_factor
-except ImportError:  # pragma: no cover - SciPy-less fallback
-    _get_lapack_funcs = None
-    _lu_factor = None
 
 from .network import ThermalNetwork
 
 __all__ = ["ThermalSolver", "steady_state"]
+
+
+def _check_dt(dt_s: float) -> None:
+    if not (dt_s > 0 and math.isfinite(dt_s)):
+        raise ValueError(f"dt_s must be finite and positive, got {dt_s!r}")
+
+
+def _ordered_sum(terms):
+    """``terms[0] + terms[1] + ...`` accumulated strictly in ascending order.
+
+    The one summation order of the step map, for both of its forms: Python
+    floats (one node of a scalar step) or arrays (the ``(n_nodes, N)`` slabs
+    of a batch step, accumulated in place into the first slab).
+    """
+    terms = iter(terms)
+    total = next(terms)
+    for term in terms:
+        total += term
+    return total
+
+
+def _batch_step(
+    c_over_dt: np.ndarray,
+    rhs_const: np.ndarray,
+    map_terms: np.ndarray,
+    power_matrix: np.ndarray,
+    temps_matrix: np.ndarray,
+) -> np.ndarray:
+    """One implicit step of N instances (columns) through the step map."""
+    # b = (C/dt) * T + G_b T_b + P, in the scalar step's operation order.
+    b = c_over_dt * temps_matrix
+    b += rhs_const
+    b += power_matrix
+    # map_terms[k] is column k of M as (n, 1); the product is M[i, k] * b[k, j]
+    # laid out k-major, so the ordered sum runs over k.
+    return _ordered_sum(map_terms * b[:, None, :])
 
 
 def steady_state(network: ThermalNetwork, power_w: Mapping[str, float]) -> Dict[str, float]:
@@ -83,14 +122,16 @@ class ThermalSolver:
             raise ValueError("method must be 'implicit' or 'explicit'")
         if not self.network.assembled:
             self.network.assemble()
-        # Cached implicit-Euler factorization of A = C/dt + G, keyed on the
-        # step size and the network's version counters.
+        # The implicit step map, keyed on the step size and the network's
+        # version counters: C/dt and the constant RHS term G_b T_b (arrays for
+        # batches, float lists for the scalar step), and M = (C/dt + G)^-1 as
+        # k-major (n, n, 1) columns for batches and as row lists for the
+        # scalar step.
         self._cache_dt: Optional[float] = None
-        self._cache_lu: Optional[Tuple[np.ndarray, np.ndarray]] = None
-        self._cache_getrs = None
-        self._cache_matrix: Optional[np.ndarray] = None
         self._cache_c_over_dt: Optional[np.ndarray] = None
         self._cache_rhs_const: Optional[np.ndarray] = None
+        self._cache_map_terms: Optional[np.ndarray] = None
+        self._cache_scalar: Tuple[List[float], List[float], List[List[float]]] = ([], [], [])
         self._cache_matrix_version: int = -1
         self._cache_boundary_version: int = -1
 
@@ -99,18 +140,17 @@ class ThermalSolver:
 
         Returns the node temperatures after the step (all nodes, by name).
         """
-        if dt_s <= 0:
-            raise ValueError("dt_s must be positive")
+        _check_dt(dt_s)
         if self.method == "implicit":
             self._step_implicit(dt_s, power_w)
         else:
             self._step_explicit(dt_s, power_w)
         return self.network.temperatures()
 
-    # -- factorization cache -----------------------------------------------------
+    # -- step-map cache ----------------------------------------------------------
 
     def invalidate_cache(self) -> None:
-        """Drop the cached factorization (forces a refactorization next step).
+        """Drop the cached step map (forces a recomputation next step).
 
         Normally unnecessary — the cache tracks the network's version counters
         — but exposed for callers that mutate network internals directly.
@@ -119,34 +159,22 @@ class ThermalSolver:
         self._cache_matrix_version = -1
         self._cache_boundary_version = -1
 
-    def _refresh_factorization(self, dt_s: float) -> None:
-        """Ensure the cached factorization matches ``dt_s`` and the network.
+    def _refresh_step_map(self, dt_s: float) -> None:
+        """Ensure the cached step map matches ``dt_s`` and the network.
 
-        The matrix ``A = C/dt + G`` is factored once per (dt, topology) pair;
-        the constant RHS term ``G_b @ T_b`` is refreshed independently when a
-        boundary temperature changes (it does not require refactoring).
+        ``M = (C/dt + G)^-1`` is computed once per (dt, topology) pair; the
+        constant RHS term ``G_b @ T_b`` is refreshed independently when a
+        boundary temperature changes (it does not change ``M``).
         """
         net = self.network
         if (
             self._cache_dt != dt_s
             or self._cache_matrix_version != net.matrix_version
         ):
-            c = net.capacitances
-            g = net.conductance_matrix
-            c_over_dt = c / dt_s
-            a = np.diag(c_over_dt) + g
+            c_over_dt = net.capacitances / dt_s
+            inverse = np.linalg.inv(np.diag(c_over_dt) + net.conductance_matrix)
             self._cache_c_over_dt = c_over_dt
-            self._cache_matrix = a
-            if _lu_factor is not None:
-                lu, piv = _lu_factor(a)
-                # LAPACK wants Fortran order; converting once here avoids a
-                # copy inside every getrs call.
-                lu = np.asfortranarray(lu)
-                self._cache_lu = (lu, piv)
-                self._cache_getrs = _get_lapack_funcs(("getrs",), (lu,))[0]
-            else:
-                self._cache_lu = None
-                self._cache_getrs = None
+            self._cache_map_terms = np.ascontiguousarray(inverse.T[:, :, None])
             self._cache_dt = dt_s
             self._cache_matrix_version = net.matrix_version
             # G_b may have changed together with G; force an RHS refresh.
@@ -156,34 +184,31 @@ class ThermalSolver:
                 net.boundary_coupling @ net.boundary_temperatures_vector
             )
             self._cache_boundary_version = net.boundary_version
-
-    def _solve(self, b: np.ndarray) -> np.ndarray:
-        """Solve ``A x = b`` against the cached factorization.
-
-        Calls LAPACK ``getrs`` directly — the same back-substitution
-        ``np.linalg.solve`` (``gesv``) performs after its factorization, so
-        the result is bit-for-bit identical to an unfactored solve.
-        """
-        if self._cache_getrs is not None:
-            lu, piv = self._cache_lu
-            x, info = self._cache_getrs(lu, piv, b)
-            if info != 0:  # pragma: no cover - defensive; A is diagonally dominant
-                raise np.linalg.LinAlgError(f"getrs failed with info={info}")
-            return x
-        return np.linalg.solve(self._cache_matrix, b)
+            self._cache_scalar = (
+                self._cache_c_over_dt.tolist(),
+                self._cache_rhs_const.tolist(),
+                self._cache_map_terms[:, :, 0].T.tolist(),
+            )
 
     # -- integrators ------------------------------------------------------------
 
     def _step_implicit(self, dt_s: float, power_w: Mapping[str, float]) -> None:
         net = self.network
-        self._refresh_factorization(dt_s)
-        t_old = net.temperatures_vector
-        p = net.power_vector(power_w)
-
-        # (C/dt + G) T_new = C/dt * T_old + G_b T_b + P
-        b = self._cache_c_over_dt * t_old + self._cache_rhs_const + p
-        t_new = self._solve(b)
-        net.apply_temperature_vector(t_new)
+        self._refresh_step_map(dt_s)
+        c_over_dt, rhs_const, map_rows = self._cache_scalar
+        # (C/dt + G) T_new = C/dt * T_old + G_b T_b + P, as Python floats in
+        # the same operation order as _batch_step.
+        b = [
+            c * t + r + p
+            for c, t, r, p in zip(
+                c_over_dt,
+                net.temperatures_vector.tolist(),
+                rhs_const,
+                net.power_vector(power_w).tolist(),
+            )
+        ]
+        t_new = [_ordered_sum(map(mul, row, b)) for row in map_rows]
+        net.apply_temperature_vector(np.array(t_new))
 
     def _step_explicit(self, dt_s: float, power_w: Mapping[str, float]) -> None:
         net = self.network
@@ -209,137 +234,57 @@ class ThermalSolver:
     # -- vectorized stepping ------------------------------------------------------
 
     def step_many(
-        self,
-        dt_s: float,
-        power_matrix: np.ndarray,
-        temps_matrix: np.ndarray,
-        exact: bool = True,
-        columns: Optional[np.ndarray] = None,
+        self, dt_s: float, power_matrix: np.ndarray, temps_matrix: np.ndarray
     ) -> np.ndarray:
         """Advance N independent instances of this network by one implicit step.
 
         Every column of ``temps_matrix`` is the internal temperature vector of
         one device instance and every column of ``power_matrix`` its injected
         power; all instances share this solver's network matrices and boundary
-        temperatures, so the cached factorization is applied to all N
-        right-hand sides at once.  The solver's own network state is *not*
-        touched — callers own the state matrix.
+        temperatures, so the cached step map is applied to all N columns at
+        once.  Each column is bit-identical to a scalar :meth:`step` of that
+        instance, whatever the batch around it.  The solver's own network
+        state is *not* touched — callers own the state matrix.
 
         Args:
             dt_s: step size in seconds.
             power_matrix: injected power, shape ``(n_internal, N)``.
             temps_matrix: internal temperatures, shape ``(n_internal, N)``.
-            exact: when True (default) each column is solved individually so
-                the result is bit-for-bit identical to N scalar
-                :meth:`step` calls; when False all columns are solved in one
-                blocked LAPACK call, which is faster but may differ from the
-                scalar path in the last ulp.
-            columns: optional 1-D integer index array selecting which columns
-                to integrate — the masked/ragged form the heterogeneous batch
-                engine uses for instances that share *this* solver's matrices
-                while other instances (a different hand-contact state, an
-                already-finished trace) sit the step out.  The return value
-                then has shape ``(n_internal, len(columns))`` and the caller
-                scatters it back.
 
         Returns:
-            The new temperature matrix: shape ``(n_internal, N)``, or
-            ``(n_internal, len(columns))`` when ``columns`` is given.
+            The new temperature matrix, shape ``(n_internal, N)``.
         """
-        if dt_s <= 0:
-            raise ValueError("dt_s must be positive")
-        if self.method != "implicit":
-            raise ValueError("step_many requires the implicit method")
         temps_matrix = np.asarray(temps_matrix, dtype=float)
         power_matrix = np.asarray(power_matrix, dtype=float)
-        if temps_matrix.ndim != 2 or power_matrix.shape != temps_matrix.shape:
+        if (
+            temps_matrix.ndim != 2
+            or temps_matrix.shape[0] != len(self.network.internal_names)
+            or power_matrix.shape != temps_matrix.shape
+        ):
             raise ValueError("power and temperature matrices must share shape (n_internal, N)")
-        if columns is not None:
-            temps_matrix = temps_matrix[:, columns]
-            power_matrix = power_matrix[:, columns]
-        self._refresh_factorization(dt_s)
-        if not exact:
-            b = (
-                self._cache_c_over_dt[:, None] * temps_matrix
-                + self._cache_rhs_const[:, None]
-                + power_matrix
-            )
-            return self._solve(b)
-        # Build the RHS in Fortran order so every b[:, j] below is a
-        # contiguous slice: LAPACK then back-substitutes each column in place
-        # instead of copying it in and out of the f2py wrapper.  The
-        # elementwise order ((C/dt)*T, then +const, then +P) matches the
-        # expression above, so only the memory layout differs, not the bits.
-        b = np.empty(temps_matrix.shape, order="F")
-        np.multiply(self._cache_c_over_dt[:, None], temps_matrix, out=b)
-        b += self._cache_rhs_const[:, None]
-        b += power_matrix
-        getrs = self._cache_getrs
-        if getrs is None:
-            matrix = self._cache_matrix
-            for j in range(b.shape[1]):
-                b[:, j] = np.linalg.solve(matrix, b[:, j])
-            return b
-        lu, piv = self._cache_lu
-        for j in range(b.shape[1]):
-            _, info = getrs(lu, piv, b[:, j], overwrite_b=True)
-            if info != 0:  # pragma: no cover - defensive; A is diagonally dominant
-                raise np.linalg.LinAlgError(f"getrs failed with info={info}")
-        return b
+        return self.make_stepper(dt_s)(power_matrix, temps_matrix)
 
     def make_stepper(self, dt_s: float):
-        """Prebind the exact multi-instance step for a hot batch loop.
+        """Prebind the multi-instance step for a hot batch loop.
 
         Returns ``step(power_matrix, temps_matrix) -> new_temps`` doing what
-        :meth:`step_many` with ``exact=True`` does — bit-for-bit — minus the
-        per-call argument validation and factorization lookups, which the
-        batch engines pay hundreds of times per run otherwise.  The returned
-        callable is pinned to ``dt_s`` and to the network's matrices and
-        boundary temperatures *as of this call*: rebuild it after any change
-        to either (the engines build one per run, after the members' hand
-        state has been applied).
+        :meth:`step_many` does — bit-for-bit — minus the per-call argument
+        validation and cache lookups, which the batch engines pay hundreds of
+        times per run otherwise.  The returned callable is pinned to ``dt_s``
+        and to the network's matrices and boundary temperatures *as of this
+        call*: rebuild it after any change to either (the engines build one
+        per run, after the members' hand state has been applied).
         """
-        if dt_s <= 0:
-            raise ValueError("dt_s must be positive")
+        _check_dt(dt_s)
         if self.method != "implicit":
-            raise ValueError("make_stepper requires the implicit method")
-        self._refresh_factorization(dt_s)
-        c_over_dt = self._cache_c_over_dt[:, None]
-        rhs_const = self._cache_rhs_const[:, None]
-        empty = np.empty
-        multiply = np.multiply
-        getrs = self._cache_getrs
-        if getrs is None:
-            matrix = self._cache_matrix
-            solve = np.linalg.solve
-
-            def step(power_matrix: np.ndarray, temps_matrix: np.ndarray) -> np.ndarray:
-                b = empty(temps_matrix.shape, order="F")
-                multiply(c_over_dt, temps_matrix, out=b)
-                b += rhs_const
-                b += power_matrix
-                for j in range(b.shape[1]):
-                    b[:, j] = solve(matrix, b[:, j])
-                return b
-
-            return step
-
-        lu, piv = self._cache_lu
-
-        def step(power_matrix: np.ndarray, temps_matrix: np.ndarray) -> np.ndarray:
-            b = empty(temps_matrix.shape, order="F")
-            multiply(c_over_dt, temps_matrix, out=b)
-            b += rhs_const
-            b += power_matrix
-            # b is Fortran-ordered, so iterating b.T yields each column as a
-            # contiguous 1-D view and getrs back-substitutes it in place.
-            for col in b.T:
-                _, info = getrs(lu, piv, col, overwrite_b=True)
-                if info != 0:  # pragma: no cover - defensive; A is diagonally dominant
-                    raise np.linalg.LinAlgError(f"getrs failed with info={info}")
-            return b
-
-        return step
+            raise ValueError("the batch step map requires the implicit method")
+        self._refresh_step_map(dt_s)
+        return partial(
+            _batch_step,
+            self._cache_c_over_dt[:, None],
+            self._cache_rhs_const[:, None],
+            self._cache_map_terms,
+        )
 
     # -- convenience -------------------------------------------------------------
 
@@ -357,6 +302,7 @@ class ThermalSolver:
         """
         if duration_s < 0:
             raise ValueError("duration_s must be non-negative")
+        _check_dt(dt_s)
         steps = int(np.floor(duration_s / dt_s + 1e-9))
         remainder = duration_s - steps * dt_s
         temps = self.network.temperatures()

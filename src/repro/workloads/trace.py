@@ -10,6 +10,7 @@ against the :class:`~repro.device.platform.DevicePlatform`.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, fields, replace
 from typing import Callable, Iterable, Iterator, List, Optional, Sequence
 
@@ -109,6 +110,13 @@ class WorkloadSample:
         )
 
 
+def _check_sample_period(sample_period_s: float) -> None:
+    # The period is every simulation's step size: a NaN or infinite one must
+    # not reach the thermal solver as a step.
+    if not (sample_period_s > 0 and math.isfinite(sample_period_s)):
+        raise ValueError(f"sample_period_s must be finite and positive, got {sample_period_s!r}")
+
+
 @dataclass
 class WorkloadTrace:
     """A named, fixed-period sequence of :class:`WorkloadSample` entries.
@@ -126,8 +134,7 @@ class WorkloadTrace:
     description: str = ""
 
     def __post_init__(self) -> None:
-        if self.sample_period_s <= 0:
-            raise ValueError("sample_period_s must be positive")
+        _check_sample_period(self.sample_period_s)
 
     @classmethod
     def from_arrays(cls, name: str, arrays: TraceArrays, description: str = "") -> "WorkloadTrace":
@@ -136,8 +143,7 @@ class WorkloadTrace:
         Generators and the batched runtime only ever read columns, so the
         per-sample :class:`WorkloadSample` list is built on first access.
         """
-        if arrays.sample_period_s <= 0:
-            raise ValueError("sample_period_s must be positive")
+        _check_sample_period(arrays.sample_period_s)
         trace = cls.__new__(cls)
         trace.name = name
         trace.sample_period_s = arrays.sample_period_s

@@ -45,11 +45,6 @@ class TestCliParser:
         assert args.policy == "examples/policy.json"
         assert args.smoke is True
 
-    def test_sweep_approx_solve_flag(self):
-        args = build_parser().parse_args(["sweep", "--approx-solve"])
-        assert args.approx_solve is True
-        assert build_parser().parse_args(["sweep"]).approx_solve is False
-
     def test_policy_rejected_for_experiments_that_ignore_it(self):
         with pytest.raises(SystemExit, match="--policy only applies"):
             main(["table1", "--policy", "examples/policy.json"])

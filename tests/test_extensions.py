@@ -117,6 +117,18 @@ class TestCsvExport:
         assert np.allclose(original, restored, atol=1e-6)
         assert [s.charging for s in loaded] == [s.charging for s in trace]
 
+    @pytest.mark.parametrize("period", ["inf", "nan"])
+    def test_trace_load_rejects_non_finite_sample_period(self, tmp_path, period):
+        # The period is the simulator's step size; an infinite one used to
+        # load and simulate (a 5-step Skype trace reached 48 degC skin).
+        path = tmp_path / "trace.csv"
+        save_trace_csv(build_benchmark("skype", seed=0, duration_s=5), path)
+        lines = path.read_text(encoding="utf-8").splitlines()
+        lines[1] = f"sample_period_s,{period}"
+        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        with pytest.raises(ValueError, match="finite and positive"):
+            load_trace_csv(path)
+
     def test_trace_load_rejects_other_files(self, tmp_path):
         path = tmp_path / "not_a_trace.csv"
         path.write_text("a,b,c\n1,2,3\n", encoding="utf-8")

@@ -39,7 +39,6 @@ from repro.runtime.vectorized import (
 )
 from repro.sim.engine import Simulator
 from repro.sim.results import ColumnarRecordBuffer
-from repro.thermal import ThermalSolver, build_nexus4_network
 from repro.users.adaptation import (
     WARM_START_TEMPS,
     AdaptiveComfortManager,
@@ -185,8 +184,8 @@ class TestMixedTraceParity:
 
     def test_mixed_touch_states_within_one_tick(self):
         # One member touching, one not, at the same tick: the solve must
-        # partition between the two canonical factorizations and still match
-        # the per-member scalar runs bitwise.
+        # select between the two canonical step maps per member and still
+        # match the per-member scalar runs bitwise.
         held = WorkloadTrace.constant(
             "held", 60, WorkloadSample(cpu_demand=0.8, touching=True)
         )
@@ -438,21 +437,6 @@ class TestColumnarBuffer:
         assert records[0].predicted_skin_temp_c is None
         assert records[0].usta_active is False
         assert records[0].comfort_limit_c is None
-
-
-class TestRaggedStepMany:
-    def test_columns_subset_matches_full_solve(self):
-        solver = ThermalSolver(build_nexus4_network())
-        rng = np.random.default_rng(7)
-        temps = np.tile(
-            solver.network.temperatures_vector[:, None], (1, 5)
-        ) + rng.uniform(0, 3, size=(6, 5))
-        power = rng.uniform(0, 4, size=(6, 5))
-        full = solver.step_many(1.0, power, temps)
-        subset = np.array([0, 2, 4])
-        partial = solver.step_many(1.0, power, temps, columns=subset)
-        assert partial.shape == (6, 3)
-        assert np.array_equal(partial, full[:, subset])
 
 
 class TestTraceArrays:

@@ -1,6 +1,5 @@
-"""Tests for ResultStore JSONL persistence and the opt-in approx solve."""
+"""Tests for ResultStore JSONL persistence."""
 
-import numpy as np
 import pytest
 
 from repro.api.specs import GovernorSpec, ManagerSpec, PolicySpec
@@ -8,10 +7,8 @@ from repro.runtime import (
     BatchRunner,
     ExperimentCell,
     ExperimentPlan,
-    ProcessPoolCellExecutor,
     ResultStore,
     SerialExecutor,
-    VectorizedExecutor,
 )
 from repro.workloads.benchmarks import build_benchmark
 
@@ -142,41 +139,3 @@ class TestResultStorePersistence:
         with pytest.raises((ValueError, TypeError)):
             ResultStore.load(path)
 
-
-class TestApproxSolve:
-    def _population_plan(self, trace, linear_predictor):
-        plan = ExperimentPlan()
-        for index, limit in enumerate((31.0, 32.0, 33.0, 36.0)):
-            plan.add(
-                ExperimentCell(
-                    cell_id=f"user{index}",
-                    trace=trace,
-                    policy=PolicySpec(
-                        manager=ManagerSpec("usta", params={"skin_limit_c": limit})
-                    ),
-                    predictor=linear_predictor,
-                    seed=4,
-                )
-            )
-        return plan
-
-    def test_blocked_solve_stays_within_tolerance(self, linear_predictor):
-        trace = build_benchmark("skype", seed=4, duration_s=240)
-        plan = self._population_plan(trace, linear_predictor)
-        exact = BatchRunner(executor=VectorizedExecutor(exact=True)).run(plan)
-        approx = BatchRunner(executor=VectorizedExecutor(exact=False)).run(plan)
-        for entry_exact, entry_approx in zip(exact, approx):
-            e, a = entry_exact.result, entry_approx.result
-            assert np.allclose(a.skin_temps_c(), e.skin_temps_c(), atol=5e-2)
-            assert np.allclose(a.cpu_temps_c(), e.cpu_temps_c(), atol=5e-2)
-            assert a.max_skin_temp_c == pytest.approx(e.max_skin_temp_c, abs=5e-2)
-            assert a.average_frequency_ghz == pytest.approx(e.average_frequency_ghz, abs=0.05)
-
-    def test_for_jobs_wires_approx_flag(self):
-        runner = BatchRunner.for_jobs(None, approx_solve=True)
-        assert isinstance(runner.executor, VectorizedExecutor)
-        assert runner.executor.exact is False
-        default = BatchRunner.for_jobs(None)
-        assert default.executor.exact is True
-        pooled = BatchRunner.for_jobs(4, approx_solve=True)
-        assert isinstance(pooled.executor, ProcessPoolCellExecutor)
