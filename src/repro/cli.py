@@ -489,7 +489,7 @@ def _fleet_sweep(plan, profiles, args):
     footers = [
         f"fleet: {report.workers} worker(s) ({report.workers_spawned} spawned, "
         f"{report.worker_deaths} died, {report.reassigned_units} unit(s) reassigned), "
-        f"{report.n_units} unit(s) of <= {report.unit_size} cell(s)",
+        f"{report.unit_summary}",
         f"merged {report.merge.n_cells} cell(s) into {report.merge.n_shards} shard(s) "
         f"at {store.directory} ({report.executed} executed, {report.resumed} resumed)",
     ]

@@ -3,14 +3,19 @@
 The coordinator owns a loopback-TCP :class:`multiprocessing.connection.Listener`
 (HMAC authkey handshake — the protocol is socket-ready for off-box workers;
 only the spawn step is local today), spawns N worker processes, and feeds
-them work units dynamically: a worker that finishes early gets the next unit,
-so stragglers don't serialise the sweep.
+them work units: by default one contiguous slice of the plan per worker,
+balanced by member-steps, so each worker vectorizes as wide a population as
+it can.  The listening socket sits in the same ``wait()`` set as the workers'
+connections, so a worker is greeted and handed its unit as soon as it
+connects.
 
 Fault handling is disk-truth based.  Every worker streams into its own
 ``<dest>/workers/worker-XX/`` :class:`StreamingResultStore`; when a worker
 dies (killed, OOM, or a unit raised), the coordinator re-opens that directory
 — which heals any truncated final line via the ``index.jsonl`` sidecar — and
-requeues only the cells that did *not* survive on disk.  Units carry a retry
+requeues only the cells that did *not* survive on disk, split by member-steps
+across the workers free to take them (a replacement is spawned while the
+respawn budget lasts).  Units carry a retry
 budget so a deterministically failing cell aborts the sweep instead of
 looping forever.  After the queue drains, :func:`~repro.fleet.merge.merge_stores`
 compacts every worker directory into the destination in plan order, and the
@@ -25,14 +30,15 @@ import shutil
 import signal
 import socket
 import time
-from collections import deque
+from collections import Counter, deque
 from dataclasses import dataclass, field
+from itertools import accumulate, count
 from multiprocessing import AuthenticationError, Process
 from multiprocessing.connection import Listener, wait
 from pathlib import Path
-from typing import Callable, Dict, List, Optional, Sequence
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
-from repro.runtime.plan import ExperimentPlan
+from repro.runtime.plan import ExperimentCell, ExperimentPlan, batch_ineligibility
 
 from .merge import MergeReport, collect_cell_locations, harvest_completed_ids, merge_stores
 from .protocol import ProtocolError, recv_msg, send_msg
@@ -51,6 +57,97 @@ class _Unit:
     indices: List[int]
     attempts: int = 0
     last_error: Optional[str] = None
+
+
+def _cell_shapes(
+    cells: Sequence[ExperimentCell], indices: Sequence[int]
+) -> Dict[int, Tuple[int, Optional[float]]]:
+    """Each cell's member-steps and batch key: its trace length and sample period.
+
+    A cell that carries its trace is measured without copying it; a benchmark
+    trace is built once per distinct ``(benchmark, seed, duration)``.  The
+    period is ``None`` for a cell that never joins a batch.
+    """
+    built: Dict[tuple, object] = {}
+    shapes = {}
+    for i in indices:
+        cell = cells[i]
+        if cell.trace is not None:
+            trace = cell.trace
+            steps = (
+                len(trace)
+                if cell.duration_s is None
+                else trace.truncated_length(cell.duration_s)
+            )
+        else:
+            key = (cell.benchmark, cell.seed, cell.duration_s)
+            if key not in built:
+                built[key] = cell.build_trace()
+            trace = built[key]
+            steps = len(trace)
+        period = None if batch_ineligibility(cell) is not None else trace.sample_period_s
+        shapes[i] = (steps, period)
+    return shapes
+
+
+def _balanced_slices(
+    steps: Sequence[int], periods: Sequence[Optional[float]], n: int
+) -> List[List[int]]:
+    """Cut positions ``0..len(steps)-1`` into at most ``n`` contiguous slices.
+
+    Each cut falls as near as it can to ``j/n`` of the running member-step
+    total without leaving a slice the only cell of a sample period other
+    slices also hold: the batch planner would run that cell alone on the
+    scalar path.  Where no cut avoids that, there are fewer slices.
+    """
+    m = len(steps)
+    n = max(1, min(n, m))
+    prefix = list(accumulate(steps, initial=0))
+    # Running counts of each sample period that more than one cell shares.
+    shared = [
+        list(accumulate((q == p for q in periods), initial=0))
+        for p, total in Counter(p for p in periods if p is not None).items()
+        if total > 1
+    ]
+
+    def lonely(a: int, b: int) -> bool:
+        return any(c[b] - c[a] == 1 for c in shared)
+
+    bounds = [0]
+    for j in range(1, n):
+        goal, roomy = prefix[-1] * j / n, m - n + j
+        options = sorted(
+            range(bounds[-1] + 1, m),
+            key=lambda c: (c > roomy, abs(prefix[c] - goal)),
+        )
+        cut = next(
+            (
+                c
+                for c in options
+                if not lonely(bounds[-1], c) and not (j == n - 1 and lonely(c, m))
+            ),
+            None,
+        )
+        if cut is None:
+            break
+        bounds.append(cut)
+    bounds.append(m)
+
+    # Every slice left of the last cut passed the check; only the tail can
+    # still hold a lone cell, and merging it backwards ends at one slice.
+    while len(bounds) > 2 and lonely(bounds[-2], m):
+        del bounds[-2]
+    return [list(range(a, b)) for a, b in zip(bounds, bounds[1:])]
+
+
+def _split_cells(
+    indices: Sequence[int], n: int, shapes: Dict[int, Tuple[int, Optional[float]]]
+) -> List[List[int]]:
+    """Plan ``indices`` (in order) as at most ``n`` member-step-balanced units."""
+    slices = _balanced_slices(
+        [shapes[i][0] for i in indices], [shapes[i][1] for i in indices], n
+    )
+    return [[indices[p] for p in positions] for positions in slices]
 
 
 @dataclass
@@ -77,7 +174,10 @@ class FleetReport:
     resumed: int
     executed: int
     n_units: int
-    unit_size: int
+    #: cells and member-steps of the planned unit with the most member-steps
+    #: (under an explicit ``unit_size``: the most cells, steps not measured).
+    max_unit_cells: int
+    max_unit_steps: Optional[int]
     workers: int
     workers_spawned: int
     worker_deaths: int
@@ -86,6 +186,14 @@ class FleetReport:
     elapsed_s: float
     merge: Optional[MergeReport] = None
     executed_ids: tuple = field(default_factory=tuple)
+
+    @property
+    def unit_summary(self) -> str:
+        """The planned units, as footers print them."""
+        text = f"{self.n_units} unit(s), the largest {self.max_unit_cells} cell(s)"
+        if self.max_unit_steps is not None:
+            text += f" / {self.max_unit_steps} member-steps"
+        return text
 
 
 class FleetCoordinator:
@@ -96,12 +204,25 @@ class FleetCoordinator:
         directory: destination store directory (the merged, indexed store
             ends up here; workers stream into ``directory/workers/``).
         workers: number of concurrent worker processes.
-        unit_size: cells per work unit; default targets ~4 units per worker
-            so reassignment after a death stays cheap.
+        unit_size: cells per work unit, cut in plan order.  The default
+            plans one contiguous unit per worker, balanced by member-steps
+            (a cell's trace length), so each worker vectorizes its whole
+            share at once; no unit holds a lone cell of a sample period
+            other pending cells share.  The plan assumes every cell costs
+            about the same per step: a slow worker or a costlier unit holds
+            up the sweep until it finishes (a running unit is never split).
+            When a worker dies, the cells of its unit that did not reach
+            disk are split the same way across the idle and newly spawned
+            workers.  An explicit size is for fault injection in tests and
+            ``fleet-smoke``; it plans without measuring traces, and a dead
+            worker's remainder is requeued as one unit.
         max_cells_per_shard: shard rotation for worker and merged stores
             (must match the single-process run for byte-identical shards).
         max_unit_retries: how many times a unit may be reassigned after
             worker deaths before the sweep aborts.
+        max_respawns: how many replacement workers may be spawned after
+            deaths (default ``workers``); a replacement is spawned whenever
+            work is queued and fewer than ``workers`` are live.
         on_event: optional ``callback(event: str, info: dict)`` observability
             hook (events: spawn/hello/assign/unit_done/unit_failed/reassign/
             death/merge).  Used by the smoke test to kill a worker mid-run.
@@ -173,19 +294,22 @@ class FleetCoordinator:
         resumed = len(completed)
 
         pending = [i for i, cell in enumerate(cells) if cell.cell_id not in completed]
-        unit_size = self.unit_size or max(
-            1, -(-len(pending) // (self.workers * 4)) if pending else 1
-        )
-        units = deque(
-            _Unit(unit_id=n, indices=list(pending[i : i + unit_size]))
-            for n, i in enumerate(range(0, len(pending), unit_size))
-        )
-        n_units = len(units)
+        if self.unit_size:
+            size, shapes = self.unit_size, None
+            chunks = [pending[i : i + size] for i in range(0, len(pending), size)]
+            largest = max(chunks, key=len, default=[])
+            largest_steps = None
+        else:
+            shapes = _cell_shapes(cells, pending)
+            chunks = _split_cells(pending, self.workers, shapes) if pending else []
+            largest = max(chunks, key=lambda c: sum(shapes[i][0] for i in c), default=[])
+            largest_steps = sum(shapes[i][0] for i in largest)
+        units = deque(_Unit(unit_id=n, indices=chunk) for n, chunk in enumerate(chunks))
 
         executed_ids: List[str] = []
         stats = {"spawned": 0, "deaths": 0, "reassigned_units": 0, "reassigned_cells": 0}
         if units:
-            self._dispatch(cells, units, completed, executed_ids, workers_root, stats)
+            self._dispatch(cells, units, shapes, completed, executed_ids, workers_root, stats)
 
         post_dirs = (
             sorted(p for p in workers_root.iterdir() if p.is_dir())
@@ -206,8 +330,9 @@ class FleetCoordinator:
             n_cells=len(cells),
             resumed=resumed,
             executed=len(executed_ids),
-            n_units=n_units,
-            unit_size=unit_size,
+            n_units=len(chunks),
+            max_unit_cells=len(largest),
+            max_unit_steps=largest_steps,
             workers=self.workers,
             workers_spawned=stats["spawned"],
             worker_deaths=stats["deaths"],
@@ -220,16 +345,17 @@ class FleetCoordinator:
 
     # -- dispatch loop -----------------------------------------------------------
 
-    def _dispatch(self, cells, queue, completed, executed_ids, workers_root, stats):
+    def _dispatch(self, cells, queue, shapes, completed, executed_ids, workers_root, stats):
         authkey = secrets.token_bytes(16)
         listener = Listener(("127.0.0.1", 0), authkey=authkey)
-        try:
-            # A timeout on the accept socket keeps the loop responsive to
-            # worker deaths that happen before the HMAC handshake completes.
-            listener._listener._socket.settimeout(0.25)
-        except AttributeError:  # pragma: no cover - stdlib internals moved
-            pass
+        # The listening socket joins the wait() set while any worker is
+        # connecting, so a hello is accepted the moment it arrives instead of
+        # after some other worker's next message.  The timeout only guards a
+        # connection that is reset between readiness and accept().
+        accept_socket = listener._listener._socket
+        accept_socket.settimeout(0.25)
         address = listener.address
+        unit_ids = count(max(unit.unit_id for unit in queue) + 1)
 
         def spawn() -> _WorkerHandle:
             worker_id = f"worker-{stats['spawned']:02d}"
@@ -254,6 +380,28 @@ class FleetCoordinator:
             self._emit("spawn", worker_id=worker_id, pid=process.pid)
             return handle
 
+        def can_respawn() -> bool:
+            return stats["spawned"] < self.workers + self.max_respawns
+
+        def accept() -> None:
+            try:
+                conn = listener.accept()
+            except (socket.timeout, AuthenticationError, OSError, EOFError):
+                return
+            hello = recv_msg(conn)
+            if hello is None:
+                conn.close()  # died pre-hello; its sentinel fires
+                return
+            if hello.get("type") != "hello":
+                raise ProtocolError(f"expected hello, got {hello!r}")
+            handle = self._handles[hello["worker_id"]]
+            handle.conn = conn
+            handle.state = "idle"
+            fresh = [c for c in hello.get("completed", ()) if c not in completed]
+            executed_ids.extend(fresh)
+            completed.update(fresh)
+            self._emit("hello", worker_id=handle.worker_id, pid=hello.get("pid"))
+
         def handle_death(handle: _WorkerHandle) -> None:
             if not handle.live and handle.state != "stopping":
                 return
@@ -271,6 +419,7 @@ class FleetCoordinator:
             unit = handle.unit
             handle.unit = None
             self._emit("death", worker_id=handle.worker_id, unit=unit and unit.unit_id)
+            remaining = []
             if unit is not None:
                 remaining = [i for i in unit.indices if cells[i].cell_id not in completed]
                 unit.attempts += 1
@@ -279,52 +428,40 @@ class FleetCoordinator:
                         f"unit {unit.unit_id} failed {unit.attempts} times "
                         f"(last error: {unit.last_error or 'worker died'}); aborting"
                     )
-                if remaining:
-                    unit.indices = remaining
-                    queue.append(unit)
-                    stats["reassigned_units"] += 1
-                    stats["reassigned_cells"] += len(remaining)
-                    self._emit(
-                        "reassign",
-                        unit=unit.unit_id,
-                        cells=[cells[i].cell_id for i in remaining],
-                        attempts=unit.attempts,
-                    )
+            live = [h for h in self._handles.values() if h.live]
+            if (remaining or queue) and len(live) < self.workers and can_respawn():
+                live.append(spawn())
+            if not remaining:
+                return
+            # One piece per worker free to take one now; busy workers pick up
+            # whatever is still queued when they finish.
+            free = sum(h.state in ("connecting", "idle") for h in live) - len(queue)
+            pieces = [remaining] if shapes is None else _split_cells(remaining, free, shapes)
+            for n, indices in enumerate(pieces):
+                piece = _Unit(
+                    unit.unit_id if n == 0 else next(unit_ids),
+                    indices,
+                    attempts=unit.attempts,
+                    last_error=unit.last_error,
+                )
+                queue.append(piece)
+                stats["reassigned_units"] += 1
+                stats["reassigned_cells"] += len(indices)
+                self._emit(
+                    "reassign",
+                    unit=piece.unit_id,
+                    cells=[cells[i].cell_id for i in indices],
+                    attempts=piece.attempts,
+                )
 
         try:
             for _ in range(min(self.workers, len(queue))):
                 spawn()
 
             while queue or any(h.unit is not None for h in self._handles.values()):
-                handles = list(self._handles.values())
-
-                # Accept pending connections (hello identifies the worker).
-                if any(h.state == "connecting" for h in handles):
-                    try:
-                        conn = listener.accept()
-                    except (socket.timeout, AuthenticationError, OSError, EOFError):
-                        pass
-                    else:
-                        hello = recv_msg(conn)
-                        if hello is None:
-                            conn.close()  # died pre-hello; its sentinel fires
-                        else:
-                            if hello.get("type") != "hello":
-                                raise ProtocolError(f"expected hello, got {hello!r}")
-                            handle = self._handles[hello["worker_id"]]
-                            handle.conn = conn
-                            handle.state = "idle"
-                            fresh = [
-                                c for c in hello.get("completed", ()) if c not in completed
-                            ]
-                            executed_ids.extend(fresh)
-                            completed.update(fresh)
-                            self._emit(
-                                "hello", worker_id=handle.worker_id, pid=hello.get("pid")
-                            )
-
-                # Assign units to idle workers.
-                for handle in self._handles.values():
+                # Assign units to idle workers (a failed send may spawn a
+                # replacement, so walk a snapshot).
+                for handle in list(self._handles.values()):
                     while handle.state == "idle" and queue:
                         unit = queue.popleft()
                         unit.indices = [
@@ -364,7 +501,7 @@ class FleetCoordinator:
 
                 live = [h for h in handles if h.live]
                 if not live:
-                    if stats["spawned"] >= self.workers + self.max_respawns:
+                    if not can_respawn():
                         raise FleetError(
                             "every fleet worker died and the respawn budget "
                             f"({self.max_respawns}) is exhausted"
@@ -372,14 +509,22 @@ class FleetCoordinator:
                     spawn()
                     continue
 
-                # Wait for messages or deaths.
+                # Wait for connections, messages or deaths.
                 waitables = {}
+                if any(h.state == "connecting" for h in handles):
+                    waitables[accept_socket] = None
                 for handle in handles:
                     if handle.conn is not None and handle.state in ("idle", "running"):
                         waitables[handle.conn] = handle
                     if handle.live or handle.state == "stopping":
                         waitables[handle.process.sentinel] = handle
-                for obj in wait(list(waitables), timeout=0.25):
+                ready = wait(list(waitables), timeout=0.25)
+                if accept_socket in ready:
+                    # Greet and assign the new worker before reading other
+                    # messages; anything else ready is reported again.
+                    accept()
+                    continue
+                for obj in ready:
                     handle = waitables[obj]
                     if obj is getattr(handle, "conn", None):
                         message = recv_msg(obj)
@@ -428,9 +573,12 @@ class FleetCoordinator:
                     handle.conn.close()
             for handle in self._handles.values():
                 handle.process.join(timeout=10)
-                if handle.process.is_alive():  # pragma: no cover - stuck worker
+                if handle.process.is_alive():  # stuck, stopped or ignoring SIGTERM
                     handle.process.terminate()
                     handle.process.join(timeout=5)
+                if handle.process.is_alive():
+                    handle.process.kill()
+                    handle.process.join()
                 if handle.live or handle.state == "stopping":
                     handle.state = "done"
             listener.close()

@@ -110,8 +110,8 @@ def main(argv=None) -> int:
     print(
         f"fleet-smoke: {report.executed}/{report.n_cells} cells via "
         f"{report.workers_spawned} worker(s) in {report.elapsed_s:.1f}s "
-        f"({report.worker_deaths} death(s), {report.reassigned_units} unit(s) "
-        f"reassigned -> {report.reassigned_cells} cell(s))"
+        f"({report.unit_summary}; {report.worker_deaths} death(s), "
+        f"{report.reassigned_units} unit(s) reassigned -> {report.reassigned_cells} cell(s))"
     )
 
     failures = []

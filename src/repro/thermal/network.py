@@ -319,6 +319,10 @@ class ThermalNetwork:
         Power injected into boundary nodes is silently dropped (a boundary is
         an infinite reservoir); unknown node names raise ``KeyError``.
         """
+        return np.array(self.power_list(power_w))
+
+    def power_list(self, power_w: Mapping[str, float]) -> List[float]:
+        """:meth:`power_vector` as Python floats (the scalar step's form)."""
         self._require_assembled()
         vector = [0.0] * len(self._internal_names)
         for name, value in power_w.items():
@@ -326,7 +330,17 @@ class ThermalNetwork:
                 vector[self._index[name]] += float(value)
             elif name not in self._boundary_index:
                 raise KeyError(f"unknown node {name!r}")
-        return np.array(vector)
+        return vector
+
+    def temperature_list(self) -> List[float]:
+        """The internal temperatures as Python floats, in matrix order."""
+        return self._temps.tolist()
+
+    def replace_temperatures(self, temps: List[float]) -> None:
+        """Overwrite the internal temperatures from Python floats (scalar step)."""
+        if len(temps) != len(self._temps):
+            raise ValueError("temperature vector has the wrong shape")
+        self._temps = np.array(temps)
 
     def apply_temperature_vector(self, temps: np.ndarray) -> None:
         """Overwrite the internal temperature vector (solver callback)."""

@@ -201,14 +201,10 @@ class ThermalSolver:
         b = [
             c * t + r + p
             for c, t, r, p in zip(
-                c_over_dt,
-                net.temperatures_vector.tolist(),
-                rhs_const,
-                net.power_vector(power_w).tolist(),
+                c_over_dt, net.temperature_list(), rhs_const, net.power_list(power_w)
             )
         ]
-        t_new = [_ordered_sum(map(mul, row, b)) for row in map_rows]
-        net.apply_temperature_vector(np.array(t_new))
+        net.replace_temperatures([_ordered_sum(map(mul, row, b)) for row in map_rows])
 
     def _step_explicit(self, dt_s: float, power_w: Mapping[str, float]) -> None:
         net = self.network

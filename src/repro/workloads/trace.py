@@ -257,9 +257,13 @@ class WorkloadTrace:
 
     # -- trace algebra ----------------------------------------------------------
 
+    def truncated_length(self, duration_s: float) -> int:
+        """``len(self.truncated(duration_s))``, without building the copy."""
+        return min(len(self), max(1, int(round(duration_s / self.sample_period_s))))
+
     def truncated(self, duration_s: float) -> "WorkloadTrace":
         """A copy of the trace limited to the first ``duration_s`` seconds."""
-        count = max(1, int(round(duration_s / self.sample_period_s)))
+        count = self.truncated_length(duration_s)
         if self._columns_only():
             # Copies, so a short prefix does not keep the full columns alive.
             return WorkloadTrace.from_arrays(
