@@ -251,7 +251,6 @@ class CellSummaryEntry:
 
     cell: "ExperimentCell"
     summary: StreamingCellSummary
-    wall_time_s: float
 
 
 class SummarySink:
@@ -291,12 +290,10 @@ class SummarySink:
     def emit_columns(self, columns: RecordColumns) -> None:
         self._summary.add_columns(columns)
 
-    def end_cell(self, wall_time_s: float = 0.0, logger=None) -> None:
+    def end_cell(self, logger=None) -> None:
         if self._cell is None:
             raise RuntimeError("no open cell to commit")
-        entry = CellSummaryEntry(
-            cell=self._cell, summary=self._summary, wall_time_s=wall_time_s
-        )
+        entry = CellSummaryEntry(cell=self._cell, summary=self._summary)
         self._cell = None
         self._summary = None
         self.entries.append(entry)
@@ -388,7 +385,5 @@ def stream_summaries(
         limit = limit_for(entry.cell) if limit_for is not None else None
         summary = StreamingCellSummary(entry.result.dt_s, limit_c=limit)
         summary.add_columns(entry.result.record_columns())
-        summaries[cell_id] = CellSummaryEntry(
-            cell=entry.cell, summary=summary, wall_time_s=entry.wall_time_s
-        )
+        summaries[cell_id] = CellSummaryEntry(cell=entry.cell, summary=summary)
     return summaries

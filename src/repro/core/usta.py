@@ -19,6 +19,7 @@ the same logic would run in a userspace daemon writing
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Dict, Optional
 
@@ -82,8 +83,9 @@ class USTAController:
     profile_params = (("skin_limit_c", "skin_limit_c"),)
 
     def __post_init__(self) -> None:
-        if self.prediction_period_s <= 0:
-            raise ValueError("prediction_period_s must be positive")
+        # Chained comparisons are false for NaN, so NaN and ±inf fail too.
+        if not 0.0 < self.prediction_period_s < math.inf:
+            raise ValueError("prediction_period_s must be positive and finite")
         if not 25.0 < self.skin_limit_c < 60.0:
             raise ValueError("skin_limit_c must be a plausible skin-temperature limit")
         self._last_prediction_time: Optional[float] = None

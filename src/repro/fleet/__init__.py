@@ -9,8 +9,8 @@ Two coordinated layers on top of the batched runtime and the policy API:
   :class:`~repro.runtime.streamstore.StreamingResultStore` shard directory;
   a killed worker's incomplete units are harvested via the ``index.jsonl``
   resume sidecar and reassigned, and :func:`~repro.fleet.merge.merge_stores`
-  compacts every shard directory into one indexed store whose lines are
-  byte-identical (modulo wall times) to a single-process streaming run.
+  compacts every shard directory into one indexed store whose shards and
+  index are byte-identical to a single-process streaming run.
 
 * **Serving front end** — :class:`~repro.fleet.service.PolicyService` exposes
   the :class:`~repro.api.session.SessionPool` over a line-delimited-JSON

@@ -5,9 +5,9 @@ Every fleet worker streams into a private
 :func:`merge_stores` compacts any number of those directories (plus whatever
 an interrupted previous merge left behind) into the destination: cells are
 copied *in plan order* with the standard shard rotation, so the resulting
-shards are byte-identical to what a single-process ``--stream-to`` run of the
-same plan writes (wall times are the one nondeterministic field per line —
-:func:`stores_byte_identical` masks them).
+shards and index are byte-identical to what a single-process
+``--stream-to`` run of the same plan writes (:func:`stores_byte_identical`
+checks exactly that, with no field masked).
 
 Copying is byte-range based: opening a source directory as a
 ``StreamingResultStore`` heals crash artifacts (a killed worker's truncated
@@ -268,39 +268,25 @@ def merge_stores(
     )
 
 
-_WALL_KEY = ',"wall_time_s":'
+def stores_byte_identical(a: Path, b: Path) -> Optional[str]:
+    """``None`` when two store directories hold the same bytes, else a diagnosis.
 
-
-def _mask_wall_time(line: str) -> str:
-    try:
-        return line[: line.rindex(_WALL_KEY)]
-    except ValueError:
-        return line
-
-
-def stores_byte_identical(
-    a: Path, b: Path, ignore_wall_time: bool = True
-) -> Optional[str]:
-    """``None`` when two store directories tile identically, else a diagnosis.
-
-    With ``ignore_wall_time`` (the default) the per-line ``"wall_time_s"``
-    suffix — the one nondeterministic field the runtime writes — is masked
-    before comparing, matching the byte-parity convention used throughout
-    the test suite.
+    Compares the shard sets, then every shard and the ``index.jsonl``
+    sidecar (offsets, lengths and sha256 stamps) line by line.  A line
+    carries only the cell and its records, so two runs of one plan write
+    identical stores whichever executor ran them.
     """
     a, b = Path(a), Path(b)
     shards_a = sorted(p.name for p in a.glob("shard-*.jsonl"))
     shards_b = sorted(p.name for p in b.glob("shard-*.jsonl"))
     if shards_a != shards_b:
         return f"shard sets differ: {shards_a} vs {shards_b}"
-    for name in shards_a:
-        lines_a = (a / name).read_text(encoding="utf-8").splitlines()
-        lines_b = (b / name).read_text(encoding="utf-8").splitlines()
+    for name in shards_a + [INDEX_NAME]:
+        lines_a = (a / name).read_bytes().splitlines(keepends=True)
+        lines_b = (b / name).read_bytes().splitlines(keepends=True)
         if len(lines_a) != len(lines_b):
             return f"{name}: {len(lines_a)} vs {len(lines_b)} lines"
         for number, (line_a, line_b) in enumerate(zip(lines_a, lines_b)):
-            if ignore_wall_time:
-                line_a, line_b = _mask_wall_time(line_a), _mask_wall_time(line_b)
             if line_a != line_b:
                 return f"{name}: line {number} differs"
     return None

@@ -15,8 +15,8 @@ The scenario, end to end:
    coordinator's event hook) — its incomplete unit must be harvested from
    disk and reassigned;
 3. run the same plan single-process through the vectorized executor into a
-   reference store, and require the merged fleet store to be **byte-identical**
-   (modulo the nondeterministic per-line wall time);
+   reference store, and require the merged fleet store — shards and
+   ``index.jsonl`` — to be **byte-identical**;
 4. re-run the coordinator with ``resume=True`` and require zero executions —
    the merged store satisfies the whole plan from disk.
 """

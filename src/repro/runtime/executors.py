@@ -39,7 +39,6 @@ from __future__ import annotations
 import json
 import shutil
 import tempfile
-import time
 import uuid
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
@@ -199,14 +198,7 @@ class ProcessPoolCellExecutor:
                         parsed = parse_cell_line(fh.readline(), path)
                     # Keep the parent's original cell object (the spill line's
                     # descriptive cell would detach explicit traces).
-                    push_cell_result(
-                        sink,
-                        CellResult(
-                            cell=cell,
-                            result=parsed.result,
-                            wall_time_s=parsed.wall_time_s,
-                        ),
-                    )
+                    push_cell_result(sink, CellResult(cell=cell, result=parsed.result))
                     Path(path).unlink()
         finally:
             shutil.rmtree(spill_dir, ignore_errors=True)
@@ -331,7 +323,6 @@ class VectorizedExecutor:
     def _run_batch(
         self, group: Sequence[ExperimentCell], traces: Sequence[WorkloadTrace]
     ) -> List[CellResult]:
-        start = time.perf_counter()
         members, loggers = self._build_members(group)
         try:
             sim_results = simulate_population_mixed(
@@ -342,9 +333,8 @@ class VectorizedExecutor:
             )
         except VectorizationError:
             return [run_cell(cell) for cell in group]
-        wall_each = (time.perf_counter() - start) / len(group)
         return [
-            CellResult(cell=cell, result=result, logger=logger, wall_time_s=wall_each)
+            CellResult(cell=cell, result=result, logger=logger)
             for cell, result, logger in zip(group, sim_results, loggers)
         ]
 
@@ -381,7 +371,6 @@ class VectorizedExecutor:
         cell — shard bytes are identical to the unwindowed path (the store
         re-chunks the replayed windows into the same column blocks).
         """
-        start = time.perf_counter()
         members, loggers = self._build_members(group)
         max_steps = max(len(trace) for trace in traces)
         if self._resolved_window_steps(members, traces) >= max_steps:
@@ -391,11 +380,8 @@ class VectorizedExecutor:
                 for cell in group:
                     stream_cell(cell, sink)
                 return
-            wall_each = (time.perf_counter() - start) / len(group)
             for index, (cell, logger) in enumerate(zip(group, loggers)):
-                entry = CellResult(
-                    cell=cell, result=sim_results[index], logger=logger, wall_time_s=wall_each
-                )
+                entry = CellResult(cell=cell, result=sim_results[index], logger=logger)
                 # Drop the batch's reference as each cell goes out, so only
                 # the sink decides what outlives the push.
                 sim_results[index] = None
@@ -415,7 +401,6 @@ class VectorizedExecutor:
                 for cell in group:
                     stream_cell(cell, sink)
                 return
-            wall_each = (time.perf_counter() - start) / len(group)
             for index, (cell, result, logger) in enumerate(
                 zip(group, sim_results, loggers)
             ):
@@ -426,6 +411,6 @@ class VectorizedExecutor:
                     dt_s=result.dt_s,
                 )
                 spool.replay_member(index, sink)
-                sink.end_cell(wall_time_s=wall_each, logger=logger)
+                sink.end_cell(logger=logger)
         finally:
             spool.cleanup()

@@ -159,14 +159,13 @@ def record_to_jsonable(record: StepRecord) -> Dict[str, object]:
 
 
 def golden_lines(store: ResultStore) -> List[str]:
-    """Canonical JSONL lines for a store (wall time zeroed, keys sorted).
+    """Canonical JSONL lines for a store (keys sorted).
 
     The golden files keep their own human-diffable form — one JSON object
-    per record — which :meth:`ResultStore.load` still reads.  Wall-clock
-    time is the one field of a cell result that legitimately differs
-    between runs, so it is zeroed; everything else — cell identity, policy
-    spec, every float of every record — must match the committed file byte
-    for byte.
+    per record — which :meth:`ResultStore.load` still reads.  A cell result
+    holds nothing that differs between runs, so everything — cell identity,
+    policy spec, every float of every record — must match the committed
+    file byte for byte.
     """
     lines = []
     for entry in store:
@@ -179,7 +178,6 @@ def golden_lines(store: ResultStore) -> List[str]:
                 "dt_s": result.dt_s,
                 "records": [record_to_jsonable(record) for record in result.records],
             },
-            "wall_time_s": 0.0,
         }
         lines.append(json.dumps(payload, sort_keys=True, separators=(",", ":")))
     return lines

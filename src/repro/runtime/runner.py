@@ -12,7 +12,6 @@ never hold more than ~one cell's records in memory.
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass
 from typing import Callable, Collection, Iterable, Optional
 
@@ -55,7 +54,6 @@ def stream_cell(
             batch planning passes it so fallback cells do not rebuild what
             planning already materialised).
     """
-    start = time.perf_counter()
     if trace is None:
         trace = cell.build_trace()
     platform = _build_platform(cell)
@@ -79,7 +77,7 @@ def stream_cell(
         initial_temps=dict(cell.initial_temps) if cell.initial_temps else None,
     ):
         sink.emit(record)
-    sink.end_cell(wall_time_s=time.perf_counter() - start, logger=logger)
+    sink.end_cell(logger=logger)
 
 
 def run_cell(cell: ExperimentCell, trace: Optional["WorkloadTrace"] = None) -> CellResult:

@@ -13,14 +13,18 @@ files, streamed shards, process-pool spill files — is written by one
 :class:`CellLineWriter` in store format 3::
 
     {"cell":{...},"result":{"workload_name":...,"governor_name":...,
-     "dt_s":...,"format":3,"blocks":[{...},...],"n":N},"wall_time_s":...}
+     "dt_s":...,"format":3,"blocks":[{...},...],"n":N}}
 
 Each block holds up to :data:`~repro.sim.results.BLOCK_ROWS` records as
 per-field little-endian column bytes in base64
 (:meth:`~repro.sim.results.RecordColumns.to_block`), so records survive the
 trip bit for bit.  ``n`` (the record count) follows the blocks because a
-streamed line is written block by block.  Lines of the earlier format —
-``"records"``, a list of per-record JSON objects — still load.
+streamed line is written block by block.  A line carries nothing but the
+cell and its records, so its bytes (and the sha256 stamp a shard index keeps
+of them) depend only on the plan, never on which executor ran it or how
+fast.  Lines of the earlier format — ``"records"``, a list of per-record JSON
+objects — still load, as do lines written with the retired trailing
+``"wall_time_s"`` key, which is ignored.
 """
 
 from __future__ import annotations
@@ -106,13 +110,11 @@ class CellResult:
         logger: the cell's system logger, when ``cell.log_period_s`` was set
             (this is how :func:`repro.core.pipeline.collect_training_data`
             gets its records back from pool workers).
-        wall_time_s: wall-clock execution time of the cell.
     """
 
     cell: ExperimentCell
     result: SimulationResult
     logger: Optional[SystemLogger] = None
-    wall_time_s: float = 0.0
 
 
 class CellLineWriter:
@@ -167,10 +169,10 @@ class CellLineWriter:
             if len(self._stage[0]) == BLOCK_ROWS:
                 self._write_block()
 
-    def end_cell(self, wall_time_s: float = 0.0, logger=None) -> None:
+    def end_cell(self, logger=None) -> None:
         if self._stage[0]:
             self._write_block()
-        self._write(f'],"n":{self._rows}}},"wall_time_s":{_dumps(wall_time_s)}}}\n')
+        self._write(f'],"n":{self._rows}}}}}\n')
         self._cell_id = None
 
     def _write_block(self) -> None:
@@ -310,14 +312,9 @@ class ResultStore:
         except ValueError as exc:
             raise ValueError(f"{exc} in {cell.cell_id!r}") from None
         result.defer_columns(lambda: columns)
-        return CellResult(cell=cell, result=result, wall_time_s=data.get("wall_time_s", 0.0))
+        return CellResult(cell=cell, result=result)
 
     # -- export ----------------------------------------------------------------
-
-    @property
-    def total_wall_time_s(self) -> float:
-        """Summed wall-clock time of all executed cells."""
-        return sum(entry.wall_time_s for entry in self._results)
 
     def summary_rows(self) -> List[Dict[str, object]]:
         """One flat dictionary per cell: id, metadata, and headline metrics."""

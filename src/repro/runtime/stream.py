@@ -13,7 +13,9 @@ completed cell to sharded JSONL on disk; the analysis layer's
 :class:`~repro.analysis.streaming.SummarySink` folds records into O(1)
 running aggregates.  :class:`TeeSink` fans one stream out to several sinks.
 Batch producers hand a cell's records over as columns, and each sink gets
-them as columns or as records, whichever it takes.
+them as columns or as records, whichever it takes.  The protocol carries no
+timing: what a sink keeps depends only on the cells and their records, so
+every executor feeds it the same data.
 """
 
 from __future__ import annotations
@@ -68,9 +70,7 @@ class RecordSink(Protocol):
         """Deliver the next step record of the open cell."""
         ...
 
-    def end_cell(
-        self, wall_time_s: float = 0.0, logger: Optional["SystemLogger"] = None
-    ) -> None:
+    def end_cell(self, logger: Optional["SystemLogger"] = None) -> None:
         """Commit the open cell (the logger travels only to in-memory sinks)."""
         ...
 
@@ -103,12 +103,10 @@ class CollectorSink:
     def emit(self, record: StepRecord) -> None:
         self._result.append(record)
 
-    def end_cell(self, wall_time_s: float = 0.0, logger=None) -> None:
+    def end_cell(self, logger=None) -> None:
         if self._cell is None:
             raise RuntimeError("no open cell to commit")
-        entry = CellResult(
-            cell=self._cell, result=self._result, logger=logger, wall_time_s=wall_time_s
-        )
+        entry = CellResult(cell=self._cell, result=self._result, logger=logger)
         self._cell = None
         self._result = None
         self.results.append(entry)
@@ -166,9 +164,9 @@ class TeeSink:
     def emit_columns(self, columns: RecordColumns) -> None:
         _forward(self.sinks, columns)
 
-    def end_cell(self, wall_time_s: float = 0.0, logger=None) -> None:
+    def end_cell(self, logger=None) -> None:
         for sink in self.sinks:
-            sink.end_cell(wall_time_s=wall_time_s, logger=logger)
+            sink.end_cell(logger=logger)
 
 
 def push_cell_result(sink: RecordSink, entry: CellResult) -> None:
@@ -193,4 +191,4 @@ def push_cell_result(sink: RecordSink, entry: CellResult) -> None:
     else:
         for record in result.records:
             sink.emit(record)
-    sink.end_cell(wall_time_s=entry.wall_time_s, logger=entry.logger)
+    sink.end_cell(logger=entry.logger)

@@ -14,7 +14,7 @@ whether its records arrived one at a time (``emit``) or as column runs
 
 Crash safety falls out of the write discipline: a cell's line is written
 incrementally (head at ``begin_cell``, one column block per
-:data:`~repro.sim.results.BLOCK_ROWS` records, the closing ``wall_time_s``
+:data:`~repro.sim.results.BLOCK_ROWS` records, the closing ``"n"`` count
 and newline at ``end_cell``), so a run killed mid-cell leaves a final line
 that is truncated or unterminated.  Re-opening the directory detects that
 tail, drops it, and leaves the cell out of :attr:`completed_cell_ids` —
@@ -503,10 +503,10 @@ class StreamingResultStore:
             raise RuntimeError("emit_columns() without an open cell")
         self._line.emit_columns(columns)
 
-    def end_cell(self, wall_time_s: float = 0.0, logger=None) -> None:
+    def end_cell(self, logger=None) -> None:
         if self._open_cell_id is None:
             raise RuntimeError("end_cell() without an open cell")
-        self._line.end_cell(wall_time_s)
+        self._line.end_cell()
         self._fh.flush()
         # The index entry follows the flushed shard line; a crash between the
         # two flushes is healed by the tail check on the next open.

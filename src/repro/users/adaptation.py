@@ -39,6 +39,7 @@ three executors.
 
 from __future__ import annotations
 
+import math
 import random
 from collections import deque
 from dataclasses import dataclass, field, replace
@@ -165,10 +166,11 @@ class FeedbackStep:
 
     def __post_init__(self) -> None:
         _check_bounds(self.min_limit_c, self.max_limit_c, self.initial_limit_c)
-        if self.step_down_c <= 0 or self.step_up_c <= 0:
-            raise ValueError("step sizes must be positive")
-        if self.hold_off_s < 0:
-            raise ValueError("hold_off_s must be non-negative")
+        # Chained comparisons are false for NaN, so NaN and ±inf fail too.
+        if not (0.0 < self.step_down_c < math.inf and 0.0 < self.step_up_c < math.inf):
+            raise ValueError("step sizes must be positive and finite")
+        if not 0.0 <= self.hold_off_s < math.inf:
+            raise ValueError("hold_off_s must be non-negative and finite")
         self._limit_c = self.initial_limit_c
         self._last_change_s: Optional[float] = None
 
@@ -283,10 +285,10 @@ class QuantileTracker:
             raise ValueError("quantile must be in (0, 1)")
         if not 0.0 < self.gain_c <= 1.0:
             raise ValueError("gain_c must be in (0, 1]")
-        if self.decay < 0:
-            raise ValueError("decay must be non-negative")
-        if self.trust_window_c is not None and self.trust_window_c <= 0:
-            raise ValueError("trust_window_c must be positive (or None to disable)")
+        if not 0.0 <= self.decay < math.inf:
+            raise ValueError("decay must be non-negative and finite")
+        if self.trust_window_c is not None and not 0.0 < self.trust_window_c < math.inf:
+            raise ValueError("trust_window_c must be positive and finite (or None to disable)")
         if self.trust_streak_limit < 1:
             raise ValueError("trust_streak_limit must be at least 1")
         self._limit_c = self.initial_limit_c
@@ -413,14 +415,14 @@ class UserFeedbackModel:
     def __post_init__(self) -> None:
         if not 25.0 < self.true_limit_c < 60.0:
             raise ValueError("true_limit_c must be a plausible skin-temperature limit")
-        if self.report_period_s <= 0:
-            raise ValueError("report_period_s must be positive")
-        if self.comfort_band_c <= 0:
-            raise ValueError("comfort_band_c must be positive")
+        if not 0.0 < self.report_period_s < math.inf:
+            raise ValueError("report_period_s must be positive and finite")
+        if not 0.0 < self.comfort_band_c < math.inf:
+            raise ValueError("comfort_band_c must be positive and finite")
         if not 0.0 <= self.flip_probability <= 1.0:
             raise ValueError("flip_probability must lie in [0, 1]")
-        if self.delay_s < 0:
-            raise ValueError("delay_s must be non-negative")
+        if not 0.0 <= self.delay_s < math.inf:
+            raise ValueError("delay_s must be non-negative and finite")
         self._last_report_s: Optional[float] = None
         self._rng = random.Random(self.seed)
         self._pending: Deque[Tuple[float, FeedbackEvent]] = deque()

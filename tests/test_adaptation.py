@@ -8,6 +8,8 @@ that :class:`QuantileTracker` lands within 0.5 °C of every simulated user's
 true limit on the default population.
 """
 
+import math
+
 import pytest
 
 from repro.analysis.adaptation import (
@@ -95,6 +97,70 @@ class TestAdapterStrategies:
             QuantileTracker(quantile=1.5)
         with pytest.raises(ValueError, match="feedback kind"):
             FeedbackEvent(time_s=0.0, kind="angry")
+
+
+_NON_FINITE = pytest.mark.parametrize(
+    "value", [math.nan, math.inf, -math.inf], ids=["nan", "inf", "-inf"]
+)
+
+
+class TestNonFiniteParameters:
+    """NaN slips through a ``<= 0`` guard; these guards refuse NaN and ±inf."""
+
+    @_NON_FINITE
+    @pytest.mark.parametrize(
+        "build, match",
+        [
+            (lambda v: FeedbackStep(step_down_c=v), "step sizes"),
+            (lambda v: FeedbackStep(step_up_c=v), "step sizes"),
+            (lambda v: FeedbackStep(hold_off_s=v), "hold_off_s"),
+            (lambda v: UserFeedbackModel(34.0, report_period_s=v), "report_period_s"),
+            (lambda v: UserFeedbackModel(34.0, comfort_band_c=v), "comfort_band_c"),
+            (lambda v: UserFeedbackModel(34.0, delay_s=v), "delay_s"),
+            (lambda v: QuantileTracker(decay=v), "decay"),
+            (lambda v: QuantileTracker(trust_window_c=v), "trust_window_c"),
+        ],
+        ids=[
+            "step_down_c",
+            "step_up_c",
+            "hold_off_s",
+            "report_period_s",
+            "comfort_band_c",
+            "delay_s",
+            "decay",
+            "trust_window_c",
+        ],
+    )
+    def test_adaptation_parameter_is_refused(self, build, match, value):
+        with pytest.raises(ValueError, match=match):
+            build(value)
+
+    @_NON_FINITE
+    def test_usta_prediction_period_is_refused(self, linear_predictor, value):
+        with pytest.raises(ValueError, match="prediction_period_s"):
+            USTAController(predictor=linear_predictor, prediction_period_s=value)
+
+    @pytest.mark.parametrize("literal", ["NaN", "Infinity", "-Infinity"])
+    @pytest.mark.parametrize(
+        "template, match",
+        [
+            ('{"manager": {"name": "usta", "params": {"prediction_period_s": %s}}}',
+             "prediction_period_s"),
+            ('{"manager": "usta", "adapter": {"name": "feedback_step",'
+             ' "params": {"hold_off_s": %s}}}', "hold_off_s"),
+            ('{"manager": "usta", "adapter": {"name": "quantile_tracker",'
+             ' "feedback": {"true_limit_c": 34.0, "report_period_s": %s}}}',
+             "report_period_s"),
+        ],
+        ids=["usta", "feedback_step", "feedback_model"],
+    )
+    def test_policy_json_literal_is_refused_when_built(
+        self, linear_predictor, template, match, literal
+    ):
+        # json.loads accepts the literal: the spec parses, the build refuses.
+        spec = PolicySpec.from_json(template % literal)
+        with pytest.raises(ValueError, match=match):
+            spec.build_manager(predictor=linear_predictor)
 
 
 class TestUserFeedbackModel:

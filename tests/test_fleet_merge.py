@@ -24,14 +24,10 @@ from repro.runtime import StreamingResultStore
 
 
 def _payload(cell_id: str, salt: int) -> str:
-    """A synthetic committed shard line (fixed wall time: truly byte-stable)."""
+    """A synthetic committed shard line."""
     return (
         json.dumps(
-            {
-                "cell": {"cell_id": cell_id},
-                "result": {"records": [salt, salt + 1]},
-                "wall_time_s": 0.0,
-            },
+            {"cell": {"cell_id": cell_id}, "result": {"records": [salt, salt + 1]}},
             separators=(",", ":"),
         )
         + "\n"
@@ -103,7 +99,7 @@ class TestMergeProperties:
         report = merge_stores(shuffled, dest, cell_order)
 
         assert report.n_cells == n_cells
-        assert stores_byte_identical(dest, ref_dest, ignore_wall_time=False) is None
+        assert stores_byte_identical(dest, ref_dest) is None
         # The merged directory is a first-class store: indexed, complete.
         store = StreamingResultStore(dest)
         assert store.completed_cell_ids == set(cell_order)
@@ -150,7 +146,7 @@ class TestTruncatedTailHealing:
         _write_store(clean, [("x", 1), ("y", 2), ("z", 3)])
         ref = tmp_path / "ref"
         merge_stores([clean], ref, ["x", "y", "z"])
-        assert stores_byte_identical(dest, ref, ignore_wall_time=False) is None
+        assert stores_byte_identical(dest, ref) is None
 
     def test_truncated_tail_without_coverage_is_missing(self, tmp_path):
         dead = tmp_path / "dead"
@@ -192,4 +188,4 @@ class TestCrashSafeSwap:
         _write_store(ordered, [("x", 1), ("y", 2)])
         ref = tmp_path / "ref"
         merge_stores([ordered], ref, ["x", "y"])
-        assert stores_byte_identical(dest, ref, ignore_wall_time=False) is None
+        assert stores_byte_identical(dest, ref) is None

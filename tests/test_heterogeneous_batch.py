@@ -4,7 +4,8 @@ The contract under test: a *mixed-trace* plan — different benchmarks,
 different lengths, adaptive and static cells — runs through one vectorized
 batch and produces records bit-identical (and, on disk, byte-identical) to
 the serial executor, under both the batch (``run``) and the streaming
-(``run_stream`` → :class:`StreamingResultStore`) paths; and the batch
+(``run_stream`` → :class:`StreamingResultStore`) paths, where every executor
+— fleet included — writes the same ``index.jsonl`` stamps; and the batch
 planner's eligibility rules (the ``--explain-batching`` surface) are
 structural only — per-member state such as feedback-model seeds never forces
 a scalar fallback.
@@ -17,12 +18,14 @@ import pytest
 
 from repro.api.specs import AdapterSpec, ManagerSpec, PolicySpec
 from repro.device.platform import DevicePlatform
+from repro.fleet import FleetCoordinator, stores_byte_identical
 from repro.governors import ConservativeGovernor, OndemandGovernor
 from repro.runtime import (
     BatchRunner,
     ExperimentCell,
     ExperimentPlan,
     PopulationMember,
+    ProcessPoolCellExecutor,
     SerialExecutor,
     StreamingResultStore,
     VectorizedExecutor,
@@ -33,6 +36,7 @@ from repro.runtime import (
 from repro.core.usta import USTAController
 from repro.device.freq_table import nexus4_frequency_table
 from repro.ml.linear import LinearRegression
+from repro.runtime.streamstore import INDEX_NAME
 from repro.runtime.vectorized import (
     _columnwise_linear_form,
     manager_vectorization_ineligibility,
@@ -138,11 +142,7 @@ class TestMixedTraceParity:
             lines = {}
             for path in sorted(directory.glob("shard-*.jsonl")):
                 for line in path.read_text(encoding="utf-8").splitlines():
-                    payload = json.loads(line)
-                    # Wall time legitimately differs between runs; compare
-                    # everything else byte-for-byte.
-                    stripped = line[: line.rindex(',"wall_time_s":')]
-                    lines[payload["cell"]["cell_id"]] = stripped
+                    lines[json.loads(line)["cell"]["cell_id"]] = line
             return lines
 
         serial_store = StreamingResultStore(tmp_path / "serial", max_cells_per_shard=2)
@@ -157,6 +157,30 @@ class TestMixedTraceParity:
         assert serial_lines.keys() == vector_lines.keys() == {c.cell_id for c in plan}
         for cell_id, line in serial_lines.items():
             assert vector_lines[cell_id] == line
+
+    def test_every_executor_writes_the_same_index_stamps(self, tmp_path, linear_predictor):
+        """Stores of one plan are identical by stamp, whichever path wrote them."""
+        plan = _mixed_plan(linear_predictor)
+        executors = {
+            "serial": SerialExecutor(),
+            "vectorized": VectorizedExecutor(),
+            # 8-step windows over 77..150-step traces: the spool path.
+            "windowed": VectorizedExecutor(window_steps=8),
+            "process-pool": ProcessPoolCellExecutor(max_workers=2),
+        }
+        for name, executor in executors.items():
+            store = StreamingResultStore(tmp_path / name, max_cells_per_shard=2)
+            BatchRunner(executor=executor).run_stream(plan, store)
+            store.close()
+        FleetCoordinator(plan, tmp_path / "fleet", workers=2, max_cells_per_shard=2).run()
+
+        reference = (tmp_path / "serial" / INDEX_NAME).read_bytes()
+        entries = [json.loads(line) for line in reference.splitlines()]
+        assert [entry["cell_id"] for entry in entries] == [cell.cell_id for cell in plan]
+        assert all(len(entry["sha256"]) == 64 for entry in entries)
+        for name in [*executors, "fleet"]:
+            assert (tmp_path / name / INDEX_NAME).read_bytes() == reference, name
+            assert stores_byte_identical(tmp_path / name, tmp_path / "serial") is None
 
     def test_early_finishers_leave_the_live_set(self):
         # Three very different lengths; each member's record count must match

@@ -115,7 +115,7 @@ def _store_line(directory, feed):
     store = StreamingResultStore(directory)
     store.begin_cell(_cell(), "skype", "ondemand", 1.0)
     feed(store)
-    store.end_cell(wall_time_s=0.0)
+    store.end_cell()
     store.close()
     return (Path(directory) / "shard-00000.jsonl").read_bytes()
 

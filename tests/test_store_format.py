@@ -8,6 +8,7 @@ load through :meth:`ResultStore.load`; and a line damaged in place without
 changing its size must be refused when read, not decoded into wrong floats.
 """
 
+import hashlib
 import json
 import shutil
 from pathlib import Path
@@ -158,8 +159,6 @@ def _damage_in_place(shard: Path, line_number: int) -> None:
 
 class TestStamps:
     def test_every_committed_line_is_stamped(self, tmp_path):
-        import hashlib
-
         shard = _small_store(tmp_path / "s")
         index = [json.loads(line) for line in (tmp_path / "s" / INDEX_NAME).read_text().splitlines()]
         data = shard.read_bytes()
@@ -212,3 +211,81 @@ class TestStamps:
         save.write_bytes(shard.read_bytes())
         with pytest.raises(StoreCorruptionError, match=r"save\.jsonl: line 0: unknown store format"):
             ResultStore.load(save)
+
+
+def _with_wall_time_tail(line: bytes) -> bytes:
+    """A format-3 line as written while lines still ended with a wall time."""
+    assert line.endswith(b"}}\n") and b"wall_time_s" not in line
+    return line[:-2] + b',"wall_time_s":0.5}\n'
+
+
+def _legacy_tail_copy(source: Path, directory: Path) -> list:
+    """Copy a one-shard store, giving every line the old wall-time tail.
+
+    The index is rewritten as the store wrote it then: offsets, lengths and
+    sha256 stamps of the tailed bytes.  Returns the tailed lines.
+    """
+    shutil.copytree(source, directory)
+    shard = directory / "shard-00000.jsonl"
+    lines = [_with_wall_time_tail(line) for line in shard.read_bytes().splitlines(keepends=True)]
+    shard.write_bytes(b"".join(lines))
+    index = [json.loads(line) for line in (directory / INDEX_NAME).read_text().splitlines()]
+    offset = 0
+    with open(directory / INDEX_NAME, "w", encoding="utf-8") as fh:
+        assert len(index) == len(lines)
+        for entry, line in zip(index, lines):
+            entry.update(
+                offset=offset, length=len(line), sha256=hashlib.sha256(line).hexdigest()
+            )
+            offset += len(line)
+            fh.write(json.dumps(entry, separators=(",", ":")) + "\n")
+    return lines
+
+
+class TestWallTimeTail:
+    """Lines written with a trailing ``"wall_time_s"`` load, resume and merge."""
+
+    def test_fresh_lines_end_with_the_record_count(self, fresh_sweep):
+        for line in (fresh_sweep / "shard-00000.jsonl").read_bytes().splitlines():
+            assert line.endswith(b'"n":36}}')
+
+    def test_tailed_store_resumes_every_cell_and_verifies_its_stamps(
+        self, tmp_path, capsys, monkeypatch, fresh_sweep
+    ):
+        monkeypatch.setenv("REPRO_ARTIFACT_DIR", "off")
+        directory = tmp_path / "tailed"
+        lines = _legacy_tail_copy(fresh_sweep, directory)
+        before = {path.name: path.read_bytes() for path in directory.iterdir()}
+
+        assert main(SWEEP + ["--stream-to", str(directory), "--resume"]) == 0
+        assert "0 cell(s) executed, 10 resumed from disk" in capsys.readouterr().out
+        assert {path.name: path.read_bytes() for path in directory.iterdir()} == before
+
+        store = StreamingResultStore(directory)
+        assert store.resumed_via_index
+        assert store.completed_cell_ids == set(FIXTURE_CELLS)
+        index = [json.loads(line) for line in (directory / INDEX_NAME).read_text().splitlines()]
+        assert [entry["sha256"] for entry in index] == [
+            hashlib.sha256(line).hexdigest() for line in lines
+        ]
+        # iter_results checks every stamp; the tail is ignored on read.
+        assert _records(store) == _records(StreamingResultStore(fresh_sweep))
+
+    def test_merge_copies_tailed_and_tail_less_lines_byte_for_byte(self, tmp_path):
+        fresh = tmp_path / "fresh"
+        fresh_lines = _small_store(fresh, n=5).read_bytes().splitlines(keepends=True)
+        old = tmp_path / "old"
+        _small_store(tmp_path / "first3", n=3)
+        old_lines = _legacy_tail_copy(tmp_path / "first3", old)
+        order = [f"c{i}" for i in range(5)]
+
+        merged = tmp_path / "merged"
+        merge_stores([old, fresh], merged, order)
+
+        expected = old_lines + fresh_lines[3:]
+        assert (merged / "shard-00000.jsonl").read_bytes() == b"".join(expected)
+        index = [json.loads(line) for line in (merged / INDEX_NAME).read_text().splitlines()]
+        assert [entry["sha256"] for entry in index] == [
+            hashlib.sha256(line).hexdigest() for line in expected
+        ]
+        assert _records(StreamingResultStore(merged)) == _records(StreamingResultStore(fresh))

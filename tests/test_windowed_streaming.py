@@ -334,10 +334,7 @@ class TestWindowedStreamingShards:
         lines = {}
         for path in sorted(directory.glob("shard-*.jsonl")):
             for line in path.read_text(encoding="utf-8").splitlines():
-                payload = json.loads(line)
-                lines[payload["cell"]["cell_id"]] = line[
-                    : line.rindex(',"wall_time_s":')
-                ]
+                lines[json.loads(line)["cell"]["cell_id"]] = line
         return lines
 
     def test_windowed_shards_byte_identical_to_unwindowed(
