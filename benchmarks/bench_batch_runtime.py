@@ -19,6 +19,10 @@ introduces —
    incremental record drain, against the unwindowed engine holding every
    record at once — peak memory (tracemalloc) must collapse while
    throughput stays level,
+7. a wide short-trace plan (480 managed cells, 32–120 steps each, six
+   mixed traces) through ``VectorizedExecutor``, split into member set-up
+   (building and validating the batch members) and the engine's tick loop —
+   the regime where per-member set-up, not stepping, sets the pace,
 
 so regressions in the batching machinery are visible over time.
 
@@ -52,11 +56,17 @@ from repro.device.platform import DevicePlatform
 from repro.governors import OndemandGovernor
 from repro.ml.dataset import Dataset
 from repro.ml.linear import LinearRegression
+from repro.api.specs import AdapterSpec, ManagerSpec, PolicySpec
 from repro.runtime import (
+    ExperimentCell,
     PopulationMember,
+    VectorizedExecutor,
+    plan_batches,
     simulate_population,
     simulate_population_mixed,
 )
+from repro.runtime import vectorized as vectorized_engine
+from repro.runtime.runner import run_cell
 from repro.sim.engine import Simulator
 from repro.sim.logger import FEATURE_NAMES
 from repro.thermal import ThermalSolver, build_nexus4_network
@@ -368,6 +378,100 @@ def measure_long_trace_windowed(
 
 
 # ---------------------------------------------------------------------------
+# wide short-trace executor plan (wide_short_trace_executor)
+# ---------------------------------------------------------------------------
+
+WIDE_CELLS = 480
+#: Six short mixed traces (32–120 one-second steps): many members, few steps
+#: each, so member set-up weighs as much as the tick loop.
+WIDE_CONFIGS = (
+    ("skype", 120.0),
+    ("youtube", 96.0),
+    ("gfxbench", 72.0),
+    ("game", 56.0),
+    ("record", 40.0),
+    ("antutu_tester", 32.0),
+)
+
+
+def _wide_cells(count=WIDE_CELLS):
+    """Managed cells (USTA + feedback-step adapter, per-cell limits) over the
+    six short traces — the shape of a population sweep on one phone."""
+    traces = [
+        build_benchmark(name, seed=k, duration_s=duration)
+        for k, (name, duration) in enumerate(WIDE_CONFIGS)
+    ]
+    predictor = _usta_predictor()
+    cells = []
+    for i in range(count):
+        limit = 34.0 + (i % 7) * 0.5
+        policy = PolicySpec(
+            manager=ManagerSpec("usta", params={"skin_limit_c": limit}),
+            adapter=AdapterSpec(
+                "feedback_step", feedback={"true_limit_c": limit - 0.5, "seed": i}
+            ),
+        )
+        cells.append(
+            ExperimentCell(
+                cell_id=f"wide/{i:04d}",
+                trace=traces[i % len(traces)],
+                policy=policy,
+                predictor=predictor,
+                seed=i,
+            )
+        )
+    return cells
+
+
+def _wide_split(cells, executor):
+    """One pass over the executor's batches, timed by layer: member build,
+    member validation, and the engine (which re-validates, then ticks)."""
+    batch_plan = plan_batches(cells, max_batch_members=executor.max_batch_members)
+    build_s = validate_s = engine_s = 0.0
+    for batch in batch_plan.batches:
+        group = [cells[i] for i in batch]
+        traces = [batch_plan.traces[i] for i in batch]
+        t0 = time.perf_counter()
+        members = executor._build_members(group)
+        t1 = time.perf_counter()
+        vectorized_engine._validate_members(members)
+        t2 = time.perf_counter()
+        simulate_population_mixed(traces, members)
+        t3 = time.perf_counter()
+        build_s += t1 - t0
+        validate_s += t2 - t1
+        engine_s += t3 - t2
+    return build_s, validate_s, engine_s
+
+
+def measure_wide_short_trace(count=WIDE_CELLS, repeats=5):
+    """End-to-end executor time plus its member-setup / tick-loop split
+    (best of ``repeats`` per figure, after one warm-up pass)."""
+    cells = _wide_cells(count)
+    executor = VectorizedExecutor()
+    member_steps = sum(len(cell.build_trace()) for cell in cells)
+    list(executor.execute(cells))  # warm-up: step maps, trace stacks
+    execute_s = _time_call(lambda: list(executor.execute(cells)), repeats=repeats)
+    splits = [_wide_split(cells, executor) for _ in range(repeats)]
+    build_s = min(split[0] for split in splits)
+    validate_s = min(split[1] for split in splits)
+    engine_s = min(split[2] for split in splits)
+    return {
+        "cells": count,
+        "distinct_traces": len(WIDE_CONFIGS),
+        "member_steps": member_steps,
+        "cpu_count": os.cpu_count(),
+        "execute_s": execute_s,
+        "member_steps_per_s": member_steps / execute_s,
+        "member_setup_s": build_s + validate_s,
+        "member_build_s": build_s,
+        "member_validate_s": validate_s,
+        "engine_s": engine_s,
+        "member_setup_share": (build_s + validate_s) / (build_s + validate_s + engine_s),
+    }
+
+
+# ---------------------------------------------------------------------------
 # pytest-benchmark entry points
 # ---------------------------------------------------------------------------
 
@@ -403,6 +507,14 @@ def bench_population_16_vectorized(benchmark):
 
     results = benchmark.pedantic(run, rounds=3, iterations=1)
     assert len(results) == POPULATION_SIZE
+
+
+def bench_wide_480_executor(benchmark):
+    """480 short managed cells through the vectorized executor."""
+    cells = _wide_cells()
+    executor = VectorizedExecutor()
+    results = benchmark.pedantic(lambda: list(executor.execute(cells)), rounds=3, iterations=1)
+    assert len(results) == len(cells)
 
 
 def bench_mixed_24_sequential(benchmark):
@@ -493,6 +605,9 @@ def write_baseline(path=BASELINE_PATH):
     # -- windowed long-trace streaming -------------------------------------
     long_trace = measure_long_trace_windowed()
 
+    # -- wide short-trace executor plan ------------------------------------
+    wide = measure_wide_short_trace()
+
     steps = len(trace)
     member_steps = steps * POPULATION_SIZE
     baseline = {
@@ -545,6 +660,7 @@ def write_baseline(path=BASELINE_PATH):
             "speedup_plane_vs_sequential": managed_sequential_s / managed_plane_s,
         },
         "long_trace_windowed": long_trace,
+        "wide_short_trace_executor": wide,
     }
     with open(path, "w", encoding="utf-8") as handle:
         json.dump(baseline, handle, indent=2)
@@ -564,6 +680,10 @@ SMOKE_MIN_MANAGED_SPEEDUP = 1.5
 #: do identical work, so this is noise-tolerant).
 SMOKE_MIN_PEAK_MEMORY_RATIO = 10.0
 SMOKE_MAX_WINDOWED_SLOWDOWN = 1.10
+#: Wide-plan smoke: a quarter of the baseline plan (still several batches'
+#: worth of short members); these cells are re-run serially and must match.
+WIDE_SMOKE_CELLS = 120
+WIDE_SMOKE_CHECKED = (0, 1, 5, 59, 119)
 
 
 class _ParityDrain:
@@ -683,6 +803,22 @@ def run_smoke(min_speedup=SMOKE_MIN_SPEEDUP, min_managed=SMOKE_MIN_MANAGED_SPEED
             f"the unwindowed wall time (gate: {SMOKE_MAX_WINDOWED_SLOWDOWN:.2f}x)"
         )
         return 1
+    # -- wide short-trace executor plan: records match serial re-runs --------
+    wide_cells = _wide_cells(WIDE_SMOKE_CELLS)
+    wide_results = list(VectorizedExecutor().execute(wide_cells))
+    for index in WIDE_SMOKE_CHECKED:
+        if run_cell(wide_cells[index]).result.records != wide_results[index].result.records:
+            print(f"bench-smoke: FAIL — wide executor cell {index} diverged from its serial run")
+            return 1
+    wide = measure_wide_short_trace(count=WIDE_SMOKE_CELLS, repeats=2)
+    print(
+        f"bench-smoke: wide executor — {wide['cells']} cells, "
+        f"{wide['member_steps']} member-steps, {wide['member_steps_per_s']:,.0f}/s; "
+        f"member set-up {wide['member_setup_s'] * 1e3:.1f} ms "
+        f"(build {wide['member_build_s'] * 1e3:.1f}, validate "
+        f"{wide['member_validate_s'] * 1e3:.1f}), engine {wide['engine_s'] * 1e3:.1f} ms "
+        f"on {wide['cpu_count']} cpu(s); {len(WIDE_SMOKE_CHECKED)} cells match serial"
+    )
     print("bench-smoke: OK (records bit-identical, batch clearly faster)")
     return 0
 
@@ -698,3 +834,9 @@ if __name__ == "__main__":
     print(f"\n16-user population speedup (bit-exact): {speedup:.2f}x", file=sys.stderr)
     print(f"24-cell mixed-trace SoA speedup (bit-exact): {mixed:.2f}x", file=sys.stderr)
     print(f"24-cell managed policy-plane speedup (bit-exact): {managed:.2f}x", file=sys.stderr)
+    wide = report["wide_short_trace_executor"]
+    print(
+        f"480-cell wide executor: {wide['member_steps_per_s']:,.0f} member-steps/s, "
+        f"member set-up {wide['member_setup_share']:.0%} of set-up + engine",
+        file=sys.stderr,
+    )

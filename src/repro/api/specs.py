@@ -105,7 +105,7 @@ class GovernorSpec:
             return GOVERNORS.create(self.name, table=table, **self.params)
         except UnknownComponentError as exc:
             raise SpecError(str(exc)) from exc
-        except TypeError as exc:
+        except (TypeError, ValueError) as exc:
             raise SpecError(f"invalid params for governor {self.name!r}: {exc}") from exc
 
     def to_spec(self) -> dict:
@@ -147,7 +147,7 @@ class PredictorSpec:
             return PREDICTORS.create(self.kind, **self.params)
         except UnknownComponentError as exc:
             raise SpecError(str(exc)) from exc
-        except TypeError as exc:
+        except (TypeError, ValueError) as exc:
             raise SpecError(f"invalid params for predictor {self.kind!r}: {exc}") from exc
 
     def to_spec(self) -> dict:
@@ -266,7 +266,7 @@ class ManagerSpec:
             return MANAGERS.create(self.name, predictor=resolved, **kwargs)
         except UnknownComponentError as exc:
             raise SpecError(str(exc)) from exc
-        except TypeError as exc:
+        except (TypeError, ValueError) as exc:
             raise SpecError(f"invalid params for manager {self.name!r}: {exc}") from exc
 
     def to_spec(self) -> dict:

@@ -18,6 +18,7 @@ This module reproduces the paper's offline framework (§III.A):
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
@@ -123,8 +124,10 @@ def collect_training_data(
     from ..api.specs import PolicySpec
     from ..runtime import BatchRunner, ExperimentCell, ExperimentPlan
 
-    if duration_scale <= 0:
-        raise ValueError("duration_scale must be positive")
+    # Chained, so NaN fails too: max(log_period_s, nan) would cut every trace
+    # to one logging period below.
+    if not 0.0 < duration_scale < math.inf:
+        raise ValueError(f"duration_scale must be finite and positive, got {duration_scale!r}")
     names = tuple(benchmarks) if benchmarks is not None else BENCHMARK_NAMES
 
     baseline_policy = PolicySpec(label="ondemand-logging")

@@ -9,6 +9,7 @@ from .freq_table import (
     OperatingPoint,
     nexus4_frequency_table,
 )
+from .hardware import HardwareSpec, SensorLayout
 from .platform import DeviceActivity, DevicePlatform, DeviceStepResult
 from .power import (
     ChargerPowerModel,
@@ -28,6 +29,8 @@ __all__ = [
     "NEXUS4_FREQUENCIES_KHZ",
     "NEXUS4_VOLTAGES_MV",
     "FrequencyTable",
+    "HardwareSpec",
+    "SensorLayout",
     "OperatingPoint",
     "nexus4_frequency_table",
     "DeviceActivity",

@@ -11,9 +11,13 @@ realistic battery level.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
-__all__ = ["Battery"]
+__all__ = ["Battery", "RESET_STATE_OF_CHARGE"]
+
+#: The charge fraction a platform reset restores.
+RESET_STATE_OF_CHARGE = 0.85
 
 
 @dataclass
@@ -30,16 +34,23 @@ class Battery:
     """
 
     capacity_wh: float = 8.0
-    state_of_charge: float = 0.85
+    state_of_charge: float = RESET_STATE_OF_CHARGE
     nominal_voltage_v: float = 3.8
     charge_power_w: float = 5.0
     charge_efficiency: float = 0.82
 
     def __post_init__(self) -> None:
-        if self.capacity_wh <= 0:
-            raise ValueError("capacity_wh must be positive")
+        # Chained comparisons are False for NaN, so these also refuse NaN/inf.
+        if not 0.0 < self.capacity_wh < math.inf:
+            raise ValueError(f"capacity_wh must be finite and positive, got {self.capacity_wh!r}")
         if not 0.0 <= self.state_of_charge <= 1.0:
             raise ValueError("state_of_charge must be within [0, 1]")
+        if not 0.0 < self.nominal_voltage_v < math.inf:
+            raise ValueError(f"nominal_voltage_v must be finite, > 0: {self.nominal_voltage_v!r}")
+        if not 0.0 <= self.charge_power_w < math.inf:
+            raise ValueError(f"charge_power_w must be finite and >= 0: {self.charge_power_w!r}")
+        if not 0.0 <= self.charge_efficiency <= 1.0:
+            raise ValueError(f"charge_efficiency must be within [0, 1]: {self.charge_efficiency!r}")
 
     @property
     def energy_wh(self) -> float:

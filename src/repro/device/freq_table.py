@@ -121,6 +121,7 @@ class FrequencyTable:
             OperatingPoint(index=i, frequency_khz=int(f), voltage_mv=int(v))
             for i, (f, v) in enumerate(zip(frequencies_khz, voltages_mv))
         ]
+        self._frequencies_khz = tuple(p.frequency_khz for p in self._points)
 
     # -- container protocol -------------------------------------------------
 
@@ -158,7 +159,7 @@ class FrequencyTable:
     @property
     def frequencies_khz(self) -> Tuple[int, ...]:
         """All frequencies in ascending order (kHz)."""
-        return tuple(p.frequency_khz for p in self._points)
+        return self._frequencies_khz
 
     def level_of(self, frequency_khz: int) -> int:
         """Return the level whose frequency is closest to ``frequency_khz``.

@@ -22,7 +22,7 @@ from ..thermal import (
     build_nexus4_network,
 )
 from ..thermal.nexus4 import BACK_COVER_NODE, BATTERY_NODE, CPU_NODE, SCREEN_NODE
-from .battery import Battery
+from .battery import RESET_STATE_OF_CHARGE, Battery
 from .cpu import Cpu, CpuState
 from .freq_table import FrequencyTable, nexus4_frequency_table
 from .power import PlatformPowerModel, PowerBreakdown
@@ -139,7 +139,7 @@ class DevicePlatform:
         self.thermal_params.ambient.apply(self.network)
         self.hand.apply(self.network)
         self.cpu.reset(level=self.freq_table.min_level)
-        self.battery.state_of_charge = 0.85
+        self.battery.state_of_charge = RESET_STATE_OF_CHARGE
         self.sensors.reset(seed if seed is not None else self.seed)
 
     # -- frequency control --------------------------------------------------------

@@ -18,6 +18,7 @@ experiments are reproducible.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Dict, Optional
 
@@ -47,10 +48,14 @@ class TemperatureSensor:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        if self.noise_std_c < 0:
-            raise ValueError("noise_std_c must be non-negative")
-        if self.quantization_c < 0:
-            raise ValueError("quantization_c must be non-negative")
+        # Chained comparisons are False for NaN: a NaN must not silently read
+        # as "noiseless" or "unquantized".
+        if not 0.0 <= self.noise_std_c < math.inf:
+            raise ValueError(f"noise_std_c must be finite and >= 0, got {self.noise_std_c!r}")
+        if not 0.0 <= self.quantization_c < math.inf:
+            raise ValueError(f"quantization_c must be finite and >= 0, got {self.quantization_c!r}")
+        if not -math.inf < self.offset_c < math.inf:
+            raise ValueError(f"offset_c must be finite, got {self.offset_c!r}")
         self._rng = np.random.default_rng(self.seed)
         self._rng_fresh = True
         self._last_reading: Optional[float] = None
@@ -70,18 +75,6 @@ class TemperatureSensor:
             value = round(value / self.quantization_c) * self.quantization_c
         self._last_reading = value
         return value
-
-    def draw_noise(self, count: int) -> np.ndarray:
-        """Pre-draw ``count`` noise samples, one per future :meth:`read`.
-
-        A block draw consumes the generator stream exactly like ``count``
-        successive scalar draws, so the batched runtime can pre-draw a whole
-        run's noise up front and stay bit-identical to step-by-step reads.
-        """
-        if self.noise_std_c <= 0:
-            return np.zeros(count)
-        self._rng_fresh = False
-        return self._rng.normal(0.0, self.noise_std_c, size=count)
 
     def reset(self, seed: Optional[int] = None) -> None:
         """Reset the RNG (optionally with a new seed) and clear the last reading.

@@ -45,7 +45,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterable, Iterator, List, Optional, Sequence, Tuple
 
-from ..device.platform import DevicePlatform
+from ..device.hardware import HardwareSpec
 from ..sim.logger import SystemLogger
 from ..sim.results import RecordColumns
 from ..workloads.trace import WorkloadTrace
@@ -261,8 +261,18 @@ class VectorizedExecutor:
             )
         for batch in batch_plan.batches:
             group = [cell_list[i] for i in batch]
-            traces = [batch_plan.traces[i] for i in batch]
-            for i, cell_result in zip(batch, self._run_batch(group, traces)):
+            members = self._build_members(group)
+            try:
+                sim_results = simulate_population_mixed(
+                    [batch_plan.traces[i] for i in batch],
+                    members,
+                    window_steps=self.window_steps,
+                    max_window_bytes=self.max_window_bytes,
+                )
+                entries = map(CellResult, group, sim_results, (m.logger for m in members))
+            except VectorizationError:
+                entries = map(run_cell, group)
+            for i, cell_result in zip(batch, entries):
                 results[i] = cell_result
         for cell_result in results:
             assert cell_result is not None
@@ -296,64 +306,22 @@ class VectorizedExecutor:
                 traces = [batch_plan.traces[i] for i in batch]
                 self._stream_batch(group, traces, sink)
 
-    def _build_members(
-        self, group: Sequence[ExperimentCell]
-    ) -> Tuple[List[PopulationMember], List[Optional[SystemLogger]]]:
-        members: List[PopulationMember] = []
-        loggers: List[Optional[SystemLogger]] = []
-        for cell in group:
-            platform = DevicePlatform(seed=cell.seed)
-            logger = (
-                SystemLogger(period_s=cell.log_period_s)
-                if cell.log_period_s is not None
-                else None
-            )
-            loggers.append(logger)
-            members.append(
-                PopulationMember(
-                    platform=platform,
-                    governor=cell.build_governor(table=platform.freq_table),
-                    thermal_manager=cell.build_manager(),
-                    logger=logger,
-                    initial_temps=cell.initial_temps,
-                )
-            )
-        return members, loggers
-
-    def _run_batch(
-        self, group: Sequence[ExperimentCell], traces: Sequence[WorkloadTrace]
-    ) -> List[CellResult]:
-        members, loggers = self._build_members(group)
-        try:
-            sim_results = simulate_population_mixed(
-                traces,
-                members,
-                window_steps=self.window_steps,
-                max_window_bytes=self.max_window_bytes,
-            )
-        except VectorizationError:
-            return [run_cell(cell) for cell in group]
+    def _build_members(self, group: Sequence[ExperimentCell]) -> List[PopulationMember]:
+        """One state-only member per cell on the shared Nexus 4 spec (batched
+        cells never carry a custom platform, so none is built)."""
+        spec = HardwareSpec.nexus4()
+        table = spec.freq_table
         return [
-            CellResult(cell=cell, result=result, logger=logger)
-            for cell, result, logger in zip(group, sim_results, loggers)
+            PopulationMember(
+                governor=cell.build_governor(table=table),
+                thermal_manager=cell.build_manager(table=table),
+                logger=None if cell.log_period_s is None else SystemLogger(cell.log_period_s),
+                initial_temps=cell.initial_temps,
+                spec=spec,
+                seed=cell.seed,
+            )
+            for cell in group
         ]
-
-    def _resolved_window_steps(
-        self, members: Sequence[PopulationMember], traces: Sequence[WorkloadTrace]
-    ) -> int:
-        """The window length the engine will pick for this batch."""
-        template = members[0].platform
-        n_noisy = sum(
-            1 for s in template.sensors.sensors.values() if s.noise_std_c > 0
-        )
-        return resolve_window_steps(
-            len(members),
-            max(len(trace) for trace in traces),
-            window_steps=self.window_steps,
-            max_window_bytes=self.max_window_bytes,
-            n_noisy_sensors=n_noisy,
-            with_decisions=any(m.thermal_manager is not None for m in members),
-        )
 
     def _stream_batch(
         self,
@@ -371,23 +339,17 @@ class VectorizedExecutor:
         cell — shard bytes are identical to the unwindowed path (the store
         re-chunks the replayed windows into the same column blocks).
         """
-        members, loggers = self._build_members(group)
+        members = self._build_members(group)
         max_steps = max(len(trace) for trace in traces)
-        if self._resolved_window_steps(members, traces) >= max_steps:
-            try:
-                sim_results = simulate_population_mixed(traces, members)
-            except VectorizationError:
-                for cell in group:
-                    stream_cell(cell, sink)
-                return
-            for index, (cell, logger) in enumerate(zip(group, loggers)):
-                entry = CellResult(cell=cell, result=sim_results[index], logger=logger)
-                # Drop the batch's reference as each cell goes out, so only
-                # the sink decides what outlives the push.
-                sim_results[index] = None
-                push_cell_result(sink, entry)
-            return
-        spool = _WindowSpoolDrain(len(group))
+        window = resolve_window_steps(
+            len(members),
+            max_steps,
+            window_steps=self.window_steps,
+            max_window_bytes=self.max_window_bytes,
+            n_noisy_sensors=members[0].spec.n_noisy_sensors,
+            with_decisions=any(m.thermal_manager is not None for m in members),
+        )
+        spool = _WindowSpoolDrain(len(group)) if window < max_steps else None
         try:
             try:
                 sim_results = simulate_population_mixed(
@@ -401,9 +363,14 @@ class VectorizedExecutor:
                 for cell in group:
                     stream_cell(cell, sink)
                 return
-            for index, (cell, result, logger) in enumerate(
-                zip(group, sim_results, loggers)
-            ):
+            for index, (cell, member) in enumerate(zip(group, members)):
+                # Drop the batch's reference as each cell goes out, so only
+                # the sink decides what outlives the push.
+                result, sim_results[index] = sim_results[index], None
+                logger = member.logger
+                if spool is None:
+                    push_cell_result(sink, CellResult(cell=cell, result=result, logger=logger))
+                    continue
                 sink.begin_cell(
                     cell,
                     workload_name=result.workload_name,
@@ -413,4 +380,5 @@ class VectorizedExecutor:
                 spool.replay_member(index, sink)
                 sink.end_cell(logger=logger)
         finally:
-            spool.cleanup()
+            if spool is not None:
+                spool.cleanup()

@@ -32,7 +32,8 @@ import numpy as np
 
 from ..api.specs import AdapterSpec, PolicySpec
 from ..core.predictor import RuntimePredictor
-from ..device.freq_table import FrequencyTable, nexus4_frequency_table
+from ..device.freq_table import FrequencyTable
+from ..device.hardware import HardwareSpec
 from ..device.platform import DevicePlatform
 from ..governors import create_governor
 from ..governors.base import Governor
@@ -166,10 +167,10 @@ class ExperimentCell:
             return self.governor
         return create_governor(self.governor, table=table)
 
-    def build_manager(self) -> Optional[ThermalManager]:
-        """Build a fresh thermal manager for this cell (or ``None``)."""
+    def build_manager(self, table: Optional[FrequencyTable] = None) -> Optional[ThermalManager]:
+        """Build a fresh thermal manager for this cell (or ``None``), on ``table`` if given."""
         if self.policy is not None:
-            return self.effective_policy().build_manager(predictor=self.predictor)
+            return self.effective_policy().build_manager(predictor=self.predictor, table=table)
         return self.manager_factory() if self.manager_factory is not None else None
 
     def effective_policy(self) -> Optional[PolicySpec]:
@@ -257,6 +258,11 @@ class BatchPlan:
             f"batch plan: {total} cell(s) — {batched} vectorized in "
             f"{len(self.batches)} batch(es), {len(self.scalar)} scalar"
         )
+        # Batched cells never carry a custom platform (batch_ineligibility
+        # rejects those), so the engine builds their managers on, and checks
+        # them against, the stock Nexus 4 spec's table — mirror that here.
+        table = HardwareSpec.nexus4().freq_table
+        managers = {i: cells[i].build_manager(table=table) for i in self.batched_indices}
         # More than one batch at a sample period means the member cap split
         # the group; say so on each of its batches.
         dt_batches: Dict[float, int] = {}
@@ -274,9 +280,7 @@ class BatchPlan:
                 f"{steps} steps (longest member){split_note}"
             )
             if window_steps is not None or max_window_bytes is not None:
-                managed = any(
-                    cells[index].build_manager() is not None for index in batch
-                )
+                managed = any(managers[index] is not None for index in batch)
                 lines.append(
                     "    "
                     + describe_window_plan(
@@ -292,14 +296,10 @@ class BatchPlan:
                 lines.append(
                     f"    {cells[index].cell_id}  [{trace.name}, {len(trace)} steps]"
                 )
-        # Batched cells never carry a custom platform (batch_ineligibility
-        # rejects those), so the engine's manager-eligibility check runs
-        # against the default Nexus-4 frequency table — mirror that here.
-        table = nexus4_frequency_table()
         plane = 0
         scalar_managers: List[tuple] = []
         for index in self.batched_indices:
-            manager = cells[index].build_manager()
+            manager = managers[index]
             if manager is None:
                 continue
             reason = manager_vectorization_ineligibility(manager, table)

@@ -26,12 +26,6 @@ from .stream import CollectorSink, RecordSink, push_cell_result
 __all__ = ["run_cell", "stream_cell", "BatchRunner"]
 
 
-def _build_platform(cell: ExperimentCell) -> DevicePlatform:
-    if cell.platform_factory is not None:
-        return cell.platform_factory()
-    return DevicePlatform(seed=cell.seed)
-
-
 def stream_cell(
     cell: ExperimentCell,
     sink: RecordSink,
@@ -56,9 +50,10 @@ def stream_cell(
     """
     if trace is None:
         trace = cell.build_trace()
-    platform = _build_platform(cell)
+    factory = cell.platform_factory
+    platform = factory() if factory is not None else DevicePlatform(seed=cell.seed)
     governor = cell.build_governor(table=platform.freq_table)
-    manager = cell.build_manager()
+    manager = cell.build_manager(table=platform.freq_table)
     logger = SystemLogger(period_s=cell.log_period_s) if cell.log_period_s is not None else None
     simulator = Simulator(
         platform=platform,

@@ -1,43 +1,38 @@
 """Vectorized population simulation — heterogeneous structure-of-arrays batching.
 
 The paper's sweeps replay workload traces against many device instances that
-differ in seed, governor configuration, USTA comfort limit — and, in any
-realistic evaluation grid, in the *trace itself*.  Run serially, each instance
-pays the full per-step Python cost; run here, the N instances march through
-their traces in lockstep and the expensive parts of the device step — the
-implicit thermal solve, the CPU window, the power model, the sensor models —
-are evaluated once per tick across the whole population with numpy.
+differ in seed, governor configuration, USTA comfort limit and trace.  Run
+serially, each instance pays the full per-step Python cost; run here, the N
+instances march through their traces in lockstep and the expensive parts of
+the device step — the implicit thermal solve, the CPU window, the power
+model, the sensor models — are evaluated once per tick across the population.
+
+Members are state, not platforms: the whole batch shares one
+:class:`~repro.device.hardware.HardwareSpec` (validated by comparing hashed
+keys) and each :class:`PopulationMember` brings only its seed, optional
+initial temperatures, governor, manager and logger.  The engine derives each
+member's reset state and one seeded noise stream per noisy sensor from these;
+members built around a full :class:`~repro.device.platform.DevicePlatform`
+still work and get their platform written back warm.
 
 :func:`simulate_population_mixed` is the general engine: every member brings
-its own trace (materialised up front into :class:`~repro.workloads.trace.
-TraceArrays` columns and stacked into padded step-major ``(n_steps,
-n_members)`` matrices, so each tick reads one contiguous row across the live
-members), members whose traces end early drop out of the live prefix instead
-of forcing the batch to its longest member, and per-tick hand-contact state is
-allowed to differ across members — the thermal solve selects per member
-between two canonical step maps (touching / not touching).
-:func:`simulate_population` is the same-trace special case, kept as the
-historical entry point.
+its own trace (stacked into padded step-major ``(n_steps, n_members)``
+matrices, so each tick reads one contiguous row across the live members),
+members whose traces end early drop out of the live prefix, and hand-contact
+state may differ per member — the thermal solve selects per member between
+two canonical step maps (touching / not touching).
+:func:`simulate_population` is the same-trace special case.  Per-step record
+data is staged in a :class:`~repro.sim.results.ColumnarRecordBuffer`, so the
+hot loop allocates ~zero Python objects per member-step.
 
-Per-step record data is staged in a :class:`~repro.sim.results.
-ColumnarRecordBuffer` (one numpy column per :class:`StepRecord` field);
-records are only materialised per member at the end, so the hot loop
-allocates ~zero Python objects per member-step.
-
-Long traces are processed in fixed-size step **windows** (an explicit
-``window_steps``, or sized from a staging byte budget via
-``max_window_bytes`` and :func:`resolve_window_steps`): one set of
-window-sized staging buffers — the seven trace columns, the five derived
-power matrices, the pre-drawn sensor noise (:class:`_WindowStage`) — is
-refilled per window instead of materialising O(trace) matrices, while every
-piece of cross-step state (node temperatures, the cached step maps,
-governor/manager objects, the policy plane's columns, the live-prefix
-ordering, battery SoC, CPU backlog) carries across window boundaries
-untouched — so windowed runs are bit-identical to unwindowed ones and to the
-scalar engine.  A ``window_drain`` additionally flushes each live member's
-record rows out of a window-sized record buffer at every window boundary,
-bounding the engine's live footprint by one window however long the traces
-run; without one, only the record buffer stays O(trace).
+Long traces run in fixed-size step **windows** (``window_steps``, or sized
+from a staging byte budget via :func:`resolve_window_steps`): the trace
+columns, derived power matrices and pre-drawn sensor noise
+(:class:`_WindowStage`) are refilled per window, while every piece of
+cross-step state carries across window boundaries untouched, so windowed
+runs are bit-identical to unwindowed ones.  A ``window_drain`` also flushes
+each live member's record rows at every window boundary, bounding the live
+footprint by one window however long the traces run.
 
 Bit-exactness is a hard requirement (the batched runtime must be a drop-in
 replacement for N sequential :meth:`Simulator.run` calls), which dictates a
@@ -52,26 +47,20 @@ few implementation choices:
   matrices a scalar run rebuilds its map from after each toggle;
 * CPU leakage uses ``math.exp`` per instance (numpy's vectorized ``exp`` is
   not bit-identical to libm);
-* sensor noise is pre-drawn per (instance, sensor) in one block from the same
-  seeded generators the scalar path uses — a block draw consumes the
-  generator stream exactly like repeated scalar draws;
+* sensor noise is pre-drawn per (instance, sensor) in one block from the
+  seeded streams the scalar sensors use — a block draw consumes a stream
+  exactly like repeated scalar draws;
 * every elementwise expression mirrors the operation order of the scalar
   model code, because float addition and multiplication are not associative.
 
-Governors and custom thermal managers keep their (cheap) per-instance Python
-implementations, so any :class:`~repro.governors.base.Governor` subclass or
+Governors and custom thermal managers keep their per-instance Python
+implementations, so any :class:`~repro.governors.base.Governor` or
 :class:`~repro.sim.engine.ThermalManager` works unchanged; homogeneous stock
-ondemand populations additionally take a fully vectorized governor path, and
-stock USTA-family managers (bare :class:`~repro.core.usta.USTAController` or
-:class:`~repro.users.adaptation.AdaptiveComfortManager` around one, with a
-stock adapter/feedback model) ride the shared *policy plane*
-(:class:`~repro.runtime.plane.PolicyPlane`, the same one ``repro serve``
-keeps its sessions on): prediction-due masks, one batched predictor call per
-tick over the due rows, array-wide cap computation and grouped
-comfort-adapter updates.  The engine's adapter (:class:`_EnginePlane`)
-feeds it from the sensor block, stages its decisions into the record
-columns, and writes its state back to the objects only at the batch
-boundary.  Eligibility is decided by
+ondemand populations take a fully vectorized governor path, and stock
+USTA-family managers ride the shared *policy plane*
+(:class:`~repro.runtime.plane.PolicyPlane`, the one ``repro serve`` keeps its
+sessions on) through :class:`_EnginePlane`, which writes their state back to
+the objects only at the batch boundary.  Eligibility is decided by
 :func:`manager_vectorization_ineligibility`.
 """
 
@@ -81,18 +70,20 @@ import copy
 import math
 import os
 from collections import OrderedDict
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
+from functools import partial
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
+from ..device.battery import RESET_STATE_OF_CHARGE
+from ..device.hardware import HardwareSpec
 from ..device.platform import DevicePlatform
 from ..governors.base import Governor, GovernorObservation
 from ..governors.ondemand import OndemandGovernor
-from ..sim.engine import ThermalManager
+from ..sim.engine import SimulationKernel, ThermalManager
 from ..sim.logger import SystemLogger
 from ..sim.results import ColumnarRecordBuffer, SimulationResult
-from ..thermal.ambient import HandContact
 from ..thermal.solver import ThermalSolver
 from ..workloads.trace import WorkloadTrace
 from .plane import (  # the predicate and the linear probe stay importable from here
@@ -126,130 +117,88 @@ class VectorizationError(RuntimeError):
 
 @dataclass
 class PopulationMember:
-    """One device instance of a batched population.
+    """One device instance of a batched population: shared hardware plus state.
+
+    A member is its :class:`~repro.device.hardware.HardwareSpec` (shared by
+    the batch, compared by key) plus state: the sensor seed, optional initial
+    temperatures and its own governor, manager and logger.  A member may
+    instead bring a full ``platform`` (its spec is then
+    :meth:`HardwareSpec.of <repro.device.hardware.HardwareSpec.of>` the reset
+    platform, its seed the platform's); only such members are written back
+    warm after the run.
 
     Attributes:
-        platform: the member's simulated handset (provides seeded sensors,
-            initial state and the shared hardware configuration).
         governor: the member's DVFS policy (exclusive to this member).
         thermal_manager: optional USTA-style manager (exclusive to this member).
         logger: optional system logger filled during the run.
         initial_temps: optional initial *internal* node temperatures (°C).
+        spec: the shared hardware (default: the stock Nexus 4).
+        seed: sensor-noise seed (sensor ``i`` draws from ``seed + i``).
+        platform: optional simulated handset replacing ``spec`` and ``seed``.
     """
 
-    platform: DevicePlatform
     governor: Governor
     thermal_manager: Optional[ThermalManager] = None
     logger: Optional[SystemLogger] = None
     initial_temps: Optional[Mapping[str, float]] = None
+    spec: Optional[HardwareSpec] = None
+    seed: int = 0
+    platform: Optional[DevicePlatform] = None
 
-    def governor_label(self) -> str:
-        """Same label :meth:`SimulationKernel.governor_label` produces."""
-        label = self.governor.name
-        if self.thermal_manager is not None:
-            manager_name = getattr(
-                self.thermal_manager, "name", type(self.thermal_manager).__name__
-            )
-            label = f"{manager_name}+{label}"
-        return label
+    def __post_init__(self) -> None:
+        if self.platform is not None and self.spec is not None:
+            raise ValueError("a member takes a platform or a spec, not both")
+        if self.platform is None and self.spec is None:
+            self.spec = HardwareSpec.nexus4()
 
-
-def _cpu_config(platform: DevicePlatform) -> Tuple:
-    table = platform.freq_table
-    return (
-        table.frequencies_khz,
-        tuple(table.voltage_at(level) for level in range(len(table))),
-        platform.cpu.carry_over,
-        platform.cpu.max_backlog,
-    )
+    #: The scalar kernel's result label (it reads only governor and manager).
+    governor_label = SimulationKernel.governor_label
 
 
-def _sensor_config(platform: DevicePlatform) -> Tuple:
-    return tuple(
-        (s.name, s.node, s.noise_std_c, s.quantization_c, s.offset_c)
-        for s in platform.sensors.sensors.values()
-    )
+def _validate_members(members: Sequence[PopulationMember]) -> HardwareSpec:
+    """Check that all members share one hardware spec; return it.
 
-
-def _validate_members(members: Sequence[PopulationMember]) -> None:
-    """Check that all members share one hardware configuration.
-
-    The population shares the canonical thermal step maps and a single
-    set of per-level power constants, so everything except seeds, traces,
-    governors, managers and initial internal temperatures must be identical.
-    Feedback models, adapters and other *per-member state* inside the
-    managers are deliberately not compared — seeds and learned limits are
-    state, not structure, and managers run per member anyway.
+    Specs are compared by identity, then :attr:`HardwareSpec.key`; only a
+    mismatch walks them to name the differing part.  Seeds, governors,
+    managers and initial internal temperatures are per-member state.
     """
-    if not members:
-        raise VectorizationError("a population needs at least one member")
-    template = members[0].platform
-    net = template.network
-    if template.solver.method != "implicit":
-        raise VectorizationError("all members must use the implicit solver")
-    for member in members[1:]:
-        p = member.platform
-        if p.solver.method != "implicit":
-            raise VectorizationError("all members must use the implicit solver")
-        if not (
-            np.array_equal(p.network.capacitances, net.capacitances)
-            and np.array_equal(p.network.conductance_matrix, net.conductance_matrix)
-            and np.array_equal(p.network.boundary_coupling, net.boundary_coupling)
-            and p.network.internal_names == net.internal_names
-            and p.network.boundary_names == net.boundary_names
-        ):
-            raise VectorizationError("members have different thermal networks")
-        if not np.array_equal(
-            p.network.boundary_temperatures_vector, net.boundary_temperatures_vector
-        ):
-            raise VectorizationError(
-                "members have different boundary temperatures (ambient/hand)"
-            )
-        if p.power_model != template.power_model:
-            raise VectorizationError("members have different power models")
-        if p.hand != template.hand:
-            raise VectorizationError("members have different hand-contact models")
-        if p.battery != template.battery:
-            raise VectorizationError("members have different battery models")
-        if _cpu_config(p) != _cpu_config(template):
-            raise VectorizationError("members have different CPU/frequency tables")
-        if _sensor_config(p) != _sensor_config(template):
-            raise VectorizationError("members have different sensor configurations")
+    specs = [
+        member.spec if member.platform is None else HardwareSpec.of(member.platform)
+        for member in members
+    ]
+    template = specs[0]
+    for spec in specs[1:]:
+        if spec is not template and spec.key != template.key:
+            raise VectorizationError(f"members have different {template.difference(spec)}")
     internal = set(template.network.internal_names)
-    for sensor in template.sensors.sensors.values():
+    for sensor in template.sensors:
         if sensor.node not in internal:
             raise VectorizationError(
                 f"sensor {sensor.name!r} observes non-internal node {sensor.node!r}"
             )
-    seen_governors: Dict[int, int] = {}
-    seen_managers: Dict[int, int] = {}
+    if len({id(member.governor) for member in members}) < len(members):
+        raise VectorizationError("two members share one governor instance")
+    managers = [id(m.thermal_manager) for m in members if m.thermal_manager is not None]
+    if len(set(managers)) < len(managers):
+        raise VectorizationError("two members share one thermal manager instance")
+    boundary = set(template.network.boundary_names)
     for member in members:
-        if id(member.governor) in seen_governors:
-            raise VectorizationError("two members share one governor instance")
-        seen_governors[id(member.governor)] = 1
-        if member.thermal_manager is not None:
-            if id(member.thermal_manager) in seen_managers:
-                raise VectorizationError("two members share one thermal manager instance")
-            seen_managers[id(member.thermal_manager)] = 1
-        if member.initial_temps:
-            boundary = set(member.platform.network.boundary_names)
-            if any(name in boundary for name in member.initial_temps):
-                raise VectorizationError(
-                    "per-member boundary temperatures break the shared step map"
-                )
+        if member.platform is not None and member.platform.solver.method != "implicit":
+            raise VectorizationError("all members must use the implicit solver")
+        if member.initial_temps and not boundary.isdisjoint(member.initial_temps):
+            raise VectorizationError("per-member boundary temperatures break the shared step map")
+    return template
 
 
-#: Hand-state solver pairs memoised by network/hand content.  A batch run
-#: pays two network deep-copies plus the toggle round-trip probe otherwise;
-#: platforms built from one hardware config hash to the same key, so repeated
-#: sweeps (and the per-baseline reruns inside the benchmarks) reuse the
-#: step maps.  The cached solvers' networks are private copies that the batch
-#: engines never mutate (they only call make_stepper).
+#: Hand-state solver pairs memoised by :attr:`HardwareSpec.key`.  A batch run
+#: pays the toggle round-trip probe and two step-map inversions otherwise;
+#: every member of a sweep shares one spec, so repeated sweeps (and the
+#: per-baseline reruns inside the benchmarks) reuse the step maps.
 _HAND_SOLVER_CACHE: "OrderedDict[bytes, Dict[bool, ThermalSolver]]" = OrderedDict()
 _HAND_SOLVER_CACHE_MAX = 4
 
 
-def _hand_state_solvers(template: DevicePlatform) -> Dict[bool, ThermalSolver]:
+def _hand_state_solvers(spec: HardwareSpec) -> Dict[bool, ThermalSolver]:
     """The two canonical thermal solvers (hand touching / not touching).
 
     A scalar run toggles the hand coupling on its own network in place, which
@@ -257,60 +206,33 @@ def _hand_state_solvers(template: DevicePlatform) -> Dict[bool, ThermalSolver]:
     share one step map per touch state, those toggles must round-trip
     bitwise (so every member in a given touch state sits on the *same*
     matrix, however many times its trace has toggled).  The round trip is
-    probed on a deep copy of the template network — the members' own networks
-    are never touched — and a drift raises :class:`VectorizationError` so
-    callers fall back to the scalar engine instead of silently diverging.
+    probed on a copy of the spec's reference network, and a drift raises
+    :class:`VectorizationError` so callers fall back to the scalar engine
+    instead of silently diverging.
     """
-    net = template.network
-    hand = template.hand
-    base_state = hand.touching
-    cache_key = b"".join(
-        (
-            repr(
-                (
-                    tuple(net.internal_names),
-                    tuple(net.boundary_names),
-                    hand.contact_node,
-                    hand.conductance_w_per_c,
-                    base_state,
-                )
-            ).encode(),
-            net.conductance_matrix.tobytes(),
-            net.boundary_coupling.tobytes(),
-            net.capacitances.tobytes(),
-            net.boundary_temperatures_vector.tobytes(),
-        )
-    )
-    cached = _HAND_SOLVER_CACHE.get(cache_key)
+    cached = _HAND_SOLVER_CACHE.get(spec.key)
     if cached is not None:
-        _HAND_SOLVER_CACHE.move_to_end(cache_key)
+        _HAND_SOLVER_CACHE.move_to_end(spec.key)
         return cached
-    probe = copy.deepcopy(net)
-    probe_hand = HandContact(
-        contact_node=hand.contact_node,
-        conductance_w_per_c=hand.conductance_w_per_c,
-        touching=not base_state,
-    )
-    probe_hand.apply(probe)
-    probe_hand.touching = base_state
-    probe_hand.apply(probe)
+    net = spec.network
+    base_state = spec.hand.touching
+    flipped = copy.deepcopy(net)
+    replace(spec.hand, touching=not base_state).apply(flipped)
+    back = copy.deepcopy(flipped)
+    spec.hand.apply(back)
     if not (
-        np.array_equal(probe.conductance_matrix, net.conductance_matrix)
-        and np.array_equal(probe.boundary_coupling, net.boundary_coupling)
+        np.array_equal(back.conductance_matrix, net.conductance_matrix)
+        and np.array_equal(back.boundary_coupling, net.boundary_coupling)
     ):
         raise VectorizationError(
             "hand-contact toggling does not round-trip bitwise on this network; "
             "falling back to scalar execution"
         )
-    # Toggling is deterministic, so re-applying the flip reproduces the
-    # once-toggled matrices exactly.
-    probe_hand.touching = not base_state
-    probe_hand.apply(probe)
-    solvers = {
-        base_state: ThermalSolver(copy.deepcopy(net)),
-        (not base_state): ThermalSolver(probe),
-    }
-    _HAND_SOLVER_CACHE[cache_key] = solvers
+    # Toggling is deterministic and round-trips, so the once-flipped matrices
+    # are the ones a scalar run reaches after any odd number of toggles.  The
+    # spec's network is private and the engine only reads step maps from it.
+    solvers = {base_state: ThermalSolver(net), (not base_state): ThermalSolver(flipped)}
+    _HAND_SOLVER_CACHE[spec.key] = solvers
     if len(_HAND_SOLVER_CACHE) > _HAND_SOLVER_CACHE_MAX:
         _HAND_SOLVER_CACHE.popitem(last=False)
     return solvers
@@ -404,14 +326,59 @@ class _EnginePlane:
             governor.set_level_cap(None if cap == _NO_CAP else cap)
 
 
+#: The staged trace columns (step-major, one column per member) and dtypes.
+_TRACE_COLUMNS = (
+    ("cpu_demand", float),
+    ("gpu_activity", float),
+    ("radio_activity", float),
+    ("brightness", float),
+    ("screen_on", bool),
+    ("charging", bool),
+    ("touching", bool),
+)
+
+
+def _stage_trace_columns(
+    columns: Dict[str, np.ndarray],
+    traces: Sequence[WorkloadTrace],
+    lengths: Sequence[int],
+    w0: int,
+    w_len: int,
+    n_live: int,
+    whole: bool = False,
+) -> None:
+    """Copy steps ``[w0, w0 + w_len)`` of the first ``n_live`` traces into ``columns``.
+
+    Members sharing one trace *object* are materialised once.  ``whole``
+    fills fresh zeroed columns from each trace's cached ``as_arrays()``;
+    a window (``arrays_window``) re-zeroes each member's tail past its trace
+    end, since the buffers still hold the previous window.
+    """
+    first_member: Dict[int, int] = {}
+    for member in range(n_live):
+        trace = traces[member]
+        count = min(int(lengths[member]) - w0, w_len)
+        source = first_member.setdefault(id(trace), member)
+        if source != member:
+            # Same object, same length, hence the same staged count.
+            for column in columns.values():
+                column[:count, member] = column[:count, source]
+        else:
+            arrays = trace.as_arrays() if whole else trace.arrays_window(w0, w0 + count)
+            for name, column in columns.items():
+                column[:count, member] = getattr(arrays, name)
+        if count < w_len and not whole:
+            for column in columns.values():
+                column[count:w_len, member] = False
+
+
 #: Bounded memo of stacked trace batches, keyed by the identity of the trace
 #: objects (strong references in the value keep the ids stable).  Repeated
-#: sweeps — ``--repeat`` population copies, re-executed plans — rebuild the
-#: same (max_steps, traces) batch; the engine only ever reads the matrices,
-#: so sharing them across calls is safe.  The memo is bounded by *bytes*, not
-#: entries — a handful of multi-hour stacks would otherwise dwarf the
-#: simulation itself — and stacks above the whole budget are simply not
-#: cached.  Override with the env var below (bytes).
+#: sweeps — ``--repeat`` copies, equal batches of one plan, re-executed
+#: plans — rebuild the same (max_steps, traces) batch; the engine only reads
+#: the matrices, so sharing them is safe.  The memo is bounded by *bytes*
+#: (stacks above the whole budget are not cached); override with the env
+#: var below.
 _TRACE_STACK_CACHE: "OrderedDict[Tuple, Tuple[Tuple[WorkloadTrace, ...], Dict[str, np.ndarray], int]]" = (
     OrderedDict()
 )
@@ -448,29 +415,9 @@ def _stack_trace_arrays(traces: Sequence[WorkloadTrace], max_steps: int) -> Dict
             _TRACE_STACK_CACHE.move_to_end(key)
             return stacked
     n = len(traces)
-    stacked = {
-        "cpu_demand": np.zeros((max_steps, n)),
-        "gpu_activity": np.zeros((max_steps, n)),
-        "radio_activity": np.zeros((max_steps, n)),
-        "brightness": np.zeros((max_steps, n)),
-        "screen_on": np.zeros((max_steps, n), dtype=bool),
-        "charging": np.zeros((max_steps, n), dtype=bool),
-        "touching": np.zeros((max_steps, n), dtype=bool),
-    }
-    first_member: Dict[int, int] = {}
-    for member, trace in enumerate(traces):
-        source = first_member.setdefault(id(trace), member)
-        if source != member:
-            # Same trace object as an earlier member: copy its columns
-            # instead of re-materialising the trace.
-            count = len(trace)
-            for column in stacked.values():
-                column[:count, member] = column[:count, source]
-            continue
-        arrays = trace.as_arrays()
-        count = len(arrays)
-        for name, column in stacked.items():
-            column[:count, member] = getattr(arrays, name)
+    stacked = {name: np.zeros((max_steps, n), dtype=dtype) for name, dtype in _TRACE_COLUMNS}
+    lengths = [len(trace) for trace in traces]
+    _stage_trace_columns(stacked, traces, lengths, 0, max_steps, n, whole=True)
     # The scalar CPU window clamps demand into [0, 1]; samples are validated
     # into that range already, so this is a bitwise no-op kept for mirroring.
     stacked["cpu_demand"] = np.minimum(np.maximum(stacked["cpu_demand"], 0.0), 1.0)
@@ -563,13 +510,9 @@ def describe_window_plan(
     """One human-readable line describing the window plan for a batch.
 
     Used by ``BatchPlan.describe`` / ``sweep --explain-batching``; the noisy
-    sensor count comes from the default instrumented suite (cheap — no
-    thermal network is built).
+    sensor count comes from the stock Nexus 4 spec batched cells run on.
     """
-    from ..device.sensors import SensorSuite
-
-    suite = SensorSuite.nexus4_instrumented()
-    n_noisy = sum(1 for s in suite.sensors.values() if s.noise_std_c > 0)
+    n_noisy = HardwareSpec.nexus4().n_noisy_sensors
     chosen = resolve_window_steps(
         n_members,
         max_steps,
@@ -602,96 +545,65 @@ def describe_window_plan(
 
 
 class _WindowStage:
-    """Reusable window-sized staging buffers for the windowed engine.
+    """Staged trace columns and the five derived power matrices of a batch.
 
-    Owns the seven trace columns and the five derived power matrices as
-    ``(window_cap, n_members)`` arrays that :meth:`load` refills per window
-    — the windowed run's staging footprint is one window however long the
-    traces are.  Every refilled element goes through exactly the expressions
-    the unwindowed path applies to its full matrices (same operation order,
-    in-place ufuncs are bit-identical to the allocating forms), so windowed
-    staging is bitwise indistinguishable from slicing full-trace matrices.
+    A windowed run owns ``(window_cap, n_members)`` trace buffers that
+    :meth:`load` refills per window; an unwindowed run loads once from the
+    memoised full stack (:func:`_stack_trace_arrays`).  Each power element
+    goes through the scalar model's expression in its operation order, so
+    both agree bitwise with the scalar engine.
     """
 
-    _TRACE_COLUMNS = (
-        ("cpu_demand", float),
-        ("gpu_activity", float),
-        ("radio_activity", float),
-        ("brightness", float),
-        ("screen_on", bool),
-        ("charging", bool),
-        ("touching", bool),
-    )
-
-    def __init__(self, traces: Sequence[WorkloadTrace], lengths: np.ndarray, window_cap: int) -> None:
+    def __init__(
+        self,
+        traces: Sequence[WorkloadTrace],
+        lengths: np.ndarray,
+        window_cap: int,
+        power_model,
+        stacked: Optional[Dict[str, np.ndarray]] = None,
+    ) -> None:
         self.traces = traces
         self.lengths = lengths
-        n = len(traces)
-        shape = (window_cap, n)
-        for name, dtype in self._TRACE_COLUMNS:
-            setattr(self, name, np.zeros(shape, dtype=dtype))
-        self.gpu_w = np.zeros(shape)
-        self.display_w = np.zeros(shape)
-        self.radio_w = np.zeros(shape)
-        self.screen_node_w = np.zeros(shape)
-        self.board_node_w = np.zeros(shape)
+        shape = (window_cap, len(traces))
+        self.stacked = stacked is not None
+        self.columns = stacked if stacked is not None else {
+            name: np.zeros(shape, dtype=dtype) for name, dtype in _TRACE_COLUMNS
+        }
+        for name, column in self.columns.items():
+            setattr(self, name, column)
+        self.gpu_w, self.display_w, self.radio_w, self.screen_node_w, self.board_node_w = (
+            np.zeros(shape) for _ in range(5)
+        )
+        gpu, display, radio = power_model.gpu, power_model.display, power_model.radio
+        self._power = (  # (idle/base, span) of the GPU, display and radio
+            (gpu.idle_power_w, gpu.max_power_w - gpu.idle_power_w),
+            (display.base_power_w, display.max_backlight_power_w),
+            (radio.idle_power_w, radio.max_power_w - radio.idle_power_w),
+        )
 
     def load(self, w0: int, w_len: int, n_live: int) -> None:
         """Stage steps ``[w0, w0 + w_len)`` for the first ``n_live`` members."""
-        first_member: Dict[int, int] = {}
-        columns = [(name, getattr(self, name)) for name, _ in self._TRACE_COLUMNS]
-        for member in range(n_live):
-            trace = self.traces[member]
-            count = min(int(self.lengths[member]) - w0, w_len)
-            source = first_member.setdefault(id(trace), member)
-            if source != member:
-                # Same trace object as an earlier member (same object implies
-                # the same length, hence the same staged count).
-                for _, column in columns:
-                    column[:count, member] = column[:count, source]
-            else:
-                arrays = self.traces[member].arrays_window(w0, w0 + count)
-                for name, column in columns:
-                    column[:count, member] = getattr(arrays, name)
-            if count < w_len:
-                # The buffers still hold the previous window; re-zero the pad
-                # so padded reads match the unwindowed zero-padded matrices.
-                for _, column in columns:
-                    column[count:w_len, member] = False
         view = np.s_[:w_len, :n_live]
-        demand = self.cpu_demand[view]
-        np.maximum(demand, 0.0, out=demand)
-        np.minimum(demand, 1.0, out=demand)
+        if not self.stacked:  # the full stack is already staged and clamped
+            _stage_trace_columns(self.columns, self.traces, self.lengths, w0, w_len, n_live)
+            demand = self.cpu_demand[view]
+            np.maximum(demand, 0.0, out=demand)
+            np.minimum(demand, 1.0, out=demand)
+        (gpu_idle, gpu_span), (display_base, display_span), (radio_idle, radio_span) = self._power
         gpu_w = self.gpu_w[view]
-        np.multiply(self.gpu_activity[view], self._gpu_span, out=gpu_w)
-        np.add(self._gpu_idle, gpu_w, out=gpu_w)
+        np.multiply(self.gpu_activity[view], gpu_span, out=gpu_w)
+        np.add(gpu_idle, gpu_w, out=gpu_w)
         display_w = self.display_w[view]
-        np.multiply(self.brightness[view], self._display_span, out=display_w)
-        np.add(self._display_base, display_w, out=display_w)
+        np.multiply(self.brightness[view], display_span, out=display_w)
+        np.add(display_base, display_w, out=display_w)
         display_w[~self.screen_on[view]] = 0.0
         radio_w = self.radio_w[view]
-        np.multiply(self.radio_activity[view], self._radio_span, out=radio_w)
-        np.add(self._radio_idle, radio_w, out=radio_w)
+        np.multiply(self.radio_activity[view], radio_span, out=radio_w)
+        np.add(radio_idle, radio_w, out=radio_w)
         np.multiply(0.65, display_w, out=self.screen_node_w[view])
         board_w = self.board_node_w[view]
         np.multiply(0.35, display_w, out=board_w)
         np.add(radio_w, board_w, out=board_w)
-
-    def bind_power_constants(
-        self,
-        gpu_idle: float,
-        gpu_span: float,
-        display_base: float,
-        display_span: float,
-        radio_idle: float,
-        radio_span: float,
-    ) -> None:
-        self._gpu_idle = gpu_idle
-        self._gpu_span = gpu_span
-        self._display_base = display_base
-        self._display_span = display_span
-        self._radio_idle = radio_idle
-        self._radio_span = radio_span
 
 
 def simulate_population(
@@ -731,22 +643,15 @@ def simulate_population_mixed(
 
     Semantically equivalent to ``[Simulator(m...).run(t) for t, m in
     zip(traces, members)]`` and bit-for-bit identical to it, but the per-step
-    device work is evaluated across the whole live population at once:
-
-    * traces of different lengths are padded; members are ordered internally
-      by descending length so the live set is always a contiguous prefix, and
-      a member simply drops out of it when its trace ends;
-    * per-tick hand-contact state may differ across members; the thermal
-      solve selects per member between the two canonical step maps (see
-      :func:`_hand_state_solvers`);
-    * per-step record data is staged columnar and materialised per member
-      only at the end (:class:`~repro.sim.results.ColumnarRecordBuffer`).
+    device work is evaluated across the whole live population at once.
+    Members run longest-trace first internally, so the live set is always a
+    contiguous prefix (see the module docstring for the batching mechanics).
 
     Args:
         traces: one workload trace per member (sharing one object is fine and
             materialises it once).  All traces must share the sample period.
-        members: the population (platforms must share one hardware
-            configuration; see :class:`VectorizationError`).
+        members: the population (all on one hardware spec; see
+            :class:`PopulationMember` and :class:`VectorizationError`).
         vectorize_managers: drive plane-eligible USTA-family managers through
             the vectorized policy plane (default; bit-identical).  ``False``
             forces every manager onto the scalar per-member ``observe()``
@@ -784,18 +689,19 @@ def simulate_population_mixed(
 
     # -- reset every member exactly like SimulationKernel.reset ---------------
     for member in members:
-        member.platform.reset(dict(member.initial_temps) if member.initial_temps else None)
+        if member.platform is not None:
+            member.platform.reset(dict(member.initial_temps) if member.initial_temps else None)
         member.governor.reset()
         if member.thermal_manager is not None:
             member.thermal_manager.reset()
         if member.logger is not None:
             member.logger.reset()
 
-    # Validation runs on the freshly reset platforms (reset re-applies each
-    # member's ambient and hand contact, which is exactly the state that must
-    # agree for the shared step maps); no trace step has executed yet, so
-    # callers can still fall back to sequential execution safely.
-    _validate_members(members)
+    # Validation runs after the resets (a platform's reset re-applies its
+    # ambient and hand contact, which is exactly the state its spec must
+    # agree on); no trace step has executed yet, so callers can still fall
+    # back to sequential execution safely.
+    spec = _validate_members(members)
 
     # -- internal ordering: longest trace first ---------------------------------
     lengths = np.array([len(trace) for trace in traces], dtype=np.int64)
@@ -811,22 +717,20 @@ def simulate_population_mixed(
     ascending = s_lengths[::-1]
     n_active_at = n_members - np.searchsorted(ascending, np.arange(max_steps), side="right")
 
-    template = s_members[0].platform
-    net = template.network
-    table = template.freq_table
-    cpu_model = template.power_model.cpu
-    power_model = template.power_model
+    table = spec.freq_table
+    power_model = spec.power_model
+    cpu_model = power_model.cpu
     charger = power_model.charger
-    battery = template.battery
-    carry_over = template.cpu.carry_over
-    max_backlog = template.cpu.max_backlog
-    solver_by_touch = _hand_state_solvers(template)
+    battery = spec.battery
+    carry_over = spec.carry_over
+    max_backlog = spec.max_backlog
+    solver_by_touch = _hand_state_solvers(spec)
     # Prebound steppers: same bits as step_many, without the per-call
     # validation and cache lookups (600+ calls per run).
     step_touching = solver_by_touch[True].make_stepper(dt)
     step_free = solver_by_touch[False].make_stepper(dt)
 
-    internal_index = {name: i for i, name in enumerate(net.internal_names)}
+    internal_index = {name: i for i, name in enumerate(spec.network.internal_names)}
     cpu_i = internal_index["cpu"]
     battery_i = internal_index["battery"]
     back_i = internal_index["back_cover"]
@@ -850,24 +754,23 @@ def simulate_population_mixed(
     leak_ref = cpu_model.reference_temp_c
     leak0 = cpu_model.leakage_at_ref_w
     idle_w = cpu_model.idle_power_w
-    gpu_idle = power_model.gpu.idle_power_w
-    gpu_span = power_model.gpu.max_power_w - power_model.gpu.idle_power_w
-    display_base = power_model.display.base_power_w
-    display_span = power_model.display.max_backlight_power_w
-    radio_idle = power_model.radio.idle_power_w
-    radio_span = power_model.radio.max_power_w - power_model.radio.idle_power_w
     charge_heat_w = charger.charge_power_w * charger.charge_loss_fraction
     discharge_loss = charger.discharge_loss_fraction
     battery_charge_w = battery.charge_power_w * battery.charge_efficiency
 
     # -- per-member state (internal, longest-first order) ----------------------
-    temps = np.stack(
-        [member.platform.network.temperatures_vector for member in s_members], axis=1
-    )
-    levels = np.array([member.platform.cpu.level for member in s_members], dtype=np.int64)
+    # A reset leaves every member (platform or not: they share the spec's
+    # reset temperatures) at the lowest level, no backlog and the reset
+    # charge; only the initial temperatures differ.
+    temps = np.empty((len(internal_index), n_members))
+    temps[:] = spec.initial_temperatures()[:, None]
+    for row, member in enumerate(s_members):
+        if member.initial_temps:
+            temps[:, row] = spec.initial_temperatures(member.initial_temps)
+    levels = np.full(n_members, table.min_level, dtype=np.int64)
     caps = np.full(n_members, max_level, dtype=np.int64)
     backlog = np.zeros(n_members)
-    soc = np.array([member.platform.battery.state_of_charge for member in s_members])
+    soc = np.full(n_members, RESET_STATE_OF_CHARGE)
 
     manager_rows = [
         (row, member) for row, member in enumerate(s_members) if member.thermal_manager is not None
@@ -878,11 +781,10 @@ def simulate_population_mixed(
     has_managers = bool(manager_rows)
 
     # -- window plan -----------------------------------------------------------
-    # The run advances in windows of window_len steps; unwindowed runs are the
-    # single-window special case (w0 == 0, w_len == max_steps), so one loop
-    # body serves both and r (window-relative step) == t (absolute step) when
-    # unwindowed.
-    n_noisy = sum(1 for s in template.sensors.sensors.values() if s.noise_std_c > 0)
+    # The run advances in windows of window_len steps; an unwindowed run is
+    # the single-window case (w0 == 0, w_len == max_steps), so one loop body
+    # serves both.
+    n_noisy = spec.n_noisy_sensors
     window_len = resolve_window_steps(
         n_members,
         max_steps,
@@ -893,83 +795,32 @@ def simulate_population_mixed(
     )
     windowed = window_len < max_steps
 
-    if windowed:
-        # Window-sized staging buffers, refilled per window (bit-identical to
-        # slicing the full matrices; see _WindowStage).
-        stage = _WindowStage(s_traces, s_lengths, window_len)
-        stage.bind_power_constants(
-            gpu_idle, gpu_span, display_base, display_span, radio_idle, radio_span
-        )
-        demand_mat = stage.cpu_demand
-        charging_mat = stage.charging
-        touching_mat = stage.touching
-        gpu_w_mat = stage.gpu_w
-        display_w_mat = stage.display_w
-        radio_w_mat = stage.radio_w
-        screen_node_w_mat = stage.screen_node_w
-        board_node_w_mat = stage.board_node_w
-    else:
-        cols = _stack_trace_arrays(s_traces, max_steps)
-        demand_mat = cols["cpu_demand"]
-        gpu_mat = cols["gpu_activity"]
-        radio_mat = cols["radio_activity"]
-        brightness_mat = cols["brightness"]
-        screen_on_mat = cols["screen_on"]
-        charging_mat = cols["charging"]
-        touching_mat = cols["touching"]
-
-        # GPU/display/radio power depend only on the trace, so the whole
-        # (max_steps, N) matrices are computed once here instead of per tick.
-        # Each element goes through exactly the scalar expression (elementwise
-        # ops against python-float constants), so the values are bit-identical.
-        gpu_w_mat = gpu_idle + gpu_mat * gpu_span
-        display_w_mat = np.where(
-            screen_on_mat, display_base + brightness_mat * display_span, 0.0
-        )
-        radio_w_mat = radio_idle + radio_mat * radio_span
-        screen_node_w_mat = 0.65 * display_w_mat
-        board_node_w_mat = radio_w_mat + 0.35 * display_w_mat
+    # Window-sized staging buffers refilled per window, or (unwindowed) one
+    # load over the memoised full-trace stack; see _WindowStage.
+    stacked = None if windowed else _stack_trace_arrays(s_traces, max_steps)
+    stage = _WindowStage(s_traces, s_lengths, window_len, power_model, stacked)
+    demand_mat = stage.cpu_demand
+    charging_mat = stage.charging
+    touching_mat = stage.touching
+    gpu_w_mat = stage.gpu_w
+    display_w_mat = stage.display_w
+    radio_w_mat = stage.radio_w
+    screen_node_w_mat = stage.screen_node_w
+    board_node_w_mat = stage.board_node_w
 
     # -- pre-drawn sensor noise ------------------------------------------------
-    # One block draw per (member, sensor) consumes each seeded generator
-    # exactly like the scalar engine's one-draw-per-step reads; a windowed run
-    # draws the same stream in window-sized chunks, which consumes each
-    # generator identically.  Noiseless sensors carry no matrix at all (the
-    # scalar read skips the add too).
-    sensor_specs = []  # (name, node_index, offset, quantization, noisy)
-    for name in template.sensors.sensors:
-        sensor0 = template.sensors.sensors[name]
-        sensor_specs.append(
-            (
-                name,
-                internal_index[sensor0.node],
-                sensor0.offset_c,
-                sensor0.quantization_c,
-                sensor0.noise_std_c > 0,
-            )
-        )
-    _noisy_specs = [spec for spec in sensor_specs if spec[4]]
-    _clean_specs = [spec for spec in sensor_specs if not spec[4]]
-    noise_block: Optional[np.ndarray] = None
-    noisy_sensor_objs: List[List] = []
-    if _noisy_specs:
-        if windowed:
-            # Refilled per window from the prebound per-(sensor, member)
-            # generator objects.
-            noise_block = np.zeros((n_noisy, window_len, n_members))
-            noisy_sensor_objs = [
-                [member.platform.sensors.sensors[spec[0]] for member in s_members]
-                for spec in _noisy_specs
-            ]
-        else:
-            noise_block = np.zeros((n_noisy, max_steps, n_members))
-            for s_idx, spec in enumerate(_noisy_specs):
-                name = spec[0]
-                for row, member in enumerate(s_members):
-                    count = int(s_lengths[row])
-                    noise_block[s_idx, :count, row] = member.platform.sensors.sensors[
-                        name
-                    ].draw_noise(count)
+    # Sensor i of a member seeded s draws from default_rng(s + i), the stream
+    # a platform seeded s gives it.  A block draw per window consumes it
+    # exactly like the scalar engine's one-draw-per-step reads.  Noiseless
+    # sensors carry no rows (the scalar read skips the add too).
+    # noise_draws[k][row](count): the next count samples of noisy sensor k.
+    seeds = [m.seed if m.platform is None else m.platform.seed for m in s_members]
+    noise_draws = [
+        [partial(np.random.default_rng(seed + i).normal, 0.0, sensor.noise_std_c) for seed in seeds]
+        for i, sensor in enumerate(spec.sensors)
+        if sensor.noise_std_c > 0
+    ]
+    noise_block = np.zeros((n_noisy, window_len, n_members)) if noise_draws else None
     record_sensor_fields = (
         ("sensor_cpu_temp_c", "cpu", cpu_i),
         ("sensor_battery_temp_c", "battery", battery_i),
@@ -979,14 +830,15 @@ def simulate_population_mixed(
 
     # Block layout for the per-tick sensor reads: all sensors are read with a
     # handful of array ops on an (n_sensors, n_live) block instead of one
-    # mini-pipeline per sensor.  Noisy sensors come first so the noise add is
-    # a single slice over a prefix — noiseless rows never see a ``+ 0.0``,
-    # exactly like the scalar read that skips the add altogether.
-    block_specs = _noisy_specs + _clean_specs
-    sensor_block_names = [spec[0] for spec in block_specs]
-    sensor_block_nodes = np.array([spec[1] for spec in block_specs], dtype=np.int64)
-    sensor_block_offsets = np.array([spec[2] for spec in block_specs])[:, None]
-    _quants = [spec[3] for spec in block_specs]
+    # mini-pipeline per sensor.  Noisy sensors come first (a stable sort, so
+    # in noise_draws order) and the noise add is a single slice over a
+    # prefix — noiseless rows never see a ``+ 0.0``, exactly like the scalar
+    # read that skips the add altogether.
+    block = sorted(spec.sensors, key=lambda sensor: not sensor.noise_std_c > 0)
+    sensor_block_names = [sensor.name for sensor in block]
+    sensor_block_nodes = np.array([internal_index[sensor.node] for sensor in block], dtype=np.int64)
+    sensor_block_offsets = np.array([sensor.offset_c for sensor in block])[:, None]
+    _quants = [sensor.quantization_c for sensor in block]
     if all(q > 0 for q in _quants):
         sensor_block_quant: Optional[np.ndarray] = np.array(_quants)[:, None]
         quant_rows = []
@@ -999,7 +851,7 @@ def simulate_population_mixed(
     # on it (manager_vectorization_ineligibility knows why, for
     # --explain-batching).  Plane feature assembly needs the cpu and battery
     # sensors the scalar feature path reads.
-    sensor_names = set(template.sensors.sensors)
+    sensor_names = {sensor.name for sensor in spec.sensors}
     plane_rows: List[Tuple[int, PopulationMember]] = []
     scalar_manager_rows = manager_rows
     if vectorize_managers and manager_rows and {"cpu", "battery"} <= sensor_names:
@@ -1040,7 +892,7 @@ def simulate_population_mixed(
     buf_skin_temp = buf.skin_temp_c
     buf_screen_temp = buf.screen_temp_c
     buf_level_cap = buf.level_cap
-    # (column, row in the sensor block or None when the platform lacks that
+    # (column, row in the sensor block or None when the spec lacks that
     # sensor, fallback node index).
     _block_row = {name: i for i, name in enumerate(sensor_block_names)}
     record_sensor_cols = [
@@ -1063,13 +915,7 @@ def simulate_population_mixed(
     # mixed or custom governors fall back to per-member select_level calls.
     governors = [member.governor for member in s_members]
     fast_ondemand = all(type(g) is OndemandGovernor for g in governors) and (
-        len(
-            {
-                (g.up_threshold, g.down_threshold, g.down_step_levels)
-                for g in governors
-            }
-        )
-        == 1
+        len({(g.up_threshold, g.down_threshold, g.down_step_levels) for g in governors}) == 1
     )
     if fast_ondemand:
         up_threshold = governors[0].up_threshold
@@ -1082,32 +928,20 @@ def simulate_population_mixed(
     # the block matrix too.
     needs_sensor_dict = needs_scalar_views or not fast_ondemand
 
-    # Local bindings for the tick loop (global lookups add up at 600+ ticks).
-    np_minimum = np.minimum
-    np_maximum = np.maximum
-    np_where = np.where
-    np_rint = np.rint
-    np_divide = np.divide
-    np_add = np.add
-    np_fromiter = np.fromiter
-    np_float64 = np.float64
-    math_exp = math.exp
-
     time_s = 0.0
     for w0 in range(0, max_steps, window_len):
         w_len = min(window_len, max_steps - w0)
         n_live = int(n_active_at[w0])
         buf_base = 0 if window_drain is not None else w0
-        if windowed:
-            stage.load(w0, w_len, n_live)
-            if noise_block is not None:
-                for s_idx, sensor_objs in enumerate(noisy_sensor_objs):
-                    block = noise_block[s_idx]
-                    for row in range(n_live):
-                        count = min(int(s_lengths[row]) - w0, w_len)
-                        block[:count, row] = sensor_objs[row].draw_noise(count)
-                        if count < w_len:
-                            block[count:w_len, row] = 0.0
+        stage.load(w0, w_len, n_live)
+        if noise_block is not None:  # one draw per live member and sensor
+            for s_idx, draws in enumerate(noise_draws):
+                block = noise_block[s_idx]
+                for row in range(n_live):
+                    count = min(int(s_lengths[row]) - w0, w_len)
+                    block[:count, row] = draws[row](count)
+                    if count < w_len and windowed:  # the block holds the last window
+                        block[count:w_len, row] = 0.0
         if copy_demand:
             buf.demand[w0 : w0 + w_len, :n_live] = demand_mat[:w_len, :n_live]
 
@@ -1135,11 +969,11 @@ def simulate_population_mixed(
             live_levels = levels[live]
             freq_khz = freqs_khz[live_levels]
             capacity = freq_khz / max_freq_khz
-            delivered = np_minimum(total_demand, capacity)
-            utilization = np_minimum(1.0, total_demand / capacity)
+            delivered = np.minimum(total_demand, capacity)
+            utilization = np.minimum(1.0, total_demand / capacity)
             if carry_over:
-                leftover = np_maximum(0.0, total_demand - delivered)
-                backlog[live] = np_minimum(leftover, max_backlog)
+                leftover = np.maximum(0.0, total_demand - delivered)
+                backlog[live] = np.minimum(leftover, max_backlog)
 
             # -- power model (PlatformPowerModel.evaluate, vectorized) -------------
             die_temp = temps[cpu_i, live]
@@ -1150,7 +984,7 @@ def simulate_population_mixed(
             # the scalar order), but the exp itself must be math.exp per element:
             # numpy's vectorized exp differs from libm in the last ulp.
             leak_arg = (die_temp - leak_ref) * leak_coeff
-            temp_factor = np_fromiter(map(math_exp, leak_arg.tolist()), np_float64, n_act)
+            temp_factor = np.fromiter(map(math.exp, leak_arg.tolist()), np.float64, n_act)
             leak_w = leak0 * temp_factor * volt_factor[live_levels]
             cpu_w = idle_w + dyn_w + leak_w
             gpu_w = gpu_w_mat[r, live]
@@ -1160,18 +994,18 @@ def simulate_population_mixed(
             charging_now = any_charging_w[r]
             if charging_now:
                 charging_t = charging_mat[r, live]
-                battery_w = np_where(
-                    charging_t, charge_heat_w, np_maximum(platform_draw, 0.0) * discharge_loss
+                battery_w = np.where(
+                    charging_t, charge_heat_w, np.maximum(platform_draw, 0.0) * discharge_loss
                 )
             else:
-                # All-False charging: np_where would return the discharge branch
+                # All-False charging: np.where would return the discharge branch
                 # verbatim, so skip the select (same bits, two ops fewer).
-                battery_w = np_maximum(platform_draw, 0.0) * discharge_loss
+                battery_w = np.maximum(platform_draw, 0.0) * discharge_loss
             total_w = platform_draw + battery_w
 
             # -- thermal (the step map of each member's hand-contact state) --------
             # node_power rows other than the four below stay zero for the whole run.
-            np_add(cpu_w, gpu_w, out=node_power[cpu_i, live])
+            np.add(cpu_w, gpu_w, out=node_power[cpu_i, live])
             node_power[screen_i, live] = screen_node_w_mat[r, live]
             node_power[board_i, live] = board_node_w_mat[r, live]
             node_power[battery_i, live] = battery_w
@@ -1185,7 +1019,7 @@ def simulate_population_mixed(
                 # A column's result does not depend on its batch-mates, so
                 # stepping everyone through both maps and selecting per member
                 # gives the same bits as stepping each subset alone.
-                temps[:, live] = np_where(
+                temps[:, live] = np.where(
                     touching_mat[r, live],
                     step_touching(live_power, live_temps),
                     step_free(live_power, live_temps),
@@ -1193,17 +1027,17 @@ def simulate_population_mixed(
 
             # -- battery SoC (Battery.step, vectorized) ----------------------------
             draw_param = total_w - battery_w
-            net_w = -np_maximum(draw_param, 0.0)
+            net_w = -np.maximum(draw_param, 0.0)
             live_soc = soc[live]
             if charging_now:
                 # With no charger connected the scalar path adds an all-zero
                 # term; net_w is strictly negative (idle power alone draws), so
                 # skipping the add is bit-identical.
-                net_w = net_w + np_where(
-                    charging_t, np_where(live_soc >= 0.995, 0.0, battery_charge_w), 0.0
+                net_w = net_w + np.where(
+                    charging_t, np.where(live_soc >= 0.995, 0.0, battery_charge_w), 0.0
                 )
             delta_wh = net_w * dt / 3600.0
-            soc[live] = np_minimum(1.0, np_maximum(0.0, live_soc + delta_wh / battery.capacity_wh))
+            soc[live] = np.minimum(1.0, np.maximum(0.0, live_soc + delta_wh / battery.capacity_wh))
 
             # -- sensors (one block read; pre-drawn noise; vectorized quantization) -
             vals = temps[sensor_block_nodes, live]
@@ -1211,11 +1045,11 @@ def simulate_population_mixed(
             if noise_block is not None:
                 vals[:n_noisy] += noise_block[:, r, live]
             if sensor_block_quant is not None:
-                np_rint(np_divide(vals, sensor_block_quant, out=vals), out=vals)
+                np.rint(np.divide(vals, sensor_block_quant, out=vals), out=vals)
                 vals *= sensor_block_quant
             else:
                 for i, quantization in quant_rows:
-                    vals[i] = np_rint(vals[i] / quantization) * quantization
+                    vals[i] = np.rint(vals[i] / quantization) * quantization
             if needs_sensor_dict:
                 sensor_arrays: Dict[str, np.ndarray] = {
                     name: vals[i] for i, name in enumerate(sensor_block_names)
@@ -1244,7 +1078,7 @@ def simulate_population_mixed(
                 freq_list = freq_khz.tolist()
                 level_list = live_levels.tolist()
                 reading_lists = [
-                    (name, sensor_arrays[name].tolist()) for name, _, _, _, _ in sensor_specs
+                    (sensor.name, sensor_arrays[sensor.name].tolist()) for sensor in spec.sensors
                 ]
 
             # -- managers observe (may install/remove frequency caps) --------------
@@ -1286,22 +1120,22 @@ def simulate_population_mixed(
                 # the top above up_threshold, straight to the load-proportional
                 # level below down_threshold, step down gradually in between —
                 # then apply each member's current level cap.
-                target_khz = np_rint((utilization / up_threshold) * max_freq_khz)
-                proportional = np_minimum(
+                target_khz = np.rint((utilization / up_threshold) * max_freq_khz)
+                proportional = np.minimum(
                     freqs_khz.searchsorted(target_khz, side="left"), max_level
                 )
-                stepped = np_where(
+                stepped = np.where(
                     proportional < live_levels,
-                    np_maximum(proportional, live_levels - down_step_levels),
+                    np.maximum(proportional, live_levels - down_step_levels),
                     proportional,
                 )
-                uncapped = np_where(
+                uncapped = np.where(
                     utilization >= up_threshold,
                     max_level,
-                    np_where(utilization <= down_threshold, proportional, stepped),
+                    np.where(utilization <= down_threshold, proportional, stepped),
                 )
                 if has_managers:
-                    levels[live] = np_minimum(uncapped, caps[live])
+                    levels[live] = np.minimum(uncapped, caps[live])
                 else:
                     # Without managers nothing ever installs a cap.
                     levels[live] = uncapped
@@ -1369,18 +1203,18 @@ def simulate_population_mixed(
     # A sequential run leaves every platform warm (final temperatures, SoC,
     # CPU level/backlog, hand contact, elapsed time); mirror that so warm
     # restarts and re-validation behave identically after a batched run.
-    final_levels = levels.tolist()
-    final_backlog = backlog.tolist()
-    final_soc = soc.tolist()
+    # Spec members own no platform: their state ends with the batch.
     for row, member in enumerate(s_members):
-        count = int(s_lengths[row])
         platform = member.platform
+        if platform is None:
+            continue
+        count = int(s_lengths[row])
         platform.hand.touching = bool(s_traces[row].arrays_window(count - 1, count).touching[0])
         platform.hand.apply(platform.network)
         platform.network.apply_temperature_vector(temps[:, row])
-        platform.cpu.level = final_levels[row]
-        platform.cpu._backlog = final_backlog[row]
-        platform.battery.state_of_charge = final_soc[row]
+        platform.cpu.level = int(levels[row])
+        platform.cpu._backlog = float(backlog[row])
+        platform.battery.state_of_charge = float(soc[row])
         platform._time_s = times[count - 1]
 
     return results

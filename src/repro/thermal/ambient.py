@@ -9,6 +9,7 @@ or off (phone on a table), plus the ambient air temperature.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 from .network import ThermalNetwork
@@ -57,6 +58,10 @@ class HandContact:
     contact_node: str = "back_cover"
     conductance_w_per_c: float = 0.05
     touching: bool = False
+
+    def __post_init__(self) -> None:
+        if not 0.0 <= (g := self.conductance_w_per_c) < math.inf:
+            raise ValueError(f"conductance_w_per_c must be finite and >= 0, got {g!r}")
 
     def apply(self, network: ThermalNetwork) -> None:
         """Set the hand coupling on an assembled network according to the state."""

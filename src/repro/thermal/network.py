@@ -22,6 +22,7 @@ to reproduce the minutes-scale skin/screen dynamics USTA reacts to.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Mapping, Optional, Tuple
 
@@ -101,8 +102,10 @@ class ThermalNetwork:
             raise RuntimeError("cannot add nodes after the network is assembled")
         if name in self._nodes:
             raise ValueError(f"duplicate node name {name!r}")
-        if not boundary and capacitance_j_per_c <= 0:
-            raise ValueError("internal nodes need a positive capacitance")
+        if not boundary and not 0.0 < capacitance_j_per_c < math.inf:
+            raise ValueError(
+                f"internal nodes need a finite positive capacitance, got {capacitance_j_per_c!r}"
+            )
         node = ThermalNode(
             name=name,
             capacitance_j_per_c=capacitance_j_per_c,
@@ -121,8 +124,8 @@ class ThermalNetwork:
                 raise KeyError(f"unknown node {name!r}")
         if node_a == node_b:
             raise ValueError("a conductance must connect two distinct nodes")
-        if conductance_w_per_c <= 0:
-            raise ValueError("conductance must be positive")
+        if not 0.0 < conductance_w_per_c < math.inf:
+            raise ValueError(f"conductance must be finite and > 0, got {conductance_w_per_c!r}")
         self._conductances.append(ThermalConductance(node_a, node_b, conductance_w_per_c))
 
     # -- assembly -------------------------------------------------------------
@@ -248,6 +251,14 @@ class ThermalNetwork:
         return self._temps.copy()
 
     @property
+    def initial_temperatures_vector(self) -> np.ndarray:
+        """Declared initial internal temperatures (°C): what :meth:`reset` restores."""
+        self._require_assembled()
+        return np.array(
+            [self._nodes[name].initial_temp_c for name in self._internal_names], dtype=float
+        )
+
+    @property
     def boundary_temperatures_vector(self) -> np.ndarray:
         """Current boundary temperature vector (°C), in matrix order."""
         self._require_assembled()
@@ -351,10 +362,7 @@ class ThermalNetwork:
 
     def reset(self, initial_temps: Optional[Mapping[str, float]] = None) -> None:
         """Reset all nodes to their declared initial temperatures (or overrides)."""
-        self._require_assembled()
-        self._temps = np.array(
-            [self._nodes[name].initial_temp_c for name in self._internal_names], dtype=float
-        )
+        self._temps = self.initial_temperatures_vector
         self._boundary_temps = np.array(
             [self._nodes[name].initial_temp_c for name in self._boundary_names], dtype=float
         )

@@ -157,9 +157,10 @@ class TestNonFiniteParameters:
     def test_policy_json_literal_is_refused_when_built(
         self, linear_predictor, template, match, literal
     ):
-        # json.loads accepts the literal: the spec parses, the build refuses.
+        # json.loads accepts the literal: the spec parses, the build refuses
+        # with the spec layer's own error for every component kind.
         spec = PolicySpec.from_json(template % literal)
-        with pytest.raises(ValueError, match=match):
+        with pytest.raises(SpecError, match=match):
             spec.build_manager(predictor=linear_predictor)
 
 

@@ -167,6 +167,23 @@ class TestSpecRoundTrips:
         with pytest.raises(SpecError, match="invalid params for governor"):
             GovernorSpec("ondemand", params={"warp_factor": 9}).build()
 
+    # A constructor's own ValueError (a bad value, not a bad keyword) marks
+    # a malformed spec too: every component kind surfaces it as SpecError.
+    def test_bad_governor_value_surfaces_as_spec_error(self):
+        spec = GovernorSpec("ondemand", params={"up_threshold": float("nan")})
+        with pytest.raises(SpecError, match="invalid params for governor 'ondemand'.*thresholds"):
+            spec.build()
+
+    def test_bad_predictor_value_surfaces_as_spec_error(self):
+        spec = PredictorSpec(params={"duration_scale": -1.0})
+        with pytest.raises(SpecError, match="invalid params for predictor 'trained'.*duration"):
+            spec.build()
+
+    def test_bad_manager_value_surfaces_as_spec_error(self, linear_predictor):
+        spec = ManagerSpec("usta", params={"prediction_period_s": float("nan")})
+        with pytest.raises(SpecError, match="invalid params for manager 'usta'.*prediction"):
+            spec.build(predictor=linear_predictor)
+
     def test_manager_without_predictor_fails_helpfully(self):
         with pytest.raises(SpecError, match="needs a predictor"):
             ManagerSpec("usta").build()

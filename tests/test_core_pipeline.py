@@ -39,6 +39,13 @@ class TestCollectTrainingData:
         with pytest.raises(ValueError):
             collect_training_data(duration_scale=0.0)
 
+    @pytest.mark.parametrize("scale", [float("nan"), float("inf")])
+    def test_non_finite_duration_scale_is_refused(self, scale):
+        # NaN used to pass the `<= 0` guard and silently truncate every
+        # benchmark to one logging period (max(3.0, nan) == 3.0).
+        with pytest.raises(ValueError, match="duration_scale"):
+            collect_training_data(duration_scale=scale)
+
     def test_reproducible_for_a_seed(self):
         a = collect_training_data(benchmarks=("vellamo",), seed=5, duration_scale=0.05)
         b = collect_training_data(benchmarks=("vellamo",), seed=5, duration_scale=0.05)

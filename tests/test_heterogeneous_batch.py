@@ -129,6 +129,38 @@ class TestMixedTraceParity:
             assert actual.governor_name == expected.governor_name
             assert actual.records == expected.records
 
+    def test_batched_cells_build_no_platform(self, linear_predictor, monkeypatch):
+        # Members are state on the shared HardwareSpec: a batched cell must
+        # not pay for a DevicePlatform (network assembly, sensor suite, table).
+        built = []
+        original = DevicePlatform.__post_init__
+        monkeypatch.setattr(
+            DevicePlatform, "__post_init__", lambda self: (built.append(self), original(self))
+        )
+        results = list(VectorizedExecutor().execute(list(_mixed_plan(linear_predictor))))
+        assert len(results) == 4
+        assert built == []
+
+    def test_executor_matches_explicit_platform_members(self, linear_predictor):
+        # The executor's state-only members against the public API path with
+        # a full platform per member: same records, bit for bit.
+        cells = list(_mixed_plan(linear_predictor))
+        platforms = [DevicePlatform(seed=cell.seed) for cell in cells]
+        members = [
+            PopulationMember(
+                governor=cell.build_governor(table=platform.freq_table),
+                thermal_manager=cell.build_manager(table=platform.freq_table),
+                initial_temps=cell.initial_temps,
+                platform=platform,
+            )
+            for cell, platform in zip(cells, platforms)
+        ]
+        public = simulate_population_mixed([cell.build_trace() for cell in cells], members)
+        executed = list(VectorizedExecutor().execute(cells))
+        for got, expected in zip(executed, public):
+            assert got.result.governor_name == expected.governor_name
+            assert got.result.records == expected.records
+
     def test_whole_plan_is_one_batch(self, linear_predictor):
         plan = _mixed_plan(linear_predictor)
         batch_plan = VectorizedExecutor().batch_plan(list(plan))
