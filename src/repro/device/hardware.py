@@ -100,9 +100,7 @@ class HardwareSpec:
             network=copy.deepcopy(platform.network),
             hand=copy.copy(platform.hand),
             sensors=tuple(
-                SensorLayout(
-                    s.name, s.node, *map(float, (s.noise_std_c, s.quantization_c, s.offset_c))
-                )
+                SensorLayout(s.name, s.node, s.noise_std_c, s.quantization_c, s.offset_c)
                 for s in platform.sensors.sensors.values()
             ),
         )
@@ -146,7 +144,7 @@ class HardwareSpec:
             ("hand-contact models", repr(_canon(astuple(self.hand))).encode()),
             ("battery models", repr(_canon(astuple(self.battery))).encode()),
             ("CPU/frequency tables", repr((table, self.carry_over, self.max_backlog)).encode()),
-            ("sensor configurations", repr(self.sensors).encode()),
+            ("sensor configurations", repr(_canon(self.sensors)).encode()),
         )
 
     def difference(self, other: "HardwareSpec") -> Optional[str]:

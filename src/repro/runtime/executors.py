@@ -309,15 +309,13 @@ class VectorizedExecutor:
     def _build_members(self, group: Sequence[ExperimentCell]) -> List[PopulationMember]:
         """One state-only member per cell on the shared Nexus 4 spec (batched
         cells never carry a custom platform, so none is built)."""
-        spec = HardwareSpec.nexus4()
-        table = spec.freq_table
+        table = HardwareSpec.nexus4().freq_table
         return [
             PopulationMember(
                 governor=cell.build_governor(table=table),
                 thermal_manager=cell.build_manager(table=table),
                 logger=None if cell.log_period_s is None else SystemLogger(cell.log_period_s),
                 initial_temps=cell.initial_temps,
-                spec=spec,
                 seed=cell.seed,
             )
             for cell in group
@@ -346,7 +344,7 @@ class VectorizedExecutor:
             max_steps,
             window_steps=self.window_steps,
             max_window_bytes=self.max_window_bytes,
-            n_noisy_sensors=members[0].spec.n_noisy_sensors,
+            n_noisy_sensors=HardwareSpec.nexus4().n_noisy_sensors,
             with_decisions=any(m.thermal_manager is not None for m in members),
         )
         spool = _WindowSpoolDrain(len(group)) if window < max_steps else None

@@ -13,26 +13,35 @@ keys) and each :class:`PopulationMember` brings only its seed, optional
 initial temperatures, governor, manager and logger.  The engine derives each
 member's reset state and one seeded noise stream per noisy sensor from these;
 members built around a full :class:`~repro.device.platform.DevicePlatform`
-still work and get their platform written back warm.
+still work, draw from their own sensors and get their platform written back
+warm.
 
 :func:`simulate_population_mixed` is the general engine: every member brings
 its own trace (stacked into padded step-major ``(n_steps, n_members)``
 matrices, so each tick reads one contiguous row across the live members),
-members whose traces end early drop out of the live prefix, and hand-contact
-state may differ per member — the thermal solve selects per member between
-two canonical step maps (touching / not touching).
-:func:`simulate_population` is the same-trace special case.  Per-step record
-data is staged in a :class:`~repro.sim.results.ColumnarRecordBuffer`, so the
-hot loop allocates ~zero Python objects per member-step.
+members whose traces end early drop out of the live prefix instead of forcing
+the batch to its longest member, and hand-contact state may differ per member
+— the thermal solve selects per member between two canonical step maps
+(touching / not touching).  :func:`simulate_population` is the same-trace
+special case.  Per-step record data is staged in a
+:class:`~repro.sim.results.ColumnarRecordBuffer`, so the hot loop allocates
+~zero Python objects per member-step.
 
-Long traces run in fixed-size step **windows** (``window_steps``, or sized
-from a staging byte budget via :func:`resolve_window_steps`): the trace
-columns, derived power matrices and pre-drawn sensor noise
-(:class:`_WindowStage`) are refilled per window, while every piece of
-cross-step state carries across window boundaries untouched, so windowed
-runs are bit-identical to unwindowed ones.  A ``window_drain`` also flushes
-each live member's record rows at every window boundary, bounding the live
-footprint by one window however long the traces run.
+Long traces are processed in fixed-size step **windows** (an explicit
+``window_steps``, or sized from a staging byte budget via
+``max_window_bytes`` and :func:`resolve_window_steps`): one set of
+window-sized staging buffers — the seven trace columns, the five derived
+power matrices, the pre-drawn sensor noise (:class:`_WindowStage`) — is
+refilled per window instead of materialising O(trace) matrices, while every
+piece of cross-step state (node temperatures, the cached step maps,
+governor/manager objects, the policy plane's columns, the live-prefix
+ordering, battery SoC, CPU backlog) carries across window boundaries
+untouched — so windowed runs are bit-identical to unwindowed ones and to the
+scalar engine.  An unwindowed run is the one-window case over the memoised
+full-trace stack.  A ``window_drain`` additionally flushes each live member's
+record rows out of a window-sized record buffer at every window boundary,
+bounding the engine's live footprint by one window however long the traces
+run; without one, only the record buffer stays O(trace).
 
 Bit-exactness is a hard requirement (the batched runtime must be a drop-in
 replacement for N sequential :meth:`Simulator.run` calls), which dictates a
@@ -47,7 +56,7 @@ few implementation choices:
   matrices a scalar run rebuilds its map from after each toggle;
 * CPU leakage uses ``math.exp`` per instance (numpy's vectorized ``exp`` is
   not bit-identical to libm);
-* sensor noise is pre-drawn per (instance, sensor) in one block from the
+* sensor noise is pre-drawn per (instance, sensor) in one block from the same
   seeded streams the scalar sensors use — a block draw consumes a stream
   exactly like repeated scalar draws;
 * every elementwise expression mirrors the operation order of the scalar
@@ -117,39 +126,31 @@ class VectorizationError(RuntimeError):
 
 @dataclass
 class PopulationMember:
-    """One device instance of a batched population: shared hardware plus state.
+    """One device instance of a batched population: state on shared hardware.
 
-    A member is its :class:`~repro.device.hardware.HardwareSpec` (shared by
-    the batch, compared by key) plus state: the sensor seed, optional initial
-    temperatures and its own governor, manager and logger.  A member may
-    instead bring a full ``platform`` (its spec is then
+    A member is state: the sensor seed, optional initial temperatures and its
+    own governor, manager and logger.  Its hardware is the stock Nexus 4
+    (:meth:`HardwareSpec.nexus4 <repro.device.hardware.HardwareSpec.nexus4>`)
+    unless it brings a full ``platform``; the spec is then
     :meth:`HardwareSpec.of <repro.device.hardware.HardwareSpec.of>` the reset
-    platform, its seed the platform's); only such members are written back
-    warm after the run.
+    platform, the noise comes from the platform's own sensors, and the
+    platform is written back warm after the run.  A batch shares one spec.
 
     Attributes:
         governor: the member's DVFS policy (exclusive to this member).
         thermal_manager: optional USTA-style manager (exclusive to this member).
         logger: optional system logger filled during the run.
         initial_temps: optional initial *internal* node temperatures (°C).
-        spec: the shared hardware (default: the stock Nexus 4).
         seed: sensor-noise seed (sensor ``i`` draws from ``seed + i``).
-        platform: optional simulated handset replacing ``spec`` and ``seed``.
+        platform: optional simulated handset replacing the stock spec and ``seed``.
     """
 
     governor: Governor
     thermal_manager: Optional[ThermalManager] = None
     logger: Optional[SystemLogger] = None
     initial_temps: Optional[Mapping[str, float]] = None
-    spec: Optional[HardwareSpec] = None
     seed: int = 0
     platform: Optional[DevicePlatform] = None
-
-    def __post_init__(self) -> None:
-        if self.platform is not None and self.spec is not None:
-            raise ValueError("a member takes a platform or a spec, not both")
-        if self.platform is None and self.spec is None:
-            self.spec = HardwareSpec.nexus4()
 
     #: The scalar kernel's result label (it reads only governor and manager).
     governor_label = SimulationKernel.governor_label
@@ -163,7 +164,7 @@ def _validate_members(members: Sequence[PopulationMember]) -> HardwareSpec:
     managers and initial internal temperatures are per-member state.
     """
     specs = [
-        member.spec if member.platform is None else HardwareSpec.of(member.platform)
+        HardwareSpec.nexus4() if member.platform is None else HardwareSpec.of(member.platform)
         for member in members
     ]
     template = specs[0]
@@ -374,11 +375,12 @@ def _stage_trace_columns(
 
 #: Bounded memo of stacked trace batches, keyed by the identity of the trace
 #: objects (strong references in the value keep the ids stable).  Repeated
-#: sweeps — ``--repeat`` copies, equal batches of one plan, re-executed
-#: plans — rebuild the same (max_steps, traces) batch; the engine only reads
-#: the matrices, so sharing them is safe.  The memo is bounded by *bytes*
-#: (stacks above the whole budget are not cached); override with the env
-#: var below.
+#: sweeps — ``--repeat`` population copies, re-executed plans — rebuild the
+#: same (max_steps, traces) batch; the engine only ever reads the matrices,
+#: so sharing them across calls is safe.  The memo is bounded by *bytes*, not
+#: entries — a handful of multi-hour stacks would otherwise dwarf the
+#: simulation itself — and stacks above the whole budget are simply not
+#: cached.  Override with the env var below (bytes).
 _TRACE_STACK_CACHE: "OrderedDict[Tuple, Tuple[Tuple[WorkloadTrace, ...], Dict[str, np.ndarray], int]]" = (
     OrderedDict()
 )
@@ -547,11 +549,15 @@ def describe_window_plan(
 class _WindowStage:
     """Staged trace columns and the five derived power matrices of a batch.
 
-    A windowed run owns ``(window_cap, n_members)`` trace buffers that
-    :meth:`load` refills per window; an unwindowed run loads once from the
-    memoised full stack (:func:`_stack_trace_arrays`).  Each power element
-    goes through the scalar model's expression in its operation order, so
-    both agree bitwise with the scalar engine.
+    A windowed run owns the seven trace columns as ``(window_cap,
+    n_members)`` buffers that :meth:`load` refills per window — its staging
+    footprint is one window however long the traces are; an unwindowed run
+    loads once from the memoised full stack (:func:`_stack_trace_arrays`).
+    Every power element goes through exactly the scalar model's expression
+    (same operation order against python-float constants; in-place ufuncs
+    are bit-identical to the allocating forms), so windowed staging is
+    bitwise indistinguishable from the full-trace matrices and from the
+    scalar engine.
     """
 
     def __init__(
@@ -643,9 +649,16 @@ def simulate_population_mixed(
 
     Semantically equivalent to ``[Simulator(m...).run(t) for t, m in
     zip(traces, members)]`` and bit-for-bit identical to it, but the per-step
-    device work is evaluated across the whole live population at once.
-    Members run longest-trace first internally, so the live set is always a
-    contiguous prefix (see the module docstring for the batching mechanics).
+    device work is evaluated across the whole live population at once:
+
+    * traces of different lengths are padded; members are ordered internally
+      by descending length so the live set is always a contiguous prefix, and
+      a member simply drops out of it when its trace ends;
+    * per-tick hand-contact state may differ across members; the thermal
+      solve selects per member between the two canonical step maps (see
+      :func:`_hand_state_solvers`);
+    * per-step record data is staged columnar and materialised per member
+      only at the end (:class:`~repro.sim.results.ColumnarRecordBuffer`).
 
     Args:
         traces: one workload trace per member (sharing one object is fine and
@@ -781,9 +794,10 @@ def simulate_population_mixed(
     has_managers = bool(manager_rows)
 
     # -- window plan -----------------------------------------------------------
-    # The run advances in windows of window_len steps; an unwindowed run is
-    # the single-window case (w0 == 0, w_len == max_steps), so one loop body
-    # serves both.
+    # The run advances in windows of window_len steps; unwindowed runs are the
+    # single-window special case (w0 == 0, w_len == max_steps), so one loop
+    # body serves both and r (window-relative step) == t (absolute step) when
+    # unwindowed.
     n_noisy = spec.n_noisy_sensors
     window_len = resolve_window_steps(
         n_members,
@@ -809,14 +823,23 @@ def simulate_population_mixed(
     board_node_w_mat = stage.board_node_w
 
     # -- pre-drawn sensor noise ------------------------------------------------
-    # Sensor i of a member seeded s draws from default_rng(s + i), the stream
-    # a platform seeded s gives it.  A block draw per window consumes it
-    # exactly like the scalar engine's one-draw-per-step reads.  Noiseless
-    # sensors carry no rows (the scalar read skips the add too).
-    # noise_draws[k][row](count): the next count samples of noisy sensor k.
-    seeds = [m.seed if m.platform is None else m.platform.seed for m in s_members]
+    # One block draw per (member, sensor) and window consumes each seeded
+    # stream exactly like the scalar engine's one-draw-per-step reads; a
+    # windowed run draws the same stream in window-sized chunks, which
+    # consumes it identically.  Sensor i of a state-only member seeded s draws
+    # from default_rng(s + i), the stream a platform seeded s gives it; a
+    # platform member draws from its own sensors, which then sit where a
+    # sequential run leaves them (so a warm ``reset=False`` run continues the
+    # stream).  Noiseless sensors carry no rows (the scalar read skips the add
+    # too).  noise_draws[k][row](count): the next count samples of noisy
+    # sensor k.
     noise_draws = [
-        [partial(np.random.default_rng(seed + i).normal, 0.0, sensor.noise_std_c) for seed in seeds]
+        [
+            partial(np.random.default_rng(m.seed + i).normal, 0.0, sensor.noise_std_c)
+            if m.platform is None
+            else m.platform.sensors[sensor.name].draw_noise
+            for m in s_members
+        ]
         for i, sensor in enumerate(spec.sensors)
         if sensor.noise_std_c > 0
     ]
@@ -861,7 +884,6 @@ def simulate_population_mixed(
                 plane_rows.append((row, member))
             else:
                 scalar_manager_rows.append((row, member))
-    needs_scalar_views = bool(scalar_manager_rows)
 
     # With a drain the record buffer is window-sized (rows are flushed at
     # every window boundary); otherwise it spans the whole run.
@@ -922,11 +944,16 @@ def simulate_population_mixed(
         down_threshold = governors[0].down_threshold
         down_step_levels = governors[0].down_step_levels
 
-    # The name->row dict of sensor readings is only consumed by the
-    # scalar-view paths; the policy plane reads the block matrix directly
-    # through its bound rows, and the pure fast path records straight from
-    # the block matrix too.
-    needs_sensor_dict = needs_scalar_views or not fast_ondemand
+    # Local bindings for the tick loop (global lookups add up at 600+ ticks).
+    np_minimum = np.minimum
+    np_maximum = np.maximum
+    np_where = np.where
+    np_rint = np.rint
+    np_divide = np.divide
+    np_add = np.add
+    np_fromiter = np.fromiter
+    np_float64 = np.float64
+    math_exp = math.exp
 
     time_s = 0.0
     for w0 in range(0, max_steps, window_len):
@@ -969,11 +996,11 @@ def simulate_population_mixed(
             live_levels = levels[live]
             freq_khz = freqs_khz[live_levels]
             capacity = freq_khz / max_freq_khz
-            delivered = np.minimum(total_demand, capacity)
-            utilization = np.minimum(1.0, total_demand / capacity)
+            delivered = np_minimum(total_demand, capacity)
+            utilization = np_minimum(1.0, total_demand / capacity)
             if carry_over:
-                leftover = np.maximum(0.0, total_demand - delivered)
-                backlog[live] = np.minimum(leftover, max_backlog)
+                leftover = np_maximum(0.0, total_demand - delivered)
+                backlog[live] = np_minimum(leftover, max_backlog)
 
             # -- power model (PlatformPowerModel.evaluate, vectorized) -------------
             die_temp = temps[cpu_i, live]
@@ -984,7 +1011,7 @@ def simulate_population_mixed(
             # the scalar order), but the exp itself must be math.exp per element:
             # numpy's vectorized exp differs from libm in the last ulp.
             leak_arg = (die_temp - leak_ref) * leak_coeff
-            temp_factor = np.fromiter(map(math.exp, leak_arg.tolist()), np.float64, n_act)
+            temp_factor = np_fromiter(map(math_exp, leak_arg.tolist()), np_float64, n_act)
             leak_w = leak0 * temp_factor * volt_factor[live_levels]
             cpu_w = idle_w + dyn_w + leak_w
             gpu_w = gpu_w_mat[r, live]
@@ -994,18 +1021,18 @@ def simulate_population_mixed(
             charging_now = any_charging_w[r]
             if charging_now:
                 charging_t = charging_mat[r, live]
-                battery_w = np.where(
-                    charging_t, charge_heat_w, np.maximum(platform_draw, 0.0) * discharge_loss
+                battery_w = np_where(
+                    charging_t, charge_heat_w, np_maximum(platform_draw, 0.0) * discharge_loss
                 )
             else:
-                # All-False charging: np.where would return the discharge branch
+                # All-False charging: np_where would return the discharge branch
                 # verbatim, so skip the select (same bits, two ops fewer).
-                battery_w = np.maximum(platform_draw, 0.0) * discharge_loss
+                battery_w = np_maximum(platform_draw, 0.0) * discharge_loss
             total_w = platform_draw + battery_w
 
             # -- thermal (the step map of each member's hand-contact state) --------
             # node_power rows other than the four below stay zero for the whole run.
-            np.add(cpu_w, gpu_w, out=node_power[cpu_i, live])
+            np_add(cpu_w, gpu_w, out=node_power[cpu_i, live])
             node_power[screen_i, live] = screen_node_w_mat[r, live]
             node_power[board_i, live] = board_node_w_mat[r, live]
             node_power[battery_i, live] = battery_w
@@ -1019,7 +1046,7 @@ def simulate_population_mixed(
                 # A column's result does not depend on its batch-mates, so
                 # stepping everyone through both maps and selecting per member
                 # gives the same bits as stepping each subset alone.
-                temps[:, live] = np.where(
+                temps[:, live] = np_where(
                     touching_mat[r, live],
                     step_touching(live_power, live_temps),
                     step_free(live_power, live_temps),
@@ -1027,17 +1054,17 @@ def simulate_population_mixed(
 
             # -- battery SoC (Battery.step, vectorized) ----------------------------
             draw_param = total_w - battery_w
-            net_w = -np.maximum(draw_param, 0.0)
+            net_w = -np_maximum(draw_param, 0.0)
             live_soc = soc[live]
             if charging_now:
                 # With no charger connected the scalar path adds an all-zero
                 # term; net_w is strictly negative (idle power alone draws), so
                 # skipping the add is bit-identical.
-                net_w = net_w + np.where(
-                    charging_t, np.where(live_soc >= 0.995, 0.0, battery_charge_w), 0.0
+                net_w = net_w + np_where(
+                    charging_t, np_where(live_soc >= 0.995, 0.0, battery_charge_w), 0.0
                 )
             delta_wh = net_w * dt / 3600.0
-            soc[live] = np.minimum(1.0, np.maximum(0.0, live_soc + delta_wh / battery.capacity_wh))
+            soc[live] = np_minimum(1.0, np_maximum(0.0, live_soc + delta_wh / battery.capacity_wh))
 
             # -- sensors (one block read; pre-drawn noise; vectorized quantization) -
             vals = temps[sensor_block_nodes, live]
@@ -1045,15 +1072,11 @@ def simulate_population_mixed(
             if noise_block is not None:
                 vals[:n_noisy] += noise_block[:, r, live]
             if sensor_block_quant is not None:
-                np.rint(np.divide(vals, sensor_block_quant, out=vals), out=vals)
+                np_rint(np_divide(vals, sensor_block_quant, out=vals), out=vals)
                 vals *= sensor_block_quant
             else:
                 for i, quantization in quant_rows:
-                    vals[i] = np.rint(vals[i] / quantization) * quantization
-            if needs_sensor_dict:
-                sensor_arrays: Dict[str, np.ndarray] = {
-                    name: vals[i] for i, name in enumerate(sensor_block_names)
-                }
+                    vals[i] = np_rint(vals[i] / quantization) * quantization
 
             time_s += dt
             times.append(time_s)
@@ -1073,13 +1096,10 @@ def simulate_population_mixed(
 
             # Per-member Python views are only materialised for components that
             # genuinely cannot batch (scalar managers, custom governors).
-            if needs_scalar_views or not fast_ondemand:
+            if scalar_manager_rows or not fast_ondemand:
                 util_list = utilization.tolist()
                 freq_list = freq_khz.tolist()
                 level_list = live_levels.tolist()
-                reading_lists = [
-                    (sensor.name, sensor_arrays[sensor.name].tolist()) for sensor in spec.sensors
-                ]
 
             # -- managers observe (may install/remove frequency caps) --------------
             if plane is not None:
@@ -1096,6 +1116,9 @@ def simulate_population_mixed(
                     sync_governors=not fast_ondemand,
                 )
             if scalar_manager_rows:
+                reading_lists = [
+                    (sensor.name, vals[_block_row[sensor.name]].tolist()) for sensor in spec.sensors
+                ]
                 for row, member in scalar_manager_rows:
                     if row >= n_act:
                         break
@@ -1120,22 +1143,22 @@ def simulate_population_mixed(
                 # the top above up_threshold, straight to the load-proportional
                 # level below down_threshold, step down gradually in between —
                 # then apply each member's current level cap.
-                target_khz = np.rint((utilization / up_threshold) * max_freq_khz)
-                proportional = np.minimum(
+                target_khz = np_rint((utilization / up_threshold) * max_freq_khz)
+                proportional = np_minimum(
                     freqs_khz.searchsorted(target_khz, side="left"), max_level
                 )
-                stepped = np.where(
+                stepped = np_where(
                     proportional < live_levels,
-                    np.maximum(proportional, live_levels - down_step_levels),
+                    np_maximum(proportional, live_levels - down_step_levels),
                     proportional,
                 )
-                uncapped = np.where(
+                uncapped = np_where(
                     utilization >= up_threshold,
                     max_level,
-                    np.where(utilization <= down_threshold, proportional, stepped),
+                    np_where(utilization <= down_threshold, proportional, stepped),
                 )
                 if has_managers:
-                    levels[live] = np.minimum(uncapped, caps[live])
+                    levels[live] = np_minimum(uncapped, caps[live])
                 else:
                     # Without managers nothing ever installs a cap.
                     levels[live] = uncapped

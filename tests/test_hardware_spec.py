@@ -112,13 +112,11 @@ class TestStateOnlyMembers:
     def test_spec_members_match_platform_members_and_serial_runs(self):
         traces = self._traces()
         warm = {"cpu": 41.0, "back_cover": 31.0}
-        spec = HardwareSpec.nexus4()
         by_spec = simulate_population_mixed(
             traces,
             [
                 PopulationMember(
-                    governor=OndemandGovernor(table=spec.freq_table),
-                    spec=spec,
+                    governor=OndemandGovernor(table=HardwareSpec.nexus4().freq_table),
                     seed=10 + i,
                     initial_temps=warm if i == 1 else None,
                 )
@@ -147,13 +145,26 @@ class TestStateOnlyMembers:
         # Only platform members are written back warm.
         assert platforms[0].time_s == by_platform[0].records[-1].time_s
 
-    def test_default_member_runs_on_the_stock_spec(self):
-        member = PopulationMember(governor=OndemandGovernor())
-        assert member.spec is HardwareSpec.nexus4()
-        with pytest.raises(ValueError, match="platform or a spec"):
-            PopulationMember(
-                governor=OndemandGovernor(), platform=DevicePlatform(), spec=HardwareSpec.nexus4()
+    def test_batch_leaves_platform_noise_streams_where_a_sequential_run_does(self):
+        # A warm follow-up run (reset=False) continues each sensor's noise
+        # stream; after a batch it must continue from the same point as after
+        # a sequential run, not replay the noise the batch already used.
+        first, second = self._traces()[0], self._traces()[1]
+        batched = [DevicePlatform(seed=20 + i) for i in range(2)]
+        simulate_population_mixed(
+            [first, first],
+            [PopulationMember(governor=OndemandGovernor(), platform=p) for p in batched],
+        )
+        for i, platform in enumerate(batched):
+            serial = DevicePlatform(seed=20 + i)
+            Simulator(platform=serial, governor=OndemandGovernor()).run(first)
+            after_serial = Simulator(platform=serial, governor=OndemandGovernor()).run(
+                second, reset=False
             )
+            after_batch = Simulator(platform=platform, governor=OndemandGovernor()).run(
+                second, reset=False
+            )
+            assert after_batch.records == after_serial.records
 
     def test_spec_member_refuses_unknown_initial_node(self):
         members = [PopulationMember(governor=OndemandGovernor(), initial_temps={"nowhere": 1.0})]
