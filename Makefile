@@ -1,8 +1,8 @@
 # Developer checks for the USTA reproduction.
 #
 # `make check` is what CI runs on every PR: the tier-1 test suite plus a
-# smoke run of the batched experiment runtime (table1 through a 2-worker
-# process pool at a tiny duration scale) and of the online policy-session
+# smoke run of the batched experiment runtime (table1 through the in-process
+# vectorized runner at a tiny duration scale) and of the online policy-session
 # driver (`repro serve --smoke`), the cold set-up parity stamps, plus the
 # repository benchmark's self-test.
 # `plane-residency` checks that serving sessions and sweep members stay on
@@ -33,7 +33,7 @@ golden:
 	$(PYTHON) -m repro golden
 
 smoke:
-	$(PYTHON) -m repro table1 --scale 0.05 --jobs 2
+	$(PYTHON) -m repro table1 --scale 0.05
 
 serve-smoke:
 	$(PYTHON) -m repro serve --smoke

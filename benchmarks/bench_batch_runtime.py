@@ -41,6 +41,7 @@ being flaky about machine speed).
 
 import json
 import os
+import statistics
 import sys
 import time
 
@@ -339,14 +340,17 @@ def measure_long_trace_windowed(
     duration_s=LONG_TRACE_SECONDS,
     members=LONG_TRACE_MEMBERS,
     window=LONG_TRACE_WINDOW,
-    repeats=3,
+    pairs=7,
 ):
     """Time and peak-memory both engines over one long synthetic trace.
 
     Timing runs untraced (tracemalloc costs ~2-3x); memory runs traced.  Both
     arms materialise every record — the unwindowed arm keeps them all live,
     the windowed arm drains and discards per window — so the comparison
-    isolates *holding* cost, not record-construction cost.
+    isolates *holding* cost, not record-construction cost.  The arms are
+    timed in ``pairs`` back-to-back pairs that alternate which arm runs
+    first; ``throughput_ratio`` is the median per-pair ratio, so host drift
+    and order effects fall on both arms alike.
     """
     trace = build_benchmark("skype", seed=0, duration_s=duration_s)
     trace.as_arrays()  # warm the trace's own column cache for both arms
@@ -354,8 +358,16 @@ def measure_long_trace_windowed(
     steps = len(trace)
     member_steps = steps * members
 
-    unwindowed_s = _time_call(lambda: _long_unwindowed(traces), repeats=repeats)
-    windowed_s = _time_call(lambda: _long_windowed(traces, window), repeats=repeats)
+    arms = ([], [])  # (unwindowed, windowed) wall times, one entry per pair
+    calls = (lambda: _long_unwindowed(traces), lambda: _long_windowed(traces, window))
+    for index in range(pairs):
+        for arm in ((0, 1) if index % 2 == 0 else (1, 0)):
+            start = time.perf_counter()
+            calls[arm]()
+            arms[arm].append(time.perf_counter() - start)
+    unwindowed_s = statistics.median(arms[0])
+    windowed_s = statistics.median(arms[1])
+    ratio = statistics.median(w / u for u, w in zip(*arms))
     unwindowed_peak = _traced_peak(lambda: _long_unwindowed(traces))
     windowed_peak = _traced_peak(lambda: _long_windowed(traces, window))
 
@@ -370,7 +382,8 @@ def measure_long_trace_windowed(
         "windowed_s": windowed_s,
         "unwindowed_member_steps_per_s": member_steps / unwindowed_s,
         "windowed_member_steps_per_s": member_steps / windowed_s,
-        "throughput_ratio": windowed_s / unwindowed_s,
+        "timing_pairs": pairs,
+        "throughput_ratio": ratio,
         "unwindowed_peak_mib": unwindowed_peak / (1024 * 1024),
         "windowed_peak_mib": windowed_peak / (1024 * 1024),
         "peak_memory_ratio": unwindowed_peak / windowed_peak,
@@ -676,8 +689,8 @@ SMOKE_MIN_SPEEDUP = 1.5
 SMOKE_MIN_MANAGED_SPEEDUP = 1.5
 #: Windowed long-trace gates: windowing must collapse peak memory by at least
 #: an order of magnitude (the baseline records far more) while staying within
-#: 10% of the unwindowed engine's wall time (best-of-3 per arm — the two arms
-#: do identical work, so this is noise-tolerant).
+#: 10% of the unwindowed engine's wall time (the median per-pair ratio of 7
+#: interleaved pairs that alternate which arm runs first).
 SMOKE_MIN_PEAK_MEMORY_RATIO = 10.0
 SMOKE_MAX_WINDOWED_SLOWDOWN = 1.10
 #: Wide-plan smoke: a quarter of the baseline plan (still several batches'
@@ -780,7 +793,7 @@ def run_smoke(min_speedup=SMOKE_MIN_SPEEDUP, min_managed=SMOKE_MIN_MANAGED_SPEED
         print("bench-smoke: FAIL — windowed drain records diverged from unwindowed")
         return 1
 
-    stats = measure_long_trace_windowed(duration_s=3600.0, window=256, repeats=3)
+    stats = measure_long_trace_windowed(duration_s=3600.0, window=256)
     print(
         f"bench-smoke: windowed long trace — {stats['members']} members x "
         f"{stats['trace_steps']} steps, window {stats['window_steps']}: "
@@ -788,7 +801,9 @@ def run_smoke(min_speedup=SMOKE_MIN_SPEEDUP, min_managed=SMOKE_MIN_MANAGED_SPEED
         f"{stats['windowed_peak_mib']:.1f} MiB "
         f"({stats['peak_memory_ratio']:.1f}x lower), throughput "
         f"{stats['windowed_member_steps_per_s']:,.0f}/s vs "
-        f"{stats['unwindowed_member_steps_per_s']:,.0f}/s unwindowed"
+        f"{stats['unwindowed_member_steps_per_s']:,.0f}/s unwindowed; wall time "
+        f"{stats['throughput_ratio']:.2f}x unwindowed (median of "
+        f"{stats['timing_pairs']} alternating pairs)"
     )
     if stats["peak_memory_ratio"] < SMOKE_MIN_PEAK_MEMORY_RATIO:
         print(

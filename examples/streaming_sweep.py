@@ -7,7 +7,7 @@ for that:
 1. declare a population sweep as an :class:`ExperimentPlan` whose cells carry
    a declarative policy with a ``trained`` predictor *recipe* — the trained
    model resolves through the content-addressed artifact cache, so re-running
-   the example (or fanning out over ``--jobs`` workers) never retrains;
+   the example (or fanning out over ``--fleet`` workers) never retrains;
 2. stream the plan into a sharded JSONL :class:`StreamingResultStore`: each
    completed cell is appended and dropped, and a :class:`SummarySink` teed
    next to it folds the records into O(1) running summaries for the report;

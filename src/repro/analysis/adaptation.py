@@ -184,7 +184,6 @@ def comfort_performance_frontier(
     user_ids: Optional[Sequence[str]] = None,
     report_period_s: float = 9.0,
     warm_start: bool = True,
-    jobs: Optional[int] = None,
     stream_to=None,
     resume: bool = False,
 ) -> List[FrontierPoint]:
@@ -208,7 +207,6 @@ def comfort_performance_frontier(
         report_period_s: simulated-user report period for adaptive schemes.
         warm_start: start from :data:`WARM_START_TEMPS` so short traces reach
             comfort-relevant temperatures immediately.
-        jobs: worker processes (``None`` = vectorized in-process).
         stream_to: optional directory; when given, cells stream into a
             :class:`~repro.runtime.streamstore.StreamingResultStore` there
             and the frontier is computed by single-pass streaming comfort
@@ -252,7 +250,7 @@ def comfort_performance_frontier(
                 )
             )
 
-    runner = BatchRunner.for_jobs(jobs)
+    runner = BatchRunner.for_jobs(None)
     limits = {profile.user_id: profile.skin_limit_c for profile in profiles}
     if stream_to is not None:
         from .streaming import stream_plan_summaries

@@ -52,16 +52,9 @@ class ReproductionContext:
         seed: int = 0,
         duration_scale: float = 1.0,
         model_name: str = "reptree",
-        jobs: Optional[int] = None,
     ) -> "ReproductionContext":
-        """Collect training data, train the predictor and assemble the context.
-
-        Args:
-            jobs: worker-process count forwarded to
-                :func:`~repro.core.pipeline.collect_training_data` (the most
-                expensive stage of context construction).
-        """
-        data = collect_training_data(seed=seed, duration_scale=duration_scale, jobs=jobs)
+        """Collect training data, train the predictor and assemble the context."""
+        data = collect_training_data(seed=seed, duration_scale=duration_scale)
         predictor = train_runtime_predictor(data, model_name=model_name, seed=seed)
         return cls(
             predictor=predictor,

@@ -55,7 +55,6 @@ def reproduce_table1(
     duration_scale: float = 1.0,
     skin_limit_c: float = PAPER_DEFAULT_LIMIT_C,
     runner: Optional[BatchRunner] = None,
-    jobs: Optional[int] = None,
     stream_to=None,
     resume: bool = False,
 ) -> List[Table1Row]:
@@ -65,8 +64,7 @@ def reproduce_table1(
     :class:`~repro.runtime.plan.ExperimentPlan` and executed through a
     :class:`~repro.runtime.runner.BatchRunner`: by default each benchmark's
     baseline/USTA pair integrates as one vectorized population (bit-identical
-    to sequential runs), and ``jobs > 1`` fans the cells out over a process
-    pool instead.
+    to sequential runs).
 
     Args:
         context: shared context (provides the trained predictor).
@@ -75,9 +73,7 @@ def reproduce_table1(
             (1.0 reproduces the paper's run lengths; smaller values give a
             faster, rougher table).
         skin_limit_c: USTA's comfort limit (37 °C = the default user).
-        runner: custom batch runner (overrides ``jobs``).
-        jobs: worker-process count for parallel execution (see
-            :meth:`BatchRunner.for_jobs`).
+        runner: custom batch runner (default: the in-process vectorized one).
         stream_to: optional directory; when given, cells stream into a
             :class:`~repro.runtime.streamstore.StreamingResultStore` there
             and the table is built from single-pass streaming summaries —
@@ -109,7 +105,7 @@ def reproduce_table1(
                     metadata={"benchmark": name, "scheme": scheme},
                 )
             )
-    active_runner = runner if runner is not None else BatchRunner.for_jobs(jobs)
+    active_runner = runner if runner is not None else BatchRunner.for_jobs(None)
     if stream_to is not None:
         metrics = _stream_metrics(active_runner, plan, stream_to, resume)
     else:

@@ -4,7 +4,7 @@
 paper's tables and figures from the command line::
 
     repro-usta table1 --scale 0.25
-    repro-usta table1 --scale 1.0 --jobs 4
+    repro-usta table1 --scale 1.0
     repro-usta fig1
     repro-usta fig2
     repro-usta fig3
@@ -14,9 +14,10 @@ paper's tables and figures from the command line::
     repro-usta sweep --scale 0.25 --repeat 10
 
 ``--scale`` shortens every benchmark proportionally (1.0 replays the paper's
-full durations).  ``--jobs N`` fans the experiment grid out over N worker
-processes (``table1``/``all``/``sweep``); without it the vectorized
-in-process runner batches same-trace cells.  ``sweep`` runs a user
+full durations).  Experiment grids run through the vectorized in-process
+runner, which batches cells into structure-of-arrays populations;
+``sweep --fleet N --stream-to DIR`` fans a sweep out over N worker
+processes that each run a vectorized slice.  ``sweep`` runs a user
 population (the ten study participants × ``--repeat``) against one benchmark
 under user-specific USTA — the population-scale experiment the batched
 runtime in :mod:`repro.runtime` exists for.
@@ -97,12 +98,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument(
         "--folds", type=int, default=10, help="cross-validation folds for fig3"
-    )
-    parser.add_argument(
-        "--jobs",
-        type=int,
-        default=None,
-        help="worker processes for table1/all/sweep (default: vectorized in-process runner)",
     )
     parser.add_argument(
         "--benchmark",
@@ -361,18 +356,11 @@ def _run_sweep(context: ReproductionContext, args: argparse.Namespace) -> str:
             )
 
     runner = BatchRunner.for_jobs(
-        args.jobs,
+        None,
         window_steps=args.window_steps,
         window_bytes=args.window_bytes,
     )
     if args.explain_batching:
-        from .runtime.executors import VectorizedExecutor
-
-        if not isinstance(runner.executor, VectorizedExecutor):
-            raise SystemExit(
-                "repro-usta sweep: --explain-batching describes the in-process "
-                "vectorized runner; drop --jobs to use it"
-            )
         cells = list(plan)
         return runner.executor.batch_plan(cells).describe(
             cells,
@@ -534,7 +522,6 @@ def _run_experiment(name: str, context: ReproductionContext, args: argparse.Name
             rows = reproduce_table1(
                 context,
                 duration_scale=scale,
-                jobs=args.jobs,
                 stream_to=getattr(args, "stream_to", None),
                 resume=getattr(args, "resume", False),
             )
@@ -829,11 +816,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             )
         if args.stream_to is None:
             raise SystemExit("repro-usta: --fleet needs --stream-to (the merged store)")
-        if args.jobs is not None:
-            raise SystemExit(
-                "repro-usta: --fleet and --jobs are different distribution "
-                "strategies; pass one"
-            )
         if args.fleet < 1:
             raise SystemExit("repro-usta: --fleet must be at least 1")
     if args.listen is not None and args.experiment != "serve":
@@ -871,11 +853,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             )
         if args.window_bytes is not None and args.window_bytes <= 0:
             raise SystemExit("repro-usta: --window-bytes must be positive")
-        if args.jobs is not None and args.jobs > 1:
-            raise SystemExit(
-                f"repro-usta: {window_flag} tunes the in-process vectorized "
-                "runner; drop --jobs to use it"
-            )
         if args.fleet is not None:
             raise SystemExit(
                 f"repro-usta: {window_flag} tunes the in-process vectorized "
@@ -899,7 +876,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
 
     print(f"building reproduction context (scale={args.scale}, model={args.model}) ...")
     context = ReproductionContext.build(
-        seed=args.seed, duration_scale=args.scale, model_name=args.model, jobs=args.jobs
+        seed=args.seed, duration_scale=args.scale, model_name=args.model
     )
     print(f"training data: {context.training_data.num_records} log records\n")
 

@@ -94,7 +94,6 @@ def collect_training_data(
     log_period_s: float = 3.0,
     duration_scale: float = 1.0,
     platform_factory: Optional[Callable[[], DevicePlatform]] = None,
-    jobs: Optional[int] = None,
     runner: Optional["BatchRunner"] = None,
 ) -> TrainingData:
     """Run the benchmark suite under the baseline governor and log predictor data.
@@ -103,7 +102,7 @@ def collect_training_data(
     :class:`~repro.runtime.plan.ExperimentPlan` (one logging cell per
     benchmark) and executed through a
     :class:`~repro.runtime.runner.BatchRunner`, so the most expensive stage
-    of the pipeline can fan out over a process pool with ``jobs > 1``.
+    of the pipeline integrates as one vectorized population.
 
     Args:
         benchmarks: benchmark names to run (all thirteen by default).
@@ -112,10 +111,8 @@ def collect_training_data(
         duration_scale: multiply every benchmark's duration by this factor
             (useful to build smaller datasets in tests and quick examples).
         platform_factory: custom platform constructor (defaults to a fresh
-            Nexus-4 platform per benchmark; must be picklable when combined
-            with ``jobs > 1``).
-        jobs: worker-process count for parallel collection.
-        runner: custom batch runner (overrides ``jobs``).
+            Nexus-4 platform per benchmark).
+        runner: custom batch runner (default: the in-process vectorized one).
 
     Returns:
         A :class:`TrainingData` whose logger pools the records of every
@@ -147,7 +144,7 @@ def collect_training_data(
                 metadata={"benchmark": name},
             )
         )
-    store = (runner if runner is not None else BatchRunner.for_jobs(jobs)).run(plan)
+    store = (runner if runner is not None else BatchRunner.for_jobs(None)).run(plan)
 
     pooled = SystemLogger(period_s=log_period_s)
     for cell_result in store:

@@ -327,7 +327,7 @@ def build_trained_predictor(
 
     Resolution is two-level: an in-process memo (many cells of one sweep
     share one training run), then the content-addressed disk cache of
-    :mod:`repro.runtime.artifacts` (many *processes* — pool workers, repeated
+    :mod:`repro.runtime.artifacts` (many *processes* — fleet workers, repeated
     sweeps, ``repro serve`` restarts — share one trained artifact).  Only a
     cold miss on both levels collects data and trains.
     """

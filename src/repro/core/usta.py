@@ -38,8 +38,8 @@ class USTAControllerFactory:
     """Builds fresh USTA controllers for batched-runtime experiment cells.
 
     Carries only what a controller needs (the trained predictor and a comfort
-    limit), so process-pool executors pickle a small payload per cell instead
-    of whatever object graph a bound method would drag along.
+    limit), so a pickled cell carries a small payload instead of
+    whatever object graph a bound method would drag along.
     """
 
     predictor: RuntimePredictor

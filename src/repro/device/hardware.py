@@ -13,7 +13,7 @@ from __future__ import annotations
 import copy
 import functools
 import hashlib
-from dataclasses import astuple, dataclass, field
+from dataclasses import astuple, dataclass, field, replace
 from types import SimpleNamespace
 from typing import Mapping, NamedTuple, Optional, Tuple
 
@@ -63,7 +63,8 @@ class HardwareSpec:
         battery: battery constants (its charge is the reset value).
         network: the thermal network — node names, C, G, boundary coupling,
             boundary and reset temperatures — with :attr:`hand` applied.
-        hand: hand-contact node, conductance and default touch state.
+        hand: hand-contact node and conductance, in the canonical
+            not-touching state (touch state is per-tick member state).
         sensors: the sensor layout, in read order.
         key: digest of all of the above.
     """
@@ -88,17 +89,23 @@ class HardwareSpec:
     def of(cls, platform) -> "HardwareSpec":
         """The hardware of a :class:`~repro.device.platform.DevicePlatform`.
 
-        Reads the network in its current hand-contact and boundary state,
-        so derive the spec from a freshly built or freshly reset platform.
+        Reads the network in its current boundary state, so derive the spec
+        from a freshly built or freshly reset platform.  Hand contact is
+        per-tick state (the engine picks each step's map from the trace's
+        ``touching`` column, and a reset keeps whatever state the last trace
+        left), so the network and ``hand`` are described not touching.
         """
+        hand = replace(platform.hand, touching=False)
+        network = copy.deepcopy(platform.network)
+        hand.apply(network)
         return cls(
             freq_table=platform.freq_table,
             carry_over=bool(platform.cpu.carry_over),
             max_backlog=float(platform.cpu.max_backlog),
             power_model=copy.deepcopy(platform.power_model),
             battery=copy.copy(platform.battery),
-            network=copy.deepcopy(platform.network),
-            hand=copy.copy(platform.hand),
+            network=network,
+            hand=hand,
             sensors=tuple(
                 SensorLayout(s.name, s.node, s.noise_std_c, s.quantization_c, s.offset_c)
                 for s in platform.sensors.sensors.values()
@@ -119,7 +126,6 @@ class HardwareSpec:
             hand=HandContact(),
             sensors=SensorSuite.nexus4_instrumented(),
         )
-        parts.hand.apply(parts.network)
         return HardwareSpec.of(parts)
 
     # -- comparison ---------------------------------------------------------------

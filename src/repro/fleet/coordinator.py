@@ -200,7 +200,8 @@ class FleetCoordinator:
     """Distribute an :class:`ExperimentPlan` across local worker processes.
 
     Args:
-        plan: the cells to execute (must be picklable, as for ``--jobs``).
+        plan: the cells to execute (must be picklable: every worker process
+            receives the cell list when it starts).
         directory: destination store directory (the merged, indexed store
             ends up here; workers stream into ``directory/workers/``).
         workers: number of concurrent worker processes.

@@ -10,8 +10,6 @@ executes them through a pluggable executor, and a
 Executors trade scheduling for the same deterministic results:
 
 * :class:`~repro.runtime.executors.SerialExecutor` — simple in-process loop;
-* :class:`~repro.runtime.executors.ProcessPoolCellExecutor` — cells fan out
-  over a process pool (``repro-usta table1 --jobs 4``);
 * :class:`~repro.runtime.executors.VectorizedExecutor` — every
   batch-eligible cell, whatever its workload trace, integrates in lockstep
   as one structure-of-arrays batch through
@@ -20,13 +18,17 @@ Executors trade scheduling for the same deterministic results:
   map (with live-prefix early exit for short traces and a columnar record
   path; ``plan_batches`` explains the partition).
 
+Both run in the current process; :class:`~repro.fleet.coordinator.
+FleetCoordinator` (``repro-usta sweep --fleet N --stream-to DIR``) fans a
+plan out over worker processes that each run a vectorized slice.
+
 For sweeps too large to hold in memory, the record path also runs
 *streaming*: executors push each completed cell through the
 :class:`~repro.runtime.stream.RecordSink` protocol into an append-only
 sharded-JSONL :class:`~repro.runtime.streamstore.StreamingResultStore`
 (crash-safe, resumable, bit-identical to the batch path), and
 :mod:`repro.runtime.artifacts` caches trained predictor artifacts by content
-key so repeated sweeps and pool workers stop retraining per process.
+key so repeated sweeps and fleet workers stop retraining per process.
 
 Quickstart::
 
@@ -50,7 +52,7 @@ Quickstart::
 """
 
 from .artifacts import ArtifactCache, configured_artifact_cache
-from .executors import ProcessPoolCellExecutor, SerialExecutor, VectorizedExecutor
+from .executors import SerialExecutor, VectorizedExecutor
 from .plan import (
     BatchPlan,
     ConstantManagerFactory,
@@ -80,7 +82,6 @@ __all__ = [
     "ExperimentCell",
     "ExperimentPlan",
     "PopulationMember",
-    "ProcessPoolCellExecutor",
     "RecordSink",
     "ResultStore",
     "SerialExecutor",

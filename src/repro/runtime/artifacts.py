@@ -5,7 +5,7 @@ deterministically reproduces the paper's offline pipeline — run the benchmark
 suite under the baseline governor, train the named learner — which is exactly
 why nothing but the recipe needs to be shipped.  It is also why nothing but
 the recipe needs to be *retrained*: the same recipe always yields the same
-model, so process-pool workers, repeated sweeps, ``repro serve`` populations
+model, so fleet workers, repeated sweeps, ``repro serve`` populations
 and :func:`~repro.api.session.open_session` calls can share one trained
 artifact on disk instead of each paying the collect-and-train cost.
 

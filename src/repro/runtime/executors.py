@@ -1,16 +1,13 @@
-"""Cell executors: serial, process pool, and heterogeneous vectorized batching.
+"""Cell executors: serial and heterogeneous vectorized batching.
 
 An executor consumes a list of :class:`~repro.runtime.plan.ExperimentCell`
 entries and yields one :class:`~repro.runtime.store.CellResult` per cell *in
-input order*.  All three executors are deterministic and interchangeable:
+input order*.  Both executors are deterministic and interchangeable:
 for a given plan they produce identical :class:`StepRecord` streams (the
 parity tests in ``tests/test_runtime.py`` and
 ``tests/test_heterogeneous_batch.py`` assert this bit-for-bit).
 
 * :class:`SerialExecutor` — one cell after another in the current process.
-* :class:`ProcessPoolCellExecutor` — cells fan out over a
-  ``concurrent.futures`` process pool; cells and their manager factories must
-  be picklable.
 * :class:`VectorizedExecutor` — every batch-eligible cell, whatever its
   workload trace, joins one structure-of-arrays batch per sample period
   through :func:`~repro.runtime.vectorized.simulate_population_mixed`;
@@ -21,17 +18,18 @@ Every executor additionally implements ``execute_stream(cells, sink)``, the
 bounded-memory form :meth:`BatchRunner.run_stream` drives: completed cells
 flow into a :class:`~repro.runtime.stream.RecordSink` instead of
 accumulating.  The serial executor streams record-by-record (live footprint
-≤ one cell); the process pool has each worker *spill* its finished cell as
-one stored line to a scratch file and the parent merges lines into
-the sink in completion order, so neither the workers' result pickles nor the
-parent ever hold more than ~one cell; the vectorized executor integrates a
-batch in lockstep (inherently O(batch) live — bounded by its
-``max_batch_members`` cap, 256 by default) and then drains the batch into
-the sink cell by cell as columns, building no per-step record objects unless
-a sink asks for them.
+≤ one cell); the vectorized executor integrates a batch in lockstep
+(inherently O(batch) live — bounded by its ``max_batch_members`` cap, 256 by
+default) and then drains the batch into the sink cell by cell as columns,
+building no per-step record objects unless a sink asks for them.
 Stream delivery order is first-appearance unit order — identical to plan
 order whenever batched cells are contiguous; sinks key cells by id, so order
 never affects resume or analysis.
+
+Both executors run in the current process.  The one multi-process path is
+the fleet (:class:`~repro.fleet.coordinator.FleetCoordinator`, ``repro sweep
+--fleet N --stream-to DIR``), whose workers each run a vectorized slice of
+the plan.
 """
 
 from __future__ import annotations
@@ -39,8 +37,6 @@ from __future__ import annotations
 import json
 import shutil
 import tempfile
-import uuid
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterable, Iterator, List, Optional, Sequence, Tuple
@@ -51,7 +47,7 @@ from ..sim.results import RecordColumns
 from ..workloads.trace import WorkloadTrace
 from .plan import BatchPlan, ExperimentCell, plan_batches
 from .runner import run_cell, stream_cell
-from .store import CellLineWriter, CellResult, parse_cell_line
+from .store import CellResult
 from .stream import RecordSink, forward_columns, push_cell_result
 from .vectorized import (
     DEFAULT_MAX_WINDOW_BYTES,
@@ -63,7 +59,6 @@ from .vectorized import (
 
 __all__ = [
     "SerialExecutor",
-    "ProcessPoolCellExecutor",
     "VectorizedExecutor",
 ]
 
@@ -81,19 +76,6 @@ class SerialExecutor:
         """Stream every cell's records into the sink, record by record."""
         for cell in cells:
             stream_cell(cell, sink)
-
-
-def _spill_cell(cell: ExperimentCell, spill_dir: str) -> str:
-    """Pool-worker unit of work: run one cell, spill it, return the file path.
-
-    The cell becomes one stored line written by the store's own
-    :class:`~repro.runtime.store.CellLineWriter`, so the parent can merge
-    spill files into any sink without the records crossing the process pipe.
-    """
-    path = Path(spill_dir) / f"{uuid.uuid4().hex}.jsonl"
-    with open(path, "w", encoding="ascii") as fh:
-        stream_cell(cell, CellLineWriter(fh.write))
-    return str(path)
 
 
 class _WindowSpoolDrain:
@@ -142,66 +124,6 @@ class _WindowSpoolDrain:
                 fh.close()
                 self._handles[index] = None
         shutil.rmtree(self._dir, ignore_errors=True)
-
-
-@dataclass
-class ProcessPoolCellExecutor:
-    """Fans cells out over a process pool.
-
-    Attributes:
-        max_workers: pool size (``None`` lets ``concurrent.futures`` decide).
-        chunksize: cells submitted per worker task (larger values amortize
-            pickling for plans of many small cells).
-    """
-
-    max_workers: Optional[int] = None
-    chunksize: int = 1
-
-    def execute(self, cells: Iterable[ExperimentCell]) -> Iterator[CellResult]:
-        """Yield one result per cell, in order (pool map preserves order)."""
-        cell_list = list(cells)
-        if not cell_list:
-            return
-        if len(cell_list) == 1:
-            # Not worth a pool spin-up for a single cell.
-            yield run_cell(cell_list[0])
-            return
-        with ProcessPoolExecutor(max_workers=self.max_workers) as pool:
-            yield from pool.map(run_cell, cell_list, chunksize=self.chunksize)
-
-    def execute_stream(self, cells: Iterable[ExperimentCell], sink: RecordSink) -> None:
-        """Fan cells out, spilling each finished cell to disk, and merge in order.
-
-        Each worker writes its cell's records as one stored line to a
-        scratch file and returns only the path, so nothing heavier than a
-        path crosses the process pipe and the parent holds at most one cell
-        while forwarding it into the sink.  Spill files (and the scratch
-        directory) are removed as they are merged.
-        """
-        cell_list = list(cells)
-        if not cell_list:
-            return
-        if len(cell_list) == 1:
-            stream_cell(cell_list[0], sink)
-            return
-        spill_dir = tempfile.mkdtemp(prefix="repro-spill-")
-        try:
-            with ProcessPoolExecutor(max_workers=self.max_workers) as pool:
-                paths = pool.map(
-                    _spill_cell,
-                    cell_list,
-                    [spill_dir] * len(cell_list),
-                    chunksize=self.chunksize,
-                )
-                for cell, path in zip(cell_list, paths):
-                    with open(path, "rb") as fh:
-                        parsed = parse_cell_line(fh.readline(), path)
-                    # Keep the parent's original cell object (the spill line's
-                    # descriptive cell would detach explicit traces).
-                    push_cell_result(sink, CellResult(cell=cell, result=parsed.result))
-                    Path(path).unlink()
-        finally:
-            shutil.rmtree(spill_dir, ignore_errors=True)
 
 
 @dataclass

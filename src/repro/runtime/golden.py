@@ -18,7 +18,7 @@ Two scenarios, chosen to cover the whole policy stack cheaply:
 
 Both scenarios are fully declarative (policy specs with a deterministic
 ``trained`` predictor recipe), so the committed cell descriptions are
-self-contained and the process-pool executor reproduces them from scratch.
+self-contained and a fleet worker reproduces them from scratch.
 
 Regenerate after an *intended* numeric change with::
 

@@ -5,7 +5,7 @@ per-user comfort limits — and the analysis layer used to replay each grid
 cell through a hand-rolled loop.  An :class:`ExperimentPlan` makes that grid
 a first-class object: a list of :class:`ExperimentCell` descriptions that a
 :class:`~repro.runtime.runner.BatchRunner` can execute with any executor
-(serial, process pool, or the vectorized same-trace population path).
+(serial, or the vectorized population path).
 
 Cells are plain picklable data so they can cross process boundaries.  A cell
 names its workload either by benchmark registry name (rebuilt inside the
@@ -88,7 +88,7 @@ class ExperimentCell:
             Ignored when ``policy`` is given.
         manager_factory: zero-argument callable returning a fresh thermal
             manager (``None`` runs the bare governor).  Must be picklable for
-            the process-pool executor.  Mutually exclusive with ``policy``.
+            fleet workers.  Mutually exclusive with ``policy``.
         policy: declarative :class:`~repro.api.specs.PolicySpec` describing
             both the governor and the (optional) thermal manager.  Specs are
             plain picklable data, so policy cells cross process boundaries
@@ -105,8 +105,8 @@ class ExperimentCell:
         log_period_s: when set, a :class:`~repro.sim.logger.SystemLogger`
             with this period is attached and returned with the cell result.
         platform_factory: optional custom platform constructor (defaults to a
-            fresh seeded Nexus-4 platform); must be picklable for the
-            process-pool executor.  Cells with a custom platform are not
+            fresh seeded Nexus-4 platform); must be picklable for fleet
+            workers.  Cells with a custom platform are not
             eligible for vectorized batching.
         detached_trace: set by :meth:`~repro.runtime.store.ResultStore.load`
             on cells whose original explicit workload trace was not

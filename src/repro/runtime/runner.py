@@ -3,8 +3,7 @@
 :func:`stream_cell` is the single-cell unit of work — it replays one cell and
 pushes every step record into a :class:`~repro.runtime.stream.RecordSink` as
 it is produced.  :func:`run_cell` is the batch form (stream into an in-memory
-collector), kept as a module-level function so the process-pool executor can
-pickle it.  :class:`BatchRunner` runs a plan through a pluggable executor,
+collector).  :class:`BatchRunner` runs a plan through a pluggable executor,
 either collecting a :class:`~repro.runtime.store.ResultStore` (:meth:`run`)
 or streaming completed cells into any sink (:meth:`run_stream`) so sweeps
 never hold more than ~one cell's records in memory.
@@ -99,11 +98,10 @@ class BatchRunner:
     Attributes:
         executor: object with an ``execute(cells) -> iterable of CellResult``
             method (``SerialExecutor`` by default — see
-            :mod:`repro.runtime.executors` for the process-pool and vectorized
-            alternatives).  Executors may additionally implement
-            ``execute_stream(cells, sink)`` for cell-at-a-time delivery;
-            :meth:`run_stream` falls back to forwarding ``execute`` results
-            otherwise.
+            :mod:`repro.runtime.executors` for the vectorized alternative).
+            Executors may additionally implement ``execute_stream(cells,
+            sink)`` for cell-at-a-time delivery; :meth:`run_stream` falls
+            back to forwarding ``execute`` results otherwise.
     """
 
     executor: Optional[object] = None
@@ -165,25 +163,27 @@ class BatchRunner:
         window_steps: Optional[int] = None,
         window_bytes: Optional[int] = None,
     ) -> "BatchRunner":
-        """A runner matching a CLI ``--jobs`` setting.
-
-        ``jobs`` of ``None``/``0``/``1`` selects the vectorized in-process
-        executor (which batches same-trace cells and runs the rest serially);
-        anything above 1 selects a process pool of that many workers.
+        """The in-process vectorized runner, with optional window sizing.
 
         Args:
-            jobs: worker-process count (``None``/``0``/``1`` = in-process).
+            jobs: must be ``None``, ``0`` or ``1``.  Fanning a plan out over
+                worker processes is the fleet's job: ``repro sweep --fleet N
+                --stream-to DIR`` or
+                :class:`~repro.fleet.coordinator.FleetCoordinator`.
             window_steps: explicit step-window length for the vectorized
                 executor (``--window-steps``); ``None`` keeps the executor's
-                byte-budget default.  Ignored by the process pool.
+                byte-budget default.
             window_bytes: staging byte budget for the vectorized executor
-                (``--window-bytes``); ``None`` keeps the default.  Ignored by
-                the process pool.
+                (``--window-bytes``); ``None`` keeps the default.
         """
-        from .executors import ProcessPoolCellExecutor, VectorizedExecutor
+        from .executors import VectorizedExecutor
 
         if jobs is not None and jobs > 1:
-            return cls(executor=ProcessPoolCellExecutor(max_workers=jobs))
+            raise ValueError(
+                f"{jobs} worker processes: the runner is in-process; fan a plan "
+                "out over workers with `repro sweep --fleet N --stream-to DIR` "
+                "or repro.fleet.FleetCoordinator"
+            )
         kwargs = {}
         if window_steps is not None:
             kwargs["window_steps"] = window_steps

@@ -9,7 +9,7 @@ Stores also round-trip through JSON Lines files (:meth:`ResultStore.save` /
 :meth:`ResultStore.load`): one line per cell, carrying the cell's identity
 (id, benchmark, governor or policy spec, seed, metadata) and the full
 :class:`~repro.sim.results.StepRecord` stream.  Every persisted line — save
-files, streamed shards, process-pool spill files — is written by one
+files, streamed shards, fleet worker shards — is written by one
 :class:`CellLineWriter` in store format 3::
 
     {"cell":{...},"result":{"workload_name":...,"governor_name":...,
@@ -109,7 +109,7 @@ class CellResult:
         result: the per-step simulation result.
         logger: the cell's system logger, when ``cell.log_period_s`` was set
             (this is how :func:`repro.core.pipeline.collect_training_data`
-            gets its records back from pool workers).
+            gets its records back from the runner).
     """
 
     cell: ExperimentCell
@@ -120,7 +120,7 @@ class CellResult:
 class CellLineWriter:
     """Record sink writing each cell as one line in store format 3.
 
-    The one writer of every stored form (save files, shards, spill files):
+    The one writer of every stored form (save files, shards):
     ``begin_cell`` writes the line's head, records arrive one at a time
     (``emit``) or as column runs (``emit_columns``), and ``end_cell``
     writes the tail and the newline.  Whatever the arrival pattern, the

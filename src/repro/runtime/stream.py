@@ -173,7 +173,7 @@ def push_cell_result(sink: RecordSink, entry: CellResult) -> None:
     """Forward an already-materialised cell result through a sink.
 
     Used wherever a whole cell arrives at once — the vectorized executor's
-    per-group results, the process pool's merged spill files — so every sink
+    per-group results, a fallback cell's collected result — so every sink
     sees one uniform protocol.  A result whose records are still deferred
     columns goes through :func:`_forward`, so no :class:`StepRecord` is built
     unless some sink asks for records.

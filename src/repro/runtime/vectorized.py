@@ -215,11 +215,10 @@ def _hand_state_solvers(spec: HardwareSpec) -> Dict[bool, ThermalSolver]:
     if cached is not None:
         _HAND_SOLVER_CACHE.move_to_end(spec.key)
         return cached
-    net = spec.network
-    base_state = spec.hand.touching
-    flipped = copy.deepcopy(net)
-    replace(spec.hand, touching=not base_state).apply(flipped)
-    back = copy.deepcopy(flipped)
+    net = spec.network  # not touching: the spec's canonical touch state
+    touched = copy.deepcopy(net)
+    replace(spec.hand, touching=True).apply(touched)
+    back = copy.deepcopy(touched)
     spec.hand.apply(back)
     if not (
         np.array_equal(back.conductance_matrix, net.conductance_matrix)
@@ -229,10 +228,10 @@ def _hand_state_solvers(spec: HardwareSpec) -> Dict[bool, ThermalSolver]:
             "hand-contact toggling does not round-trip bitwise on this network; "
             "falling back to scalar execution"
         )
-    # Toggling is deterministic and round-trips, so the once-flipped matrices
-    # are the ones a scalar run reaches after any odd number of toggles.  The
-    # spec's network is private and the engine only reads step maps from it.
-    solvers = {base_state: ThermalSolver(net), (not base_state): ThermalSolver(flipped)}
+    # Toggling is deterministic and round-trips, so the once-touched matrices
+    # are the ones a scalar run reaches whenever the hand is on.  The spec's
+    # network is private and the engine only reads step maps from it.
+    solvers = {False: ThermalSolver(net), True: ThermalSolver(touched)}
     _HAND_SOLVER_CACHE[spec.key] = solvers
     if len(_HAND_SOLVER_CACHE) > _HAND_SOLVER_CACHE_MAX:
         _HAND_SOLVER_CACHE.popitem(last=False)

@@ -28,13 +28,13 @@ its absence).  This module makes that loop a first-class, pluggable component:
   the wrapped USTA controller via ``set_skin_limit``, and then defers the
   cap decision to it.  Because it implements the plain
   :class:`~repro.sim.engine.ThermalManager` protocol it runs unchanged under
-  the scalar kernel, the process pool and the vectorized population engine.
+  the scalar kernel, the fleet's workers and the vectorized population engine.
 
 Simulated users "feel" the *skin sensor reading* rather than the internal
 node temperature: it is the only skin signal present on every execution path
 (scalar telemetry and vectorized population alike), and its noise doubles as
-perception noise.  This is what makes adaptive cells bit-identical across all
-three executors.
+perception noise.  This is what makes adaptive cells bit-identical across
+every executor and the fleet.
 """
 
 from __future__ import annotations

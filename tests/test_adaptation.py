@@ -2,8 +2,8 @@
 
 Covers the tentpole end to end: adapter strategies and their registry, the
 satisfaction-driven feedback model, the live limit inside USTA, the adaptive
-manager under all three executors (bit-identical records), and the analysis
-layer's convergence/frontier reports — including the acceptance criterion
+manager under every executor and the fleet (bit-identical records), and the
+analysis layer's convergence/frontier reports — including the acceptance criterion
 that :class:`QuantileTracker` lands within 0.5 °C of every simulated user's
 true limit on the default population.
 """
@@ -24,12 +24,15 @@ from repro.api.registry import ADAPTERS
 from repro.api.specs import AdapterSpec, ManagerSpec, PolicySpec, SpecError
 from repro.api.types import FeedbackEvent
 from repro.core.usta import USTAController
-from repro.runtime import BatchRunner, ExperimentCell, ExperimentPlan, ResultStore
-from repro.runtime.executors import (
-    ProcessPoolCellExecutor,
-    SerialExecutor,
-    VectorizedExecutor,
+from repro.fleet import FleetCoordinator
+from repro.runtime import (
+    BatchRunner,
+    ExperimentCell,
+    ExperimentPlan,
+    ResultStore,
+    StreamingResultStore,
 )
+from repro.runtime.executors import SerialExecutor, VectorizedExecutor
 from repro.users.adaptation import (
     AdaptiveComfortManager,
     FeedbackStep,
@@ -343,21 +346,24 @@ class TestAdaptiveExecutorParity:
     """`sweep --adapter feedback_step` must be bit-identical on every executor."""
 
     @pytest.fixture(scope="class")
-    def stores(self, linear_predictor):
+    def stores(self, linear_predictor, tmp_path_factory):
         trace = build_benchmark("skype", seed=0, duration_s=150)
         results = {}
         for name, executor in (
             ("serial", SerialExecutor()),
             ("vectorized", VectorizedExecutor()),
-            ("process-pool", ProcessPoolCellExecutor(max_workers=2)),
         ):
             plan = _adaptive_plan(linear_predictor, trace)
             results[name] = BatchRunner(executor=executor).run(plan)
+        # The multi-process arm: two fleet workers, merged store read back.
+        directory = tmp_path_factory.mktemp("adaptive-fleet")
+        FleetCoordinator(_adaptive_plan(linear_predictor, trace), directory, workers=2).run()
+        results["fleet"] = StreamingResultStore(directory).load()
         return results
 
     def test_records_are_bit_identical_across_executors(self, stores):
         reference = stores["serial"]
-        for name in ("vectorized", "process-pool"):
+        for name in ("vectorized", "fleet"):
             for user_id in ("b", "f", "g"):
                 assert (
                     stores[name].result_of(user_id).records

@@ -25,7 +25,6 @@ from repro.runtime import (
     BatchRunner,
     ExperimentCell,
     ExperimentPlan,
-    ProcessPoolCellExecutor,
     SerialExecutor,
     VectorizedExecutor,
 )
@@ -314,8 +313,8 @@ class TestSpecBuiltParity:
 
     @pytest.mark.parametrize(
         "executor",
-        [SerialExecutor(), ProcessPoolCellExecutor(max_workers=2), VectorizedExecutor()],
-        ids=["serial", "pool", "vectorized"],
+        [SerialExecutor(), VectorizedExecutor()],
+        ids=["serial", "vectorized"],
     )
     def test_bit_identical_under_every_executor(
         self, executor, skype_trace_short, linear_predictor

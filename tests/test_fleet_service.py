@@ -552,9 +552,11 @@ class TestFleetCliFlags:
         with pytest.raises(SystemExit, match="--fleet only applies"):
             main(["fig1", "--fleet", "2"])
 
-    def test_fleet_conflicts_with_jobs(self):
-        with pytest.raises(SystemExit, match="--fleet and --jobs"):
+    def test_jobs_flag_is_gone(self, capsys):
+        # --fleet is the one way to fan a sweep out over worker processes.
+        with pytest.raises(SystemExit):
             main(["sweep", "--fleet", "2", "--jobs", "2", "--stream-to", "out"])
+        assert "unrecognized arguments: --jobs" in capsys.readouterr().err
 
     def test_fleet_must_be_positive(self):
         with pytest.raises(SystemExit, match="at least 1"):

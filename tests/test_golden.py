@@ -2,11 +2,11 @@
 
 ``tests/golden/*.jsonl`` pins the full ``StepRecord`` streams (every float
 bit) of two canonical scenarios — a table1-shaped grid and a three-user
-adaptive sweep — for this toolchain.  Each scenario is re-executed under all
-three executors and compared line-by-line against the committed file, so the
-suite catches both executor divergence *and* whole-stack numeric drift (a
-reordered float expression, a changed default) that executor-parity tests
-cannot see.
+adaptive sweep — for this toolchain.  Each scenario is re-executed under both
+in-process executors and through a two-worker fleet, and compared
+line-by-line against the committed file, so the suite catches both executor
+divergence *and* whole-stack numeric drift (a reordered float expression, a
+changed default) that executor-parity tests cannot see.
 
 After an *intended* numeric change, regenerate with
 ``python -m repro golden --update`` and commit the diff.
@@ -17,11 +17,9 @@ from pathlib import Path
 
 import pytest
 
-from repro.runtime.executors import (
-    ProcessPoolCellExecutor,
-    SerialExecutor,
-    VectorizedExecutor,
-)
+from repro.fleet import FleetCoordinator
+from repro.runtime import StreamingResultStore
+from repro.runtime.executors import SerialExecutor, VectorizedExecutor
 from repro.runtime.golden import (
     GOLDEN_SCENARIOS,
     golden_lines,
@@ -33,10 +31,17 @@ from repro.runtime.golden import (
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
 
+
+def _fleet_store(scenario: str, directory: Path):
+    """Run a scenario through a two-worker fleet; load the merged store."""
+    FleetCoordinator(golden_plan(scenario), directory, workers=2).run()
+    return StreamingResultStore(directory).load()
+
+
 EXECUTORS = {
-    "serial": SerialExecutor,
-    "vectorized": VectorizedExecutor,
-    "process-pool": lambda: ProcessPoolCellExecutor(max_workers=2),
+    "serial": lambda scenario, _: run_golden(scenario, executor=SerialExecutor()),
+    "vectorized": lambda scenario, _: run_golden(scenario, executor=VectorizedExecutor()),
+    "fleet": _fleet_store,
 }
 
 
@@ -48,10 +53,10 @@ def committed_lines(scenario: str):
 
 @pytest.mark.parametrize("scenario", GOLDEN_SCENARIOS)
 @pytest.mark.parametrize("executor_name", sorted(EXECUTORS))
-def test_scenario_matches_committed_records(scenario, executor_name):
+def test_scenario_matches_committed_records(scenario, executor_name, tmp_path):
     """Every executor reproduces the committed JSONL byte-for-byte."""
     expected = committed_lines(scenario)
-    actual = golden_lines(run_golden(scenario, executor=EXECUTORS[executor_name]()))
+    actual = golden_lines(EXECUTORS[executor_name](scenario, tmp_path / "store"))
     assert len(actual) == len(expected), "cell count drifted"
     for index, (want, got) in enumerate(zip(expected, actual)):
         assert got == want, (

@@ -166,6 +166,27 @@ class TestStateOnlyMembers:
             )
             assert after_batch.records == after_serial.records
 
+    def test_platforms_left_in_different_touch_states_rebatch(self):
+        # A reset keeps the touch state the last trace left; the spec must not
+        # read it as hardware, or the second batch refuses "different thermal
+        # networks".  Swapping the traces flips each platform's first tick.
+        held = WorkloadTrace.constant("held", 30, WorkloadSample(cpu_demand=0.7, touching=True))
+        table = WorkloadTrace.constant("table", 30, WorkloadSample(cpu_demand=0.7, touching=False))
+        batched = [DevicePlatform(seed=30 + i) for i in range(2)]
+        serial = [DevicePlatform(seed=30 + i) for i in range(2)]
+        for traces in ([held, table], [table, held]):
+            results = simulate_population_mixed(
+                traces,
+                [PopulationMember(governor=OndemandGovernor(), platform=p) for p in batched],
+            )
+            assert [p.hand.touching for p in batched] == [t.samples[-1].touching for t in traces]
+            for trace, platform, result in zip(traces, serial, results):
+                expected = Simulator(platform=platform, governor=OndemandGovernor()).run(trace)
+                assert result.records == expected.records
+        batched[1].reset()  # still touching: its spec is the stock hardware
+        assert batched[1].hand.touching
+        assert HardwareSpec.of(batched[1]).key == HardwareSpec.nexus4().key
+
     def test_spec_member_refuses_unknown_initial_node(self):
         members = [PopulationMember(governor=OndemandGovernor(), initial_temps={"nowhere": 1.0})]
         with pytest.raises(KeyError):

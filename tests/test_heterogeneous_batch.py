@@ -25,7 +25,6 @@ from repro.runtime import (
     ExperimentCell,
     ExperimentPlan,
     PopulationMember,
-    ProcessPoolCellExecutor,
     SerialExecutor,
     StreamingResultStore,
     VectorizedExecutor,
@@ -198,7 +197,6 @@ class TestMixedTraceParity:
             "vectorized": VectorizedExecutor(),
             # 8-step windows over 77..150-step traces: the spool path.
             "windowed": VectorizedExecutor(window_steps=8),
-            "process-pool": ProcessPoolCellExecutor(max_workers=2),
         }
         for name, executor in executors.items():
             store = StreamingResultStore(tmp_path / name, max_cells_per_shard=2)

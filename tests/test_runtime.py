@@ -1,7 +1,7 @@
 """Tests for the batched experiment runtime and the prefactored thermal path.
 
 The contract under test: every executor of the batched runtime (serial,
-process pool, vectorized population) is a drop-in replacement for sequential
+vectorized population) is a drop-in replacement for sequential
 :meth:`Simulator.run` calls — bit-for-bit identical ``StepRecord`` streams —
 and the prefactored implicit thermal stepping is numerically identical to the
 seed's unfactored solve.
@@ -18,7 +18,6 @@ from repro.runtime import (
     ExperimentCell,
     ExperimentPlan,
     PopulationMember,
-    ProcessPoolCellExecutor,
     ResultStore,
     SerialExecutor,
     VectorizationError,
@@ -340,10 +339,9 @@ class TestExecutorParity:
         "executor",
         [
             SerialExecutor(),
-            ProcessPoolCellExecutor(max_workers=2),
             VectorizedExecutor(),
         ],
-        ids=["serial", "process-pool", "vectorized"],
+        ids=["serial", "vectorized"],
     )
     def test_bitwise_identical_to_sequential_simulator(self, executor):
         cells = _parity_cells()
@@ -381,9 +379,9 @@ class TestExecutorParity:
     def test_for_jobs_selects_executor(self):
         assert isinstance(BatchRunner.for_jobs(None).executor, VectorizedExecutor)
         assert isinstance(BatchRunner.for_jobs(1).executor, VectorizedExecutor)
-        pool_runner = BatchRunner.for_jobs(3)
-        assert isinstance(pool_runner.executor, ProcessPoolCellExecutor)
-        assert pool_runner.executor.max_workers == 3
+        # Worker processes are the fleet's job; the runner refuses them.
+        with pytest.raises(ValueError, match="--fleet N --stream-to DIR"):
+            BatchRunner.for_jobs(3)
 
     def test_logger_round_trip_through_executors(self):
         trace = build_benchmark("youtube", seed=0, duration_s=60)
@@ -393,10 +391,7 @@ class TestExecutorParity:
         ]
         serial = BatchRunner(executor=SerialExecutor()).run(ExperimentPlan(cells))
         vectorized = BatchRunner(executor=VectorizedExecutor()).run(ExperimentPlan(cells))
-        pooled = BatchRunner(executor=ProcessPoolCellExecutor(max_workers=2)).run(
-            ExperimentPlan(cells)
-        )
-        for store in (serial, vectorized, pooled):
+        for store in (serial, vectorized):
             assert store.get("logged").logger is not None
             assert store.get("logged").logger.records == serial.get("logged").logger.records
 

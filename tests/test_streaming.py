@@ -22,7 +22,6 @@ from repro.runtime import (
     CollectorSink,
     ExperimentCell,
     ExperimentPlan,
-    ProcessPoolCellExecutor,
     ResultStore,
     SerialExecutor,
     StoreCorruptionError,
@@ -99,10 +98,9 @@ class TestStreamedExecutorParity:
         "executor",
         [
             SerialExecutor(),
-            ProcessPoolCellExecutor(max_workers=2),
             VectorizedExecutor(),
         ],
-        ids=["serial", "process-pool", "vectorized"],
+        ids=["serial", "vectorized"],
     )
     def test_streamed_store_bit_identical_to_batch(
         self, tmp_path, trace, linear_predictor, executor

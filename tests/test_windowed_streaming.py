@@ -496,7 +496,10 @@ class TestCliWindowFlags:
                 ["sweep", "--window-steps", "8", "--window-bytes", "8"],
                 "different window sizings",
             ),
-            (["sweep", "--window-steps", "8", "--jobs", "4"], "drop --jobs"),
+            (
+                ["sweep", "--window-bytes", "4096", "--fleet", "2", "--stream-to", "out"],
+                "--window-bytes tunes the in-process vectorized runner",
+            ),
             (
                 ["sweep", "--window-steps", "8", "--fleet", "2", "--stream-to", "out"],
                 "not --fleet shards",
