@@ -11,8 +11,9 @@ Two complementary interfaces over the same components:
   user_profile)`` returns a :class:`PolicySession` whose
   ``feed(TelemetrySample) → CapDecision`` loop is the USTA daemon decoupled
   from the simulator; :class:`SessionPool` batches predictions across
-  thousands of concurrent sessions, and :mod:`repro.api.serve` drives that at
-  population scale.
+  thousands of concurrent sessions (fed a columnar
+  :class:`~repro.api.columns.SampleColumns` batch per tick), and
+  :mod:`repro.api.serve` drives that at population scale.
 
 Only the leaf modules (registries and wire types) are imported eagerly; the
 spec and session layers load on first attribute access, because they sit
@@ -44,6 +45,7 @@ _LAZY_EXPORTS = {
     "ManagerSpec": "specs",
     "AdapterSpec": "specs",
     "PolicySpec": "specs",
+    "SampleColumns": "columns",
     "PolicySession": "session",
     "SessionPool": "session",
     "open_session": "session",

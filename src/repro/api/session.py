@@ -20,19 +20,29 @@ the serving adapter at the bottom of this module.
 
 from __future__ import annotations
 
+from operator import attrgetter
 from typing import Dict, Iterator, List, Mapping, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
 from ..core.predictor import PredictionFeatures, RuntimePredictor
 from ..core.usta import USTAController
-from ..runtime.plane import NO_CAP, PolicyPlane, manager_vectorization_ineligibility
+from ..runtime.plane import (
+    NO_CAP,
+    PolicyPlane,
+    _sub,
+    _where,
+    manager_vectorization_ineligibility,
+)
 from ..sim.engine import ThermalManager
 from ..users.adaptation import AdaptiveComfortManager
+from .columns import SampleColumns
 from .specs import PolicySpec
 from .types import CapDecision, FeedbackEvent, TelemetrySample
 
 __all__ = ["PolicySession", "SessionPool", "open_session"]
+
+_PLANE_ROW = attrgetter("_plane_row")
 
 
 class PolicySession:
@@ -410,18 +420,30 @@ class SessionPool:
 
     def feed_many(
         self,
-        samples: Mapping[str, TelemetrySample],
+        samples: Union[SampleColumns, Mapping[str, TelemetrySample]],
         feedback: Optional[Mapping[str, Sequence[FeedbackEvent]]] = None,
     ) -> Dict[str, CapDecision]:
         """Feed per-session telemetry and return per-session decisions.
 
-        Prediction-due USTA sessions are evaluated in batches (one matrix
-        predict per predictor/screen-flag group); everything else goes through
-        the scalar session feed.  Decisions come back keyed and ordered like
-        ``samples``.
+        Resident sessions advance in one plane tick that reads its features
+        straight from the batch's columns; resident sessions carrying
+        feedback and sessions off the plane get a ``TelemetrySample`` and the
+        historical treatment (prediction-due USTA sessions evaluated in one
+        matrix predict per predictor/screen-flag group, everything else
+        through the scalar session feed).  Decisions come back keyed and
+        ordered like ``samples``.
+
+        A bad batch has no effect: unknown session ids, feedback a session
+        cannot route, and a prediction-due sample lacking a predictor
+        channel are refused before any session consumes its sample or
+        feedback.  (A session whose manager the pool cannot split into due
+        and apply steps is only checked by its own scalar feed.)
 
         Args:
-            samples: per-session telemetry for this tick.
+            samples: per-session telemetry for this tick: a
+                :class:`~repro.api.columns.SampleColumns` batch (what the
+                service decodes from the wire) or a mapping of session id →
+                ``TelemetrySample``, converted to the same columns.
             feedback: optional per-session comfort reports filed since the
                 last tick.  Each session's events are applied *before* its
                 cap decision — exactly :meth:`PolicySession.feed`'s ordering —
@@ -429,74 +451,79 @@ class SessionPool:
                 prediction path instead of forcing sessions onto scalar
                 feeds.  Keys must be a subset of ``samples``.
         """
+        columns = (
+            samples if isinstance(samples, SampleColumns) else SampleColumns.from_samples(samples)
+        )
         feedback = feedback or {}
-        sessions = self._sessions
+        ids = columns.ids
+        n = len(ids)
         plane = self._plane
-        # Unknown ids fail loudly with the known-ids hint (historically a bare
-        # dict KeyError with no context) — and they, like feedback aimed at a
-        # session that cannot route it, fail before any session in the batch
-        # has consumed its sample or feedback, so a bad batch has no effect.
-        # The same validation pass partitions the batch: resident rows go to
-        # the plane tick, resident rows carrying feedback drop to the scalar
-        # feed (bit-identical for plane-eligible policies), the rest keeps
-        # the historical batched-due/scalar treatment.
-        plane_ids: List[str] = []
-        plane_rows: List[int] = []
-        plane_samples: List[TelemetrySample] = []
-        scalar_resident: List[Tuple[str, PolicySession, TelemetrySample]] = []
-        others: List[Tuple[str, PolicySession, TelemetrySample]] = []
-        sessions_get = sessions.get
-        append_id = plane_ids.append
-        append_row = plane_rows.append
-        append_sample = plane_samples.append
-        feedback_get = feedback.get if feedback else None
-        for session_id, sample in samples.items():
-            session = sessions_get(session_id)
-            if session is None:
-                self._session(session_id)  # raises with the known-ids hint
-            row = session._plane_row
-            if row >= 0:
-                if feedback_get is not None and feedback_get(session_id):
-                    scalar_resident.append((session_id, session, sample))
-                else:
-                    append_id(session_id)
-                    append_row(row)
-                    append_sample(sample)
-            else:
-                others.append((session_id, session, sample))
-        for session_id, events in feedback.items():
-            if session_id not in samples:
-                raise KeyError(
-                    f"feedback for session {session_id!r} without a telemetry "
-                    "sample in the same batch"
-                )
-            session = sessions[session_id]
-            if events and getattr(session.manager, "apply_feedback", None) is None:
-                raise ValueError(
-                    f"session {session_id!r}'s policy has no comfort adapter; "
-                    "add an 'adapter' entry to its policy spec to accept user "
-                    "feedback"
-                )
+        try:
+            batch = list(map(self._sessions.__getitem__, ids))
+        except KeyError as exc:
+            self._session(exc.args[0])  # raises with the known-ids hint
+            raise
+        rows = np.fromiter(map(_PLANE_ROW, batch), dtype=np.int64, count=n)
+        resident = rows >= 0
+        # Resident rows carrying feedback drop to the scalar feed
+        # (bit-identical for plane-eligible policies).
+        on_plane = resident
+        if feedback:
+            position = dict(zip(ids, range(n)))
+            on_plane = resident.copy()
+            for session_id, events in feedback.items():
+                j = position.get(session_id)
+                if j is None:
+                    raise KeyError(
+                        f"feedback for session {session_id!r} without a telemetry "
+                        "sample in the same batch"
+                    )
+                if events:
+                    if getattr(batch[j].manager, "apply_feedback", None) is None:
+                        raise ValueError(
+                            f"session {session_id!r}'s policy has no comfort adapter; "
+                            "add an 'adapter' entry to its policy spec to accept user "
+                            "feedback"
+                        )
+                    on_plane[j] = False
 
-        if plane_rows:
-            plane_decisions = plane.feed(plane_rows, plane_samples)
-            self._feed_count += len(plane_rows)
-            if not others and not scalar_resident:
+        # Prediction-due masks, then the channel check, before any mutation.
+        due = np.zeros(n, dtype=bool)
+        if plane is not None and resident.any():
+            pos = _where(resident)
+            due[pos] = plane.due(rows[pos], columns.time_s[pos])
+        others = []
+        for j in np.flatnonzero(~resident).tolist():
+            manager = batch[j].manager
+            sample = columns.sample(j)
+            due[j] = self._batchable(manager) and manager.prediction_due(sample.time_s)
+            others.append((j, sample))
+        columns.refuse_incomplete(due)
+
+        decisions: Dict[str, CapDecision] = {}
+        if on_plane.any():
+            pos = _where(on_plane)
+            plane_decisions = plane.feed(rows[pos], columns, pos, due[pos])
+            self._feed_count += len(plane_decisions)
+            if isinstance(pos, slice):
                 # The common serving batch: every session resident, output
                 # order is samples order already.
-                return dict(zip(plane_ids, plane_decisions))
-            decisions: Dict[str, CapDecision] = dict(zip(plane_ids, plane_decisions))
-        else:
-            decisions = {}
+                return dict(zip(ids, plane_decisions))
+            decisions.update(zip([ids[j] for j in pos.tolist()], plane_decisions))
 
-        for session_id, session, sample in scalar_resident:
-            decisions[session_id] = session.feed(sample, feedback=feedback[session_id])
-            self._feed_count += 1
+        if feedback:
+            for j in np.flatnonzero(resident & ~on_plane).tolist():
+                session_id = ids[j]
+                decisions[session_id] = batch[j].feed(
+                    columns.sample(j), feedback=feedback[session_id]
+                )
+                self._feed_count += 1
 
-        due: Dict[Tuple[int, bool], List[Tuple[str, PolicySession, TelemetrySample]]] = {}
-        for session_id, session, sample in others:
+        grouped: Dict[Tuple[int, bool], List[Tuple[int, TelemetrySample]]] = {}
+        for j, sample in others:
+            session_id, session = ids[j], batch[j]
             manager = session.manager
-            if self._batchable(manager) and manager.prediction_due(sample.time_s):
+            if due[j]:
                 # External feedback first (the scalar feed's ordering), then
                 # an adaptive wrapper ingests the tick's simulated-user
                 # feedback via pre_feed — the step its observe() would have
@@ -508,36 +535,38 @@ class SessionPool:
                 if pre_feed is not None:
                     pre_feed(sample)
                 key = (id(manager.predictor), bool(manager.predict_screen))
-                due.setdefault(key, []).append((session_id, session, sample))
+                grouped.setdefault(key, []).append((j, sample))
             else:
                 decisions[session_id] = session.feed(
                     sample, feedback=feedback.get(session_id, ())
                 )
                 self._feed_count += 1
 
-        for (_, predict_screen), group in due.items():
-            predictor = group[0][1].manager.predictor
-            features = np.vstack(
-                [
-                    PredictionFeatures.from_readings(
-                        sample.sensor_readings, sample.utilization, sample.frequency_khz
-                    ).as_vector()
-                    for _, _, sample in group
-                ]
+        for (_, predict_screen), group in grouped.items():
+            predictor = batch[group[0][0]].manager.predictor
+            pos = [j for j, _ in group]
+            features = np.column_stack(
+                (
+                    columns.cpu[pos],
+                    columns.battery[pos],
+                    columns.utilization[pos],
+                    columns.frequency_khz[pos],
+                )
             )
             predictions = predictor.predict_batch(features, predict_screen=predict_screen)
             self._batch_count += 1
             self._prediction_count += len(group)
-            for (session_id, session, sample), prediction in zip(group, predictions):
+            for (j, sample), prediction in zip(group, predictions):
+                session = batch[j]
                 manager_decision = session.manager.apply_prediction(sample.time_s, prediction)
                 decision = CapDecision.from_manager_decision(
                     manager_decision, session.table if session.resolve_frequency else None
                 )
                 session.note_decision(decision)
-                decisions[session_id] = decision
+                decisions[ids[j]] = decision
                 self._feed_count += 1
 
-        return {session_id: decisions[session_id] for session_id in samples}
+        return {session_id: decisions[session_id] for session_id in ids}
 
     def feed_feedback(self, session_id: str, event: FeedbackEvent) -> float:
         """Route one comfort report into one session's adapter (live limit back)."""
@@ -745,16 +774,33 @@ class _PoolPlane(PolicyPlane):
 
     # -- feeding ------------------------------------------------------------------
 
-    def feed(self, rows_list: List[int], samples: List[TelemetrySample]) -> List[CapDecision]:
-        """Advance the given rows by their per-session samples."""
-        rows = np.array(rows_list, dtype=np.int64)
-        t = np.fromiter((s.time_s for s in samples), dtype=float, count=len(samples))
-        self._advance(
-            rows,
-            t,
-            lambda pos: _stacked_features(_pick(samples, pos)),
-            lambda pos: [sample.sensor_readings.get("skin") for sample in _pick(samples, pos)],
-        )
+    def feed(self, rows: np.ndarray, columns: SampleColumns, pos, due) -> List[CapDecision]:
+        """Advance ``rows`` by the samples at positions ``pos`` of ``columns``.
+
+        ``pos`` is a prefix slice or an index array into the batch, aligned
+        with ``rows``; ``due`` is the rows' prediction-due mask, which the
+        caller computed to check channels before anything mutated.  Features
+        and felt skin are read from the columns, no sample objects built.
+        """
+
+        def features(p):
+            q = _sub(pos, p)
+            return (
+                columns.cpu[q],
+                columns.battery[q],
+                columns.utilization[q],
+                columns.frequency_khz[q],
+            )
+
+        felt = None
+        if columns.any_skin:
+            skin = columns.skin
+
+            def felt(p):
+                q = _sub(pos, p)
+                return skin[q] if isinstance(q, slice) else [skin[j] for j in q.tolist()]
+
+        self._advance(rows, columns.time_s[pos], features, felt, due)
         return self.decisions[rows].tolist()
 
     def feed_shared(self, sample: TelemetrySample) -> None:
@@ -764,19 +810,24 @@ class _PoolPlane(PolicyPlane):
         group.  Decisions land in :attr:`decisions`; the caller gathers them
         by row.
         """
-        rows = np.arange(self.size, dtype=np.int64)
+        size = self.size
+        rows = np.arange(size, dtype=np.int64)
+        due = self.due(rows, sample.time_s)
+        # A missing channel is refused before the feedback gate runs.
+        features = _shared_features(sample) if due.any() else None
         skin = sample.sensor_readings.get("skin")
         self._advance(
             rows,
             sample.time_s,
-            lambda pos: _shared_features(sample),
+            lambda pos: features,
             None if skin is None else (lambda pos: [skin] * len(rows[pos])),
+            due,
         )
 
-    def _advance(self, rows, t, features, felt) -> None:
+    def _advance(self, rows, t, features, felt, due) -> None:
         """One plane tick, then the decision cache and the counters."""
         self.tick_count += 1
-        due, moved = self.tick(rows, t, features, felt)
+        due, moved = self.tick(rows, t, features, felt, due)
         if moved:
             # A moved limit invalidates the cached decision objects.
             self.valid[moved] = False
@@ -831,25 +882,3 @@ def _shared_features(sample: TelemetrySample) -> Tuple[float, float, float, floa
         # Re-raise the scalar path's exact channel-naming error.
         PredictionFeatures.from_readings(readings, sample.utilization, sample.frequency_khz)
         raise
-
-
-def _pick(samples: List[TelemetrySample], pos) -> List[TelemetrySample]:
-    """The samples at plane-tick positions ``pos`` (a prefix slice or an index array)."""
-    return samples[pos] if isinstance(pos, slice) else [samples[j] for j in pos.tolist()]
-
-
-def _stacked_features(samples: List[TelemetrySample]) -> Tuple[np.ndarray, ...]:
-    """Feature columns for the due subset, without per-session objects."""
-    k = len(samples)
-    try:
-        cpu = np.fromiter((s.sensor_readings["cpu"] for s in samples), dtype=float, count=k)
-        battery = np.fromiter((s.sensor_readings["battery"] for s in samples), dtype=float, count=k)
-    except KeyError:
-        for sample in samples:
-            PredictionFeatures.from_readings(
-                sample.sensor_readings, sample.utilization, sample.frequency_khz
-            )
-        raise
-    util = np.fromiter((s.utilization for s in samples), dtype=float, count=k)
-    freq = np.fromiter((s.frequency_khz for s in samples), dtype=float, count=k)
-    return cpu, battery, util, freq

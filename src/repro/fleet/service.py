@@ -22,6 +22,20 @@ Protocol (one JSON object per line, response mirrors request order)::
     {"op": "feedback", "session": "s1", "event": {...}}
     {"op": "close", "session": "s1"}
     {"op": "checkpoint"} | {"op": "stats"} | {"op": "ping"} | {"op": "shutdown"}
+
+Numbers on the wire are finite JSON numbers — ``int`` or ``float``, never
+``bool``, string or ``null``.  ``sensors`` is optional (omitted or ``null``
+means none); ``cpu`` and ``battery`` are needed when a prediction is due.  A
+malformed request is refused with a ``ValueError`` naming the session and
+the field (:mod:`repro.api.columns` holds the rules), and a refused
+``feed_batch`` changes no session.  ``feed_batch`` decodes its samples into
+one :class:`~repro.api.columns.SampleColumns` batch, which the pool's plane
+reads directly.
+
+Decision log: one line per decision, byte for byte ``json.dumps({"time_s":
+…, "session": …, "cap": …, "active": …, "limit_c": …}, separators=(",",
+":"))`` with ``time_s`` as the sample gave it; one buffered write per
+request (:class:`DecisionLog`).
 """
 
 from __future__ import annotations
@@ -32,33 +46,46 @@ import signal
 import sys
 import time
 import traceback
+from json.encoder import encode_basestring_ascii
 from pathlib import Path
-from typing import Callable, Dict, Mapping, Optional, Sequence
+from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple
 
+from repro.api.columns import SampleColumns, sample_from_wire, wire_number
 from repro.api.session import SessionPool
-from repro.api.types import CapDecision, FeedbackEvent, TelemetrySample
+from repro.api.types import CapDecision, FeedbackEvent
 
 from .state import SessionStateStore
 
 
-def _sample_from_wire(payload: Mapping) -> TelemetrySample:
-    # The sensors dict is adopted, not copied: the request payload is owned
-    # by this call (json-decoded per line, or built per request in-process)
-    # and nothing downstream mutates sample readings.
-    return TelemetrySample(
-        time_s=float(payload["time_s"]),
-        utilization=float(payload["utilization"]),
-        frequency_khz=float(payload["frequency_khz"]),
-        sensor_readings=payload.get("sensors") or {},
-    )
-
-
-def _event_from_wire(payload: Mapping) -> FeedbackEvent:
+def _event_from_wire(session_id, payload) -> FeedbackEvent:
+    if not isinstance(payload, Mapping):
+        raise ValueError(
+            f"session {session_id!r}: a feedback event must be a JSON object, "
+            f"got {type(payload).__name__}"
+        )
+    if "time_s" not in payload:
+        raise ValueError(f"session {session_id!r}: feedback event lacks 'time_s'")
+    kind = payload.get("kind")
+    if kind not in (FeedbackEvent.DISCOMFORT, FeedbackEvent.COMFORT):
+        raise ValueError(
+            f"session {session_id!r}: feedback kind must be {FeedbackEvent.DISCOMFORT!r} "
+            f"or {FeedbackEvent.COMFORT!r}, got {kind!r}"
+        )
+    skin = payload.get("skin_temp_c")
     return FeedbackEvent(
-        time_s=float(payload["time_s"]),
-        kind=payload["kind"],
-        skin_temp_c=payload.get("skin_temp_c"),
+        time_s=float(wire_number(payload["time_s"], session_id, "feedback time_s")),
+        kind=kind,
+        skin_temp_c=None if skin is None else wire_number(skin, session_id, "skin_temp_c"),
     )
+
+
+def _events_from_wire(session_id, events) -> List[FeedbackEvent]:
+    if not isinstance(events, (list, tuple)):
+        raise ValueError(
+            f"session {session_id!r}: feedback must be a JSON array of events, "
+            f"got {type(events).__name__}"
+        )
+    return [_event_from_wire(session_id, event) for event in events]
 
 
 def decision_to_wire(decision: CapDecision) -> dict:
@@ -81,6 +108,67 @@ def decision_to_wire(decision: CapDecision) -> dict:
         }
         object.__setattr__(decision, "_wire", wire)
     return wire
+
+
+#: Distinct decision tails the log keeps formatted (a bound, not an LRU).
+LOG_TAIL_MEMO = 4096
+
+
+class DecisionLog:
+    """The buffered cap-decision log: one JSON line per decision.
+
+    Each line is byte for byte ``json.dumps({"time_s": …, "session": …,
+    "cap": …, "active": …, "limit_c": …}, separators=(",", ":"))``, built
+    from the ``time_s`` as the sample gave it, the ASCII-escaped session id
+    and a memo of the decision-derived tail (fleets share few distinct
+    caps and limits).  Each :meth:`write` is one buffered file write; the
+    owner flushes on checkpoint and closes on shutdown, so a graceful stop
+    never leaves a torn line.
+    """
+
+    def __init__(self, path) -> None:
+        path = Path(path)
+        path.parent.mkdir(parents=True, exist_ok=True)
+        self._fh = open(path, "a", encoding="utf-8")
+        self._tails: Dict[Tuple, str] = {}
+
+    def write(self, session_ids, times, decisions) -> None:
+        """Append one line per ``(session id, time_s, decision)``."""
+        tails = self._tails
+        if len(tails) > LOG_TAIL_MEMO:
+            tails.clear()
+        encode = encode_basestring_ascii
+        lines = []
+        append = lines.append
+        for session_id, time_s, decision in zip(session_ids, times, decisions):
+            cap, limit = decision.level_cap, decision.comfort_limit_c
+            tail = tails.get((cap, type(limit), limit))
+            if tail is None:
+                tail = self._tail(cap, limit)
+            # repr spells a finite float as json does (NaN and inf it does not).
+            if type(time_s) is float and time_s - time_s == 0.0:
+                time_s = repr(time_s)
+            else:
+                time_s = json.dumps(time_s)
+            sid = encode(session_id) if type(session_id) is str else json.dumps(session_id)
+            append(f'{{"time_s":{time_s},"session":{sid}{tail}')
+        self._fh.write("".join(lines))
+
+    def _tail(self, cap, limit) -> str:
+        tail = json.dumps(
+            {"cap": cap, "active": cap is not None, "limit_c": limit}, separators=(",", ":")
+        )
+        tail = "," + tail[1:] + "\n"
+        # -0.0 and 0.0 share a key but not a spelling, and NaN never hits.
+        if limit is None or (limit == limit and limit != 0):
+            self._tails[(cap, type(limit), limit)] = tail
+        return tail
+
+    def flush(self) -> None:
+        self._fh.flush()
+
+    def close(self) -> None:
+        self._fh.close()
 
 
 class PolicyService:
@@ -115,13 +203,11 @@ class PolicyService:
         self.table = table
         self.pool = SessionPool(use_plane=use_plane)
         self._session_users: Dict[str, str] = {}
-        self._log_fh = None
+        self._log: Optional[DecisionLog] = None
         self.decision_log = None
         if decision_log is not None:
-            path = Path(decision_log)
-            path.parent.mkdir(parents=True, exist_ok=True)
-            self._log_fh = open(path, "a", encoding="utf-8")
-            self.decision_log = str(path)
+            self._log = DecisionLog(decision_log)
+            self.decision_log = str(Path(decision_log))
         self.opened = 0
         self.resumed = 0
         self.feeds = 0
@@ -166,10 +252,11 @@ class PolicyService:
         feedback: Sequence[Mapping] = (),
     ) -> dict:
         session = self.pool.get(session_id)
-        events = [_event_from_wire(e) for e in feedback]
-        decision = session.feed(_sample_from_wire(sample), feedback=events)
+        events = _events_from_wire(session_id, feedback)
+        decision = session.feed(sample_from_wire(session_id, sample), feedback=events)
         self.feeds += 1
-        self._log_decision(session_id, sample, decision)
+        if self._log is not None:
+            self._log.write((session_id,), (sample["time_s"],), (decision,))
         return {"ok": True, "session": session_id, "decision": decision_to_wire(decision)}
 
     def feed_batch(
@@ -177,25 +264,27 @@ class PolicyService:
         samples: Mapping[str, Mapping],
         feedback: Optional[Mapping[str, Sequence[Mapping]]] = None,
     ) -> dict:
-        """Feed many sessions at once — decisions come from one batched
-        predictor call, the same fast path ``repro serve`` replay uses."""
-        wire_samples = {sid: _sample_from_wire(s) for sid, s in samples.items()}
-        wire_feedback = {
-            sid: [_event_from_wire(e) for e in events]
-            for sid, events in (feedback or {}).items()
-        }
-        decisions = self.pool.feed_many(wire_samples, feedback=wire_feedback or None)
+        """Feed many sessions at once — decisions come from one plane tick
+        over the batch's columns, the same fast path ``repro serve`` replay
+        uses."""
+        columns = SampleColumns.from_wire(samples)
+        if feedback is not None and not isinstance(feedback, Mapping):
+            raise ValueError(
+                "feed_batch feedback must be a JSON object of session id -> events, "
+                f"got {type(feedback).__name__}"
+            )
+        events = {sid: _events_from_wire(sid, items) for sid, items in (feedback or {}).items()}
+        decisions = self.pool.feed_many(columns, feedback=events or None)
         self.feeds += len(decisions)
-        if self._log_fh is not None:
-            for sid, decision in decisions.items():
-                self._log_decision(sid, samples[sid], decision)
+        if self._log is not None:
+            self._log.write(columns.ids, columns.time_raw, decisions.values())
         return {
             "ok": True,
             "decisions": {sid: decision_to_wire(d) for sid, d in decisions.items()},
         }
 
     def feedback(self, session_id: str, event: Mapping) -> dict:
-        limit = self.pool.get(session_id).feed_feedback(_event_from_wire(event))
+        limit = self.pool.get(session_id).feed_feedback(_event_from_wire(session_id, event))
         return {"ok": True, "session": session_id, "limit_c": limit}
 
     def close_session(self, session_id: str) -> dict:
@@ -216,8 +305,8 @@ class PolicyService:
                 user_key = self._session_users.get(session.session_id, session.session_id)
                 recorded += int(self.state_store.record(user_key, session))
             shards_written = self.state_store.save()
-        if self._log_fh is not None:
-            self._log_fh.flush()
+        if self._log is not None:
+            self._log.flush()
         self.checkpoints += 1
         return {
             "ok": True,
@@ -252,9 +341,9 @@ class PolicyService:
         if self._closed:
             return
         self.checkpoint()
-        if self._log_fh is not None:
-            self._log_fh.close()
-            self._log_fh = None
+        if self._log is not None:
+            self._log.close()
+            self._log = None
         self._closed = True
 
     # -- dispatch ----------------------------------------------------------------
@@ -288,27 +377,6 @@ class PolicyService:
             return {"ok": False, "error": f"unknown op {op!r}", "error_type": "ValueError"}
         except Exception as exc:
             return {"ok": False, "error": str(exc), "error_type": type(exc).__name__}
-
-    # -- internals ---------------------------------------------------------------
-
-    def _log_decision(self, session_id: str, sample: Mapping, decision: CapDecision) -> None:
-        if self._log_fh is None:
-            return
-        # Buffered on purpose: the graceful-shutdown path (checkpoint /
-        # SIGTERM) owns the flush, and the kill test asserts no torn lines.
-        self._log_fh.write(
-            json.dumps(
-                {
-                    "time_s": sample["time_s"],
-                    "session": session_id,
-                    "cap": decision.level_cap,
-                    "active": decision.active,
-                    "limit_c": decision.comfort_limit_c,
-                },
-                separators=(",", ":"),
-            )
-            + "\n"
-        )
 
 
 #: Default longest request line the socket server reads (bytes).  A

@@ -12,12 +12,15 @@ drive it:
   skin temperature from its sensor block, writes the record columns, and
   writes the state back to the objects at the batch boundary;
 * the serving pool (:class:`~repro.api.session.SessionPool`) keeps sessions
-  resident across ``feed_many`` calls, builds the features from telemetry
-  samples, and turns the columns into ``CapDecision`` objects.
+  resident across ``feed_many`` calls, reads the features and the felt skin
+  temperature from a columnar telemetry batch
+  (:class:`~repro.api.columns.SampleColumns`), and turns the columns into
+  ``CapDecision`` objects.
 
 :meth:`PolicyPlane.tick` reproduces the scalar ``observe()`` chain bit for
-bit, in its order: feedback gate → prediction-due mask → one predict per
-predictor group → caps per policy group.  Every elementwise expression
+bit, in its order: feedback gate → one predict per predictor group over the
+prediction-due rows → caps per policy group (the due mask is taken before
+the gate, which never moves a prediction clock).  Every elementwise expression
 mirrors the scalar model code's operation order, the linear fast path is
 *verified* on a magnitude-spread probe rather than assumed, and models that
 are not batch-row-invariant are evaluated row by row
@@ -472,7 +475,13 @@ class PolicyPlane:
 
     # -- the tick ---------------------------------------------------------------
 
-    def tick(self, rows, t, features, felt=None):
+    def due(self, rows, t) -> np.ndarray:
+        """The prediction-due mask of ``rows`` at time ``t`` (one float or
+        an array aligned with ``rows``)."""
+        # A row that never predicted holds last_time = -inf: always due.
+        return t - self.last_time[rows] >= self.period_minus[rows]
+
+    def tick(self, rows, t, features, felt=None, due=None):
         """Advance ``rows`` by one observation each, in scalar ``observe()`` order.
 
         Args:
@@ -488,6 +497,10 @@ class PolicyPlane:
             felt: ``felt(pos)`` → the felt skin temperatures at ``pos``: a
                 float array, or a list holding ``None`` where a reading is
                 missing.  ``None`` when no observation carries one.
+            due: the prediction-due mask over ``rows``, when the caller has
+                computed it already (to refuse a batch before anything
+                mutates).  The feedback gate never moves a prediction clock,
+                so the mask is the same before and after it.
 
         Returns ``(due, moved)``: the prediction-due mask over ``rows``
         (``None`` when no row was due) and the rows whose comfort limit a
@@ -499,14 +512,14 @@ class PolicyPlane:
             self._fb_rows = _where(self.has_fb[: self.size])
             self._fb_rows_dirty = False
             self._fb_wake = -np.inf
+        if due is None:
+            due = self.due(rows, t)
         moved: List[int] = []
         if felt is not None and _count(self._fb_rows):
             t_max = float(t.max()) if isinstance(t, np.ndarray) else t
             if t_max >= self._fb_wake:
                 moved = self._feedback_gate(rows, t, felt)
 
-        # A row that never predicted holds last_time = -inf: always due.
-        due = t - self.last_time[rows] >= self.period_minus[rows]
         if not due.any():
             return None, moved
         # When every row is due, basic slices stand in for fancy indexing.

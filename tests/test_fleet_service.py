@@ -21,7 +21,7 @@ from pathlib import Path
 import pytest
 
 from repro.api.specs import AdapterSpec, GovernorSpec, ManagerSpec, PolicySpec
-from repro.api.types import FeedbackEvent, TelemetrySample
+from repro.api.types import CapDecision, FeedbackEvent, TelemetrySample
 from repro.cli import main
 from repro.fleet import (
     PolicyService,
@@ -30,7 +30,7 @@ from repro.fleet import (
     run_service,
     snapshot_session_state,
 )
-from repro.fleet.service import DEFAULT_REQUEST_LIMIT
+from repro.fleet.service import DEFAULT_REQUEST_LIMIT, LOG_TAIL_MEMO, DecisionLog
 from repro.users import paper_population
 
 TRACKER_POLICY = PolicySpec(
@@ -279,6 +279,108 @@ class TestPolicyServiceDispatch:
         assert len(lines) == 5
         parsed = [json.loads(line) for line in lines]
         assert all(entry["session"] == "s" for entry in parsed)
+
+
+def _reference_line(time_s, session_id, cap, limit_c) -> str:
+    """A decision-log line as ``json.dumps`` spells it."""
+    entry = {
+        "time_s": time_s,
+        "session": session_id,
+        "cap": cap,
+        "active": cap is not None,
+        "limit_c": limit_c,
+    }
+    return json.dumps(entry, separators=(",", ":")) + "\n"
+
+
+class _CountingFile:
+    """A log file handle that counts its writes."""
+
+    def __init__(self, inner):
+        self.inner = inner
+        self.writes = 0
+
+    def write(self, text):
+        self.writes += 1
+        return self.inner.write(text)
+
+    def flush(self):
+        self.inner.flush()
+
+    def close(self):
+        self.inner.close()
+
+
+class TestDecisionLogFormat:
+    """Every decision-log line is byte for byte the ``json.dumps`` line."""
+
+    IDS = ("plain", "caf\u00e9", 'say "hi"', "back\\slash", "\u65e5\u672c", "tab\there")
+
+    def test_lines_match_json_dumps(self, tmp_path):
+        path = tmp_path / "decisions.jsonl"
+        log = DecisionLog(path)
+        decisions = [
+            CapDecision(None),
+            CapDecision(3, 1_000_000, 36.0, None, 37.25),
+            CapDecision(2, comfort_limit_c=35),
+            CapDecision(2, comfort_limit_c=35.0),
+            CapDecision(5, comfort_limit_c=-0.0),
+            CapDecision(5, comfort_limit_c=0.0),
+            CapDecision(None, comfort_limit_c=float("nan")),
+            CapDecision(None, comfort_limit_c=36.123456789012345),
+            CapDecision(1, comfort_limit_c=float("inf")),
+            CapDecision(1, comfort_limit_c=37.5),
+        ]
+        times = [0, 3, 2.5, 1e-7, 123456789.125, 10**17, -0.0, 7, float("nan"), float("-inf")]
+        expected = []
+        for shift in range(3):  # later rounds read the tails from the memo
+            ids = [self.IDS[(k + shift) % len(self.IDS)] for k in range(len(decisions))]
+            log.write(ids, times, decisions)
+            expected += [
+                _reference_line(t, sid, d.level_cap, d.comfort_limit_c)
+                for sid, t, d in zip(ids, times, decisions)
+            ]
+        log.close()
+        assert path.read_text(encoding="utf-8") == "".join(expected)
+
+    def test_tail_memo_is_bounded(self, tmp_path):
+        log = DecisionLog(tmp_path / "decisions.jsonl")
+        for k in range(3 * LOG_TAIL_MEMO):
+            log.write(["s"], [1.0], [CapDecision(None, comfort_limit_c=30.0 + k * 1e-3)])
+            assert len(log._tails) <= LOG_TAIL_MEMO + 1
+        log.close()
+
+    @pytest.mark.parametrize("capping", [True, False])
+    def test_service_lines_match_replies_one_write_per_request(
+        self, tmp_path, linear_predictor, capping
+    ):
+        # A USTA service (float limits, capped and uncapped decisions) and a
+        # bare-governor one (no cap, no limit).
+        policy = TRACKER_POLICY if capping else PolicySpec(governor=GovernorSpec("ondemand"))
+        path = tmp_path / "decisions.jsonl"
+        service = PolicyService(policy, predictor=linear_predictor, decision_log=path)
+        for sid in self.IDS:
+            service.open(sid)
+        counting = service._log._fh = _CountingFile(service._log._fh)
+        expected = []
+        for tick, (t, cpu) in enumerate([(0, 30.0), (1.5, 60.0), (3, 60.0), (4.25, 30.0)]):
+            samples = {sid: _wire_sample(t, cpu + k) for k, sid in enumerate(self.IDS)}
+            reply = service.handle({"op": "feed_batch", "samples": samples})
+            assert reply["ok"], reply
+            assert counting.writes == tick + 1
+            expected += [
+                _reference_line(t, sid, wire["level_cap"], wire["comfort_limit_c"])
+                for sid, wire in reply["decisions"].items()
+            ]
+        sid = self.IDS[1]
+        reply = service.handle({"op": "feed", "session": sid, "sample": _wire_sample(6, 61.0)})
+        assert counting.writes == 5
+        wire = reply["decision"]
+        expected.append(_reference_line(6, sid, wire["level_cap"], wire["comfort_limit_c"]))
+        service.shutdown()
+        text = path.read_text(encoding="utf-8")
+        assert text == "".join(expected)
+        assert ('"active":true' in text) is capping and '"active":false' in text
 
 
 class TestSocketServer:

@@ -1,4 +1,4 @@
-"""Hardening of the telemetry wire path: the four bugs fixed alongside HAL ingestion.
+"""Hardening of the telemetry wire path.
 
 Each class is a regression suite for one named bug:
 
@@ -7,7 +7,11 @@ Each class is a regression suite for one named bug:
 2. the decision log opened in append mode, duplicating history on re-runs;
 3. session cap/feed counters lost across warm-start snapshot/restore;
 4. ``per_user_capped_fraction`` averaging per-session fractions with equal
-   weight instead of weighting by feeds.
+   weight instead of weighting by feeds;
+5. malformed ``feed_batch`` samples escaping as bare ``TypeError``/
+   ``KeyError``/``AttributeError`` (or, for ``"2"`` and ``true``, accepted);
+6. a prediction-due sample without ``cpu`` refused only after the feedback
+   gate had already run for the rest of the batch.
 """
 
 import json
@@ -17,10 +21,12 @@ import pytest
 
 from repro.api.serve import per_user_capped_fractions, run_serve
 from repro.api.session import SessionPool, open_session
-from repro.api.specs import ManagerSpec, PolicySpec
+from repro.api.specs import AdapterSpec, ManagerSpec, PolicySpec
 from repro.api.types import TelemetrySample
 from repro.core.predictor import PredictionFeatures
+from repro.fleet import PolicyService
 from repro.fleet.state import restore_session_state, snapshot_session_state
+from repro.users import paper_population
 
 USTA = PolicySpec(manager=ManagerSpec("usta", params={"skin_limit_c": 38.0}))
 
@@ -199,3 +205,214 @@ class TestFeedWeightedCappedFraction:
         for fraction in report.per_user_capped_fraction.values():
             assert 0.0 <= fraction <= 1.0
             assert math.isfinite(fraction)
+
+
+def _wire(time_s, cpu=45.0, skin=None):
+    sensors = {"cpu": cpu, "battery": cpu - 3.0}
+    if skin is not None:
+        sensors["skin"] = skin
+    return {"time_s": time_s, "utilization": 0.6, "frequency_khz": 1_512_000.0, "sensors": sensors}
+
+
+def _with(sample, path, value):
+    """A copy of a wire sample with one field replaced (``DROP`` removes it)."""
+    sample = json.loads(json.dumps(sample))
+    *parents, key = path
+    target = sample
+    for name in parents:
+        target = target[name]
+    if value is DROP:
+        del target[key]
+    else:
+        target[key] = value
+    return sample
+
+
+DROP = object()
+TRACKER = PolicySpec(manager=ManagerSpec("usta"), adapter=AdapterSpec("quantile_tracker"))
+
+
+class TestWireNumbers:
+    """``feed_batch`` refuses malformed samples with a ``ValueError`` naming
+    the session and the field, and a refused batch changes no session."""
+
+    IDS = ("a", "b", "c", "d")
+
+    @pytest.fixture
+    def service(self, linear_predictor):
+        profiles = {p.user_id: p for p in paper_population()}
+        service = PolicyService(TRACKER, profiles=profiles, predictor=linear_predictor)
+        users = sorted(profiles)
+        for k, sid in enumerate(self.IDS):
+            assert service.open(sid, users[k])["ok"]
+        for t in (0.0, 1.0):
+            request = {
+                "op": "feed_batch",
+                "samples": {sid: _wire(t, skin=36.0) for sid in self.IDS},
+            }
+            assert service.handle(request)["ok"]
+        return service
+
+    def _state(self, service):
+        return {
+            sid: (service.pool.get(sid).feed_count, snapshot_session_state(service.pool.get(sid)))
+            for sid in self.IDS
+        }
+
+    @pytest.mark.parametrize(
+        "path, value, field",
+        [
+            (("sensors", "cpu"), "40", "sensors.cpu"),
+            (("sensors", "cpu"), None, "sensors.cpu"),
+            (("sensors", "cpu"), True, "sensors.cpu"),
+            (("sensors", "cpu"), float("nan"), "sensors.cpu"),
+            (("sensors", "battery"), float("inf"), "sensors.battery"),
+            (("sensors", "skin"), None, "sensors.skin"),
+            (("sensors", "screen"), "hot", "sensors.screen"),
+            (("time_s",), DROP, "time_s"),
+            (("time_s",), "2", "time_s"),
+            (("utilization",), None, "utilization"),
+            (("frequency_khz",), True, "frequency_khz"),
+            (("frequency_khz",), 10**400, "frequency_khz"),
+            (("sensors",), [40.0, 37.0], "sensors"),
+        ],
+        ids=[
+            "cpu-string", "cpu-null", "cpu-bool", "cpu-nan", "battery-inf", "skin-null",
+            "screen-string", "time-missing", "time-string", "utilization-null",
+            "frequency-bool", "frequency-overflow", "sensors-list",
+        ],
+    )
+    def test_bad_field_is_refused_by_name(self, service, path, value, field):
+        before = self._state(service)
+        samples = {sid: _wire(3.0, skin=40.0) for sid in self.IDS}
+        samples["c"] = _with(samples["c"], path, value)
+        reply = service.handle({"op": "feed_batch", "samples": samples})
+        assert reply["ok"] is False and reply["error_type"] == "ValueError", reply
+        assert "'c'" in reply["error"] and field in reply["error"], reply["error"]
+        assert self._state(service) == before
+
+    @pytest.mark.parametrize(
+        "samples, words",
+        [
+            ({"a": 5}, ("'a'", "object")),
+            ({"a": "hot"}, ("'a'", "object")),
+            ([{"time_s": 1.0}], ("samples", "object")),
+        ],
+        ids=["row-number", "row-string", "samples-list"],
+    )
+    def test_malformed_samples_are_refused(self, service, samples, words):
+        before = self._state(service)
+        reply = service.handle({"op": "feed_batch", "samples": samples})
+        assert reply["ok"] is False and reply["error_type"] == "ValueError", reply
+        assert all(word in reply["error"] for word in words), reply["error"]
+        assert self._state(service) == before
+
+    def test_single_feed_applies_the_same_rules(self, service):
+        before = self._state(service)
+        bad = _with(_wire(3.0), ("sensors", "cpu"), "40")
+        reply = service.handle({"op": "feed", "session": "b", "sample": bad})
+        assert reply["ok"] is False and reply["error_type"] == "ValueError"
+        assert "'b'" in reply["error"] and "sensors.cpu" in reply["error"]
+        assert self._state(service) == before
+
+    def test_bad_feedback_is_refused_by_name(self, service):
+        before = self._state(service)
+        samples = {sid: _wire(3.0) for sid in self.IDS}
+        for feedback in (
+            {"b": 5},
+            {"b": [{"time_s": "3", "kind": "discomfort"}]},
+            {"b": [{"time_s": 3.0, "kind": "scalding"}]},
+        ):
+            reply = service.handle({"op": "feed_batch", "samples": samples, "feedback": feedback})
+            assert reply["ok"] is False and reply["error_type"] == "ValueError", reply
+            assert "'b'" in reply["error"], reply["error"]
+        assert self._state(service) == before
+
+    def test_int_numbers_extra_channels_and_null_sensors_are_accepted(self, service):
+        whole = {"time_s": 3, "utilization": 1, "frequency_khz": 1512000,
+                 "sensors": {"cpu": 45, "battery": 42, "skin": 36, "screen": 35.5}}
+        # No sensors at all is fine on a tick where no prediction is due.
+        bare = {"time_s": 2.0, "utilization": 0.6, "frequency_khz": 1_512_000.0, "sensors": None}
+        reply = service.handle({"op": "feed_batch", "samples": {"a": whole, "b": bare}})
+        assert reply["ok"], reply
+        assert service.pool.get("a").feed_count == service.pool.get("b").feed_count == 3
+
+
+class TestRefuseBeforeMutation:
+    """A prediction-due sample that lacks a predictor channel refuses the whole
+    batch before the feedback gate runs for any session in it."""
+
+    SPEC = PolicySpec(
+        manager=ManagerSpec("usta", params={"skin_limit_c": 37.0}),
+        adapter=AdapterSpec(
+            "feedback_step",
+            params={"step_down_c": 0.5, "hold_off_s": 1.0},
+            feedback={"true_limit_c": 34.0, "report_period_s": 1.0},
+        ),
+    )
+
+    @staticmethod
+    def _sample(time_s, cpu=45.0, skin=None):
+        readings = {"battery": 40.0}
+        if cpu is not None:
+            readings["cpu"] = cpu
+        if skin is not None:
+            readings["skin"] = skin
+        return TelemetrySample(
+            time_s=time_s, utilization=0.5, frequency_khz=1_512_000.0, sensor_readings=readings
+        )
+
+    @staticmethod
+    def _models(pool):
+        state = {}
+        for session in pool:
+            session.sync_policy_state()
+            model = session.manager.feedback
+            state[session.session_id] = (
+                model._last_report_s,
+                list(model._pending),
+                model._rng.getstate(),
+                session.current_limit_c,
+                session.feed_count,
+            )
+        return state
+
+    @staticmethod
+    def _columns(pool):
+        plane = pool._plane
+        if plane is None:
+            return None
+        n = plane.size
+        columns = {}
+        for name in [field[0] for field in plane._FIELDS] + list(plane._OBJECT_FIELDS):
+            columns[name] = repr(getattr(plane, name)[:n].tolist())  # NaN-safe
+        return columns
+
+    @pytest.mark.parametrize("use_plane", [True, False])
+    def test_missing_cpu_on_a_due_row_mutates_nothing(self, linear_predictor, use_plane):
+        pool = SessionPool(use_plane=use_plane)
+        for sid in ("felt", "lacking"):
+            pool.open(sid, self.SPEC, predictor=linear_predictor)
+        pool.feed_many({"felt": self._sample(0.0, skin=33.0), "lacking": self._sample(0.0)})
+        columns, models = self._columns(pool), self._models(pool)
+        # 10 s later both rows are due, and the felt 40 °C would make the
+        # simulated user report discomfort and step the limit down.
+        batch = {"felt": self._sample(10.0, skin=40.0), "lacking": self._sample(10.0, cpu=None)}
+        with pytest.raises(ValueError, match="'lacking'.*'cpu'"):
+            pool.feed_many(batch)
+        assert self._columns(pool) == columns
+        assert self._models(pool) == models
+        # The same tick without the bad row goes through and does report.
+        pool.feed_many({"felt": batch["felt"]})
+        assert pool.get("felt").current_limit_c < 37.0
+
+    def test_shared_sample_missing_cpu_mutates_nothing(self, linear_predictor):
+        pool = SessionPool()
+        for sid in ("x", "y"):
+            pool.open(sid, self.SPEC, predictor=linear_predictor)
+        pool.feed_all(self._sample(0.0, skin=33.0))
+        columns, models = self._columns(pool), self._models(pool)
+        with pytest.raises(ValueError, match="cpu"):
+            pool.feed_all(self._sample(10.0, cpu=None, skin=40.0))
+        assert self._columns(pool) == columns
+        assert self._models(pool) == models
