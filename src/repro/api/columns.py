@@ -33,7 +33,7 @@ from .types import TelemetrySample
 __all__ = ["SampleColumns", "sample_from_wire", "wire_number"]
 
 _FIELDS = ("time_s", "utilization", "frequency_khz")
-_READING_TYPES = frozenset((int, float, type(None)))
+_NUMBER_TYPES = frozenset((int, float))
 #: Shared by every sample without sensors; sample readings are never mutated.
 _NO_SENSORS: Mapping[str, float] = {}
 _GET_FIELDS = tuple(itemgetter(field) for field in _FIELDS)
@@ -115,7 +115,6 @@ class SampleColumns:
         "skin",
         "any_skin",
         "sensors",
-        "_absent",
         "_samples",
     )
 
@@ -142,22 +141,20 @@ class SampleColumns:
         self.battery = np.array(battery, dtype=float)
         self.has_cpu = ~np.isnan(self.cpu)
         self.has_battery = ~np.isnan(self.battery)
-        self._absent = (cpu.count(None), battery.count(None), skin.count(None))
-        self.complete = self._absent[0] == self._absent[1] == 0
+        self.complete = bool(self.has_cpu.all() and self.has_battery.all())
         self.skin = skin
-        self.any_skin = self._absent[2] < len(skin)
+        self.any_skin = skin.count(None) < len(skin)
         self._samples = samples
 
     @classmethod
     def from_wire(cls, samples) -> "SampleColumns":
         """Decode a ``feed_batch`` ``samples`` object, validating every row.
 
-        The common batch — plain objects whose sensors hold only ``cpu``,
-        ``battery`` and ``skin`` — is checked array-wide: one type set per
-        column and one finiteness test per float column.  Anything else
-        (extra sensor channels, or a row the checks refuse) is decoded row by
-        row through :func:`sample_from_wire`, which accepts the same input
-        and names the first bad session and field.
+        Every number of the batch — the three fields and every sensor
+        reading, whatever its channel — is checked array-wide: one type set
+        and one finiteness test.  A batch the checks refuse is decoded again
+        row by row through :func:`sample_from_wire`, which names the first
+        bad session and field.
         """
         if not isinstance(samples, Mapping):
             raise ValueError(
@@ -169,36 +166,23 @@ class SampleColumns:
         try:
             fields = [list(map(get, rows)) for get in _GET_FIELDS]
             sensors = list(map(dict.get, rows, repeat("sensors"), repeat(_NO_SENSORS)))
-            channels = [
-                list(map(dict.get, sensors, repeat(channel)))
-                for channel in ("cpu", "battery", "skin")
-            ]
-        except (KeyError, TypeError):  # a missing field, a non-object row or sensors
+            if None in sensors:  # "sensors": null means none
+                sensors = [_NO_SENSORS if values is None else values for values in sensors]
+            numbers = list(chain(*fields, chain.from_iterable(map(dict.values, sensors))))
+            # The type set first: numpy would read a numeric string as a float.
+            valid = set(map(type, numbers)) <= _NUMBER_TYPES and bool(
+                np.isfinite(np.array(numbers, dtype=float)).all()
+            )
+        # A missing field, a row or sensors that is not an object, or an int
+        # beyond the float range.
+        except (KeyError, TypeError, OverflowError):
+            valid = False
+        if not valid:
             return cls._from_rows(ids, rows)
-        # One type set over every value: a None among the fields turns into
-        # a NaN below and fails the finiteness test.
-        if not set(map(type, chain(*fields, *channels))) <= _READING_TYPES:
-            return cls._from_rows(ids, rows)
-        try:
-            columns = cls(ids, *fields, sensors, *channels)
-        except OverflowError:  # an int beyond the float range
-            return cls._from_rows(ids, rows)
-        absent_cpu, absent_battery, absent_skin = columns._absent
-        skin = np.array(channels[2], dtype=float) if columns.any_skin else np.empty(0)
-        if (
-            # A null or a foreign channel makes the key count differ from the
-            # readings found; the row path names (or accepts) it.
-            sum(map(len, sensors)) != 3 * len(ids) - sum(columns._absent)
-            or not np.isfinite(columns.time_s).all()
-            or not np.isfinite(columns.utilization).all()
-            or not np.isfinite(columns.frequency_khz).all()
-            # Absent readings are NaN: count the non-finite against them.
-            or _nonfinite(columns.cpu) != absent_cpu
-            or _nonfinite(columns.battery) != absent_battery
-            or (columns.any_skin and _nonfinite(skin) != absent_skin)
-        ):
-            return cls._from_rows(ids, rows)
-        return columns
+        channels = [
+            list(map(dict.get, sensors, repeat(channel))) for channel in ("cpu", "battery", "skin")
+        ]
+        return cls(ids, *fields, sensors, *channels)
 
     @classmethod
     def _from_rows(cls, ids: List, rows: List) -> "SampleColumns":
@@ -257,6 +241,3 @@ class SampleColumns:
             f"{channel!r} (channels present: {available})"
         )
 
-
-def _nonfinite(column: np.ndarray) -> int:
-    return int(np.count_nonzero(~np.isfinite(column)))

@@ -48,7 +48,7 @@ import time
 import traceback
 from json.encoder import encode_basestring_ascii
 from pathlib import Path
-from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Mapping, Optional, Sequence
 
 from repro.api.columns import SampleColumns, sample_from_wire, wire_number
 from repro.api.session import SessionPool
@@ -110,59 +110,47 @@ def decision_to_wire(decision: CapDecision) -> dict:
     return wire
 
 
-#: Distinct decision tails the log keeps formatted (a bound, not an LRU).
-LOG_TAIL_MEMO = 4096
+def _json_number(value) -> str:
+    """``json.dumps(value)`` for a number or ``None``; the common cases skip
+    the encoder (``repr`` spells a finite float and an int as json does)."""
+    kind = type(value)
+    if (kind is float and value - value == 0.0) or kind is int:
+        return repr(value)
+    if value is None:
+        return "null"
+    return json.dumps(value)
 
 
 class DecisionLog:
     """The buffered cap-decision log: one JSON line per decision.
 
     Each line is byte for byte ``json.dumps({"time_s": …, "session": …,
-    "cap": …, "active": …, "limit_c": …}, separators=(",", ":"))``, built
-    from the ``time_s`` as the sample gave it, the ASCII-escaped session id
-    and a memo of the decision-derived tail (fleets share few distinct
-    caps and limits).  Each :meth:`write` is one buffered file write; the
-    owner flushes on checkpoint and closes on shutdown, so a graceful stop
-    never leaves a torn line.
+    "cap": …, "active": …, "limit_c": …}, separators=(",", ":"))``, formatted
+    directly from the ``time_s`` as the sample gave it, the ASCII-escaped
+    session id and the decision.  Each :meth:`write` is one buffered file
+    write; the owner flushes on checkpoint and closes on shutdown, so a
+    graceful stop never leaves a torn line.
     """
 
     def __init__(self, path) -> None:
         path = Path(path)
         path.parent.mkdir(parents=True, exist_ok=True)
         self._fh = open(path, "a", encoding="utf-8")
-        self._tails: Dict[Tuple, str] = {}
 
     def write(self, session_ids, times, decisions) -> None:
         """Append one line per ``(session id, time_s, decision)``."""
-        tails = self._tails
-        if len(tails) > LOG_TAIL_MEMO:
-            tails.clear()
         encode = encode_basestring_ascii
         lines = []
         append = lines.append
         for session_id, time_s, decision in zip(session_ids, times, decisions):
-            cap, limit = decision.level_cap, decision.comfort_limit_c
-            tail = tails.get((cap, type(limit), limit))
-            if tail is None:
-                tail = self._tail(cap, limit)
-            # repr spells a finite float as json does (NaN and inf it does not).
-            if type(time_s) is float and time_s - time_s == 0.0:
-                time_s = repr(time_s)
-            else:
-                time_s = json.dumps(time_s)
+            cap = decision.level_cap
             sid = encode(session_id) if type(session_id) is str else json.dumps(session_id)
-            append(f'{{"time_s":{time_s},"session":{sid}{tail}')
+            append(
+                f'{{"time_s":{_json_number(time_s)},"session":{sid},'
+                f'"cap":{_json_number(cap)},"active":{"false" if cap is None else "true"},'
+                f'"limit_c":{_json_number(decision.comfort_limit_c)}}}\n'
+            )
         self._fh.write("".join(lines))
-
-    def _tail(self, cap, limit) -> str:
-        tail = json.dumps(
-            {"cap": cap, "active": cap is not None, "limit_c": limit}, separators=(",", ":")
-        )
-        tail = "," + tail[1:] + "\n"
-        # -0.0 and 0.0 share a key but not a spelling, and NaN never hits.
-        if limit is None or (limit == limit and limit != 0):
-            self._tails[(cap, type(limit), limit)] = tail
-        return tail
 
     def flush(self) -> None:
         self._fh.flush()

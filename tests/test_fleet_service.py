@@ -30,7 +30,7 @@ from repro.fleet import (
     run_service,
     snapshot_session_state,
 )
-from repro.fleet.service import DEFAULT_REQUEST_LIMIT, LOG_TAIL_MEMO, DecisionLog
+from repro.fleet.service import DEFAULT_REQUEST_LIMIT, DecisionLog
 from repro.users import paper_population
 
 TRACKER_POLICY = PolicySpec(
@@ -333,7 +333,7 @@ class TestDecisionLogFormat:
         ]
         times = [0, 3, 2.5, 1e-7, 123456789.125, 10**17, -0.0, 7, float("nan"), float("-inf")]
         expected = []
-        for shift in range(3):  # later rounds read the tails from the memo
+        for shift in range(3):  # each round shifts which id meets which decision
             ids = [self.IDS[(k + shift) % len(self.IDS)] for k in range(len(decisions))]
             log.write(ids, times, decisions)
             expected += [
@@ -342,13 +342,6 @@ class TestDecisionLogFormat:
             ]
         log.close()
         assert path.read_text(encoding="utf-8") == "".join(expected)
-
-    def test_tail_memo_is_bounded(self, tmp_path):
-        log = DecisionLog(tmp_path / "decisions.jsonl")
-        for k in range(3 * LOG_TAIL_MEMO):
-            log.write(["s"], [1.0], [CapDecision(None, comfort_limit_c=30.0 + k * 1e-3)])
-            assert len(log._tails) <= LOG_TAIL_MEMO + 1
-        log.close()
 
     @pytest.mark.parametrize("capping", [True, False])
     def test_service_lines_match_replies_one_write_per_request(

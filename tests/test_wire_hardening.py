@@ -17,9 +17,11 @@ Each class is a regression suite for one named bug:
 import json
 import math
 
+import numpy as np
 import pytest
 
 from repro.api.serve import per_user_capped_fractions, run_serve
+from repro.api.columns import SampleColumns
 from repro.api.session import SessionPool, open_session
 from repro.api.specs import AdapterSpec, ManagerSpec, PolicySpec
 from repro.api.types import TelemetrySample
@@ -274,12 +276,13 @@ class TestWireNumbers:
             (("utilization",), None, "utilization"),
             (("frequency_khz",), True, "frequency_khz"),
             (("frequency_khz",), 10**400, "frequency_khz"),
+            (("sensors", "skin"), 10**400, "sensors.skin"),
             (("sensors",), [40.0, 37.0], "sensors"),
         ],
         ids=[
             "cpu-string", "cpu-null", "cpu-bool", "cpu-nan", "battery-inf", "skin-null",
             "screen-string", "time-missing", "time-string", "utilization-null",
-            "frequency-bool", "frequency-overflow", "sensors-list",
+            "frequency-bool", "frequency-overflow", "skin-overflow", "sensors-list",
         ],
     )
     def test_bad_field_is_refused_by_name(self, service, path, value, field):
@@ -336,6 +339,40 @@ class TestWireNumbers:
         reply = service.handle({"op": "feed_batch", "samples": {"a": whole, "b": bare}})
         assert reply["ok"], reply
         assert service.pool.get("a").feed_count == service.pool.get("b").feed_count == 3
+
+
+class TestColumnDecode:
+    """Every well-formed batch decodes on the column path, into the columns
+    the row-by-row decode builds; the row path only names refusals."""
+
+    SAMPLES = {
+        "plain": _wire(3.0, skin=36.0),
+        "ints": {"time_s": 3, "utilization": 1, "frequency_khz": 1512000,
+                 "sensors": {"cpu": 45, "battery": 42, "skin": 36}},
+        "extra": {"time_s": 3.0, "utilization": 0.5, "frequency_khz": 1.5e6,
+                  "sensors": {"cpu": 45.0, "battery": 42.0, "screen": 35.5, "modem": 2**70}},
+        "null": {"time_s": 3.5, "utilization": 0.5, "frequency_khz": 1.5e6, "sensors": None},
+        "omitted": {"time_s": 4.0, "utilization": 0.5, "frequency_khz": 1.5e6},
+    }
+
+    def test_well_formed_batch_takes_the_column_path(self, monkeypatch):
+        ids, rows = list(self.SAMPLES), list(self.SAMPLES.values())
+        expected = SampleColumns._from_rows(ids, rows)
+
+        def row_path(*args):
+            raise AssertionError("a well-formed batch fell back to the row decode")
+
+        monkeypatch.setattr(SampleColumns, "_from_rows", row_path)
+        columns = SampleColumns.from_wire(self.SAMPLES)
+        assert columns.ids == expected.ids and columns.time_raw == expected.time_raw
+        assert [type(t) for t in columns.time_raw] == [float, int, float, float, float]
+        for name in ("time_s", "utilization", "frequency_khz", "cpu", "battery"):
+            assert np.array_equal(getattr(columns, name), getattr(expected, name), equal_nan=True)
+        for name in ("has_cpu", "has_battery", "complete", "skin", "any_skin", "sensors"):
+            assert np.array_equal(getattr(columns, name), getattr(expected, name)), name
+        assert [columns.sample(j) for j in range(len(ids))] == [
+            expected.sample(j) for j in range(len(ids))
+        ]
 
 
 class TestRefuseBeforeMutation:
