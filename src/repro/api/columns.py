@@ -30,7 +30,7 @@ import numpy as np
 
 from .types import TelemetrySample
 
-__all__ = ["SampleColumns", "sample_from_wire", "wire_number"]
+__all__ = ["SampleColumns", "refuse_missing_channel", "sample_from_wire", "wire_number"]
 
 _FIELDS = ("time_s", "utilization", "frequency_khz")
 _NUMBER_TYPES = frozenset((int, float))
@@ -52,6 +52,20 @@ def wire_number(value, session_id, field: str):
     else:
         problem = "must be a JSON number"
     raise ValueError(f"session {session_id!r}: {field} {problem}, got {value!r}")
+
+
+def refuse_missing_channel(session_id, readings: Mapping[str, float]) -> None:
+    """Raise when a prediction-due sample's ``readings`` lack a predictor
+    channel; the ``ValueError`` names the session (when it has an id) and
+    the channel."""
+    for channel in ("cpu", "battery"):
+        if channel not in readings:
+            available = ", ".join(sorted(readings)) or "none"
+            where = "" if session_id is None else f"session {session_id!r}: "
+            raise ValueError(
+                f"{where}a prediction is due and needs sensor channel {channel!r} "
+                f"(channels present: {available})"
+            )
 
 
 def sample_from_wire(session_id, payload) -> TelemetrySample:
@@ -234,10 +248,5 @@ class SampleColumns:
         if not lacking.any():
             return
         j = int(np.flatnonzero(lacking)[0])
-        channel = "cpu" if not self.has_cpu[j] else "battery"
-        available = ", ".join(sorted(self.sensors[j])) or "none"
-        raise ValueError(
-            f"session {self.ids[j]!r}: a prediction is due and needs sensor channel "
-            f"{channel!r} (channels present: {available})"
-        )
+        refuse_missing_channel(self.ids[j], self.sensors[j])
 

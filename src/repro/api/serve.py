@@ -146,7 +146,6 @@ def build_serve_pool(
     context,
     sessions: int = 1000,
     policy: Optional[PolicySpec] = None,
-    use_plane: bool = True,
 ):
     """The session population :func:`run_serve` drives, before any telemetry.
 
@@ -166,7 +165,7 @@ def build_serve_pool(
     if manager_requires_predictor(spec):
         fallback_predictor = context.predictor
 
-    pool = SessionPool(use_plane=use_plane)
+    pool = SessionPool()
     profiles = list(context.population)
     session_users: Dict[str, str] = {}
     for index in range(sessions):
@@ -220,7 +219,6 @@ def run_serve(
     seed: Optional[int] = None,
     decision_log=None,
     telemetry: Optional[List[TelemetrySample]] = None,
-    use_plane: bool = True,
 ) -> ServeReport:
     """Stream replayed telemetry through a per-user session population.
 
@@ -247,9 +245,6 @@ def run_serve(
         telemetry: an explicit sample stream to serve instead of simulating
             ``benchmark`` — recorded device traces
             (:func:`repro.telemetry.replay.load_hal_telemetry`) enter here.
-        use_plane: keep eligible sessions resident on the pool's columnar
-            session plane (the default); ``False`` forces the scalar
-            per-session feed, for A/B timing and parity checks.
     """
     if sessions < 1:
         raise ValueError("sessions must be at least 1")
@@ -261,9 +256,7 @@ def run_serve(
     elif not telemetry:
         raise ValueError("an explicit telemetry stream must not be empty")
 
-    pool, session_users, spec = build_serve_pool(
-        context, sessions=sessions, policy=policy, use_plane=use_plane
-    )
+    pool, session_users, spec = build_serve_pool(context, sessions=sessions, policy=policy)
 
     log_fh = None
     log_path: Optional[str] = None

@@ -11,11 +11,12 @@ interface; replayed telemetry logs, live device streams, and the ``repro
 serve`` population driver are others.
 
 :class:`SessionPool` scales the same interface to thousands of concurrent
-sessions: per-user session state stays isolated, but the expensive part of a
-tick — the predictor evaluation — is batched across every session whose
-prediction window is due.  Eligible sessions stay resident on the shared
-:class:`~repro.runtime.plane.PolicyPlane` (the batch engine's too), through
-the serving adapter at the bottom of this module.
+sessions: per-user session state stays isolated, while eligible sessions stay
+resident on the shared :class:`~repro.runtime.plane.PolicyPlane` (the batch
+engine's too, through the serving adapter at the bottom of this module),
+which advances them together and batches the predictor evaluation across
+every session whose prediction window is due.  Every other session runs its
+own :meth:`PolicySession.feed`.
 """
 
 from __future__ import annotations
@@ -36,7 +37,7 @@ from ..runtime.plane import (
 )
 from ..sim.engine import ThermalManager
 from ..users.adaptation import AdaptiveComfortManager
-from .columns import SampleColumns
+from .columns import SampleColumns, refuse_missing_channel
 from .specs import PolicySpec
 from .types import CapDecision, FeedbackEvent, TelemetrySample
 
@@ -98,6 +99,9 @@ class PolicySession:
                 the cap decision, so a "too hot" tap takes effect on the
                 very next decision.  Raises ``ValueError`` when the policy
                 has no adapter to route them into.
+
+        A prediction-due sample lacking a predictor channel is refused with
+        a ``ValueError`` naming the session before anything changes.
         """
         plane = self._plane
         if plane is None:
@@ -114,12 +118,18 @@ class PolicySession:
         feedback: Sequence[FeedbackEvent] = (),
     ) -> CapDecision:
         """The plain object-path feed (plane coherence handled by callers)."""
+        manager = self.manager
+        if _due_maskable(manager) and manager.prediction_due(sample.time_s):
+            # Refuse a sample the predictor cannot use before the feedback
+            # step (external events here, the simulated user inside observe)
+            # moves the comfort limit.
+            refuse_missing_channel(self.session_id, sample.sensor_readings)
         for event in feedback:
             self._apply_feedback(event)
-        if self.manager is None:
+        if manager is None:
             decision = CapDecision.no_cap()
         else:
-            manager_decision = self.manager.observe(
+            manager_decision = manager.observe(
                 time_s=sample.time_s,
                 sensor_readings=sample.sensor_readings,
                 utilization=sample.utilization,
@@ -128,7 +138,10 @@ class PolicySession:
             decision = CapDecision.from_manager_decision(
                 manager_decision, self.table if self.resolve_frequency else None
             )
-        self.note_decision(decision)
+        self._last_decision = decision
+        self._feed_count += 1
+        if decision.active:
+            self._cap_count += 1
         return decision
 
     def feed_feedback(self, event: FeedbackEvent) -> float:
@@ -155,13 +168,6 @@ class PolicySession:
                 "the policy spec to accept user feedback"
             )
         return apply(event)
-
-    def note_decision(self, decision: CapDecision) -> None:
-        """Record a decision computed out-of-band (batched pool prediction)."""
-        self._last_decision = decision
-        self._feed_count += 1
-        if decision.active:
-            self._cap_count += 1
 
     def reset(self) -> None:
         """Clear manager and session state for a fresh stream."""
@@ -304,20 +310,14 @@ class SessionPool:
     batch engine runs its members on.  Their controller/adapter/counter state
     lives in columns across ticks, so :meth:`feed_many` advances them with
     vectorized due masks, one batched predict per predictor group and
-    array-wide cap math — bit-identical to the scalar path.  Everything else
-    keeps the historical treatment: on :meth:`feed_many`, every batchable
-    USTA session whose prediction window is due is collected, their feature
-    vectors are stacked, and the underlying regressors run once per
-    (predictor, screen-flag) group instead of once per session; managers the
-    pool does not understand at all fall back to their sessions' scalar
-    :meth:`PolicySession.feed`.
+    array-wide cap math — bit-identical to the scalar path.  Every other
+    session runs its own :meth:`PolicySession.feed`, so a plane-disabled
+    pool (``use_plane=False``) is the per-session scalar reference.
     """
 
     def __init__(self, use_plane: bool = True) -> None:
         self._sessions: Dict[str, PolicySession] = {}
         self._feed_count = 0
-        self._prediction_count = 0
-        self._batch_count = 0
         self._plane: Optional[_PoolPlane] = _PoolPlane() if use_plane else None
         #: session_id -> why it stayed off the plane (``--explain-plane``).
         self._plane_reasons: Dict[str, str] = {}
@@ -427,17 +427,15 @@ class SessionPool:
 
         Resident sessions advance in one plane tick that reads its features
         straight from the batch's columns; resident sessions carrying
-        feedback and sessions off the plane get a ``TelemetrySample`` and the
-        historical treatment (prediction-due USTA sessions evaluated in one
-        matrix predict per predictor/screen-flag group, everything else
-        through the scalar session feed).  Decisions come back keyed and
+        feedback and sessions off the plane get a ``TelemetrySample`` and
+        their own :meth:`PolicySession.feed`.  Decisions come back keyed and
         ordered like ``samples``.
 
         A bad batch has no effect: unknown session ids, feedback a session
         cannot route, and a prediction-due sample lacking a predictor
         channel are refused before any session consumes its sample or
-        feedback.  (A session whose manager the pool cannot split into due
-        and apply steps is only checked by its own scalar feed.)
+        feedback.  (A manager that overrides ``observe`` has no prediction
+        schedule to read ahead; only its own ``observe`` refuses.)
 
         Args:
             samples: per-session telemetry for this tick: a
@@ -446,10 +444,8 @@ class SessionPool:
                 ``TelemetrySample``, converted to the same columns.
             feedback: optional per-session comfort reports filed since the
                 last tick.  Each session's events are applied *before* its
-                cap decision — exactly :meth:`PolicySession.feed`'s ordering —
-                so external ("real user") feedback rides the batched
-                prediction path instead of forcing sessions onto scalar
-                feeds.  Keys must be a subset of ``samples``.
+                cap decision — exactly :meth:`PolicySession.feed`'s ordering.
+                Keys must be a subset of ``samples``.
         """
         columns = (
             samples if isinstance(samples, SampleColumns) else SampleColumns.from_samples(samples)
@@ -492,12 +488,9 @@ class SessionPool:
         if plane is not None and resident.any():
             pos = _where(resident)
             due[pos] = plane.due(rows[pos], columns.time_s[pos])
-        others = []
         for j in np.flatnonzero(~resident).tolist():
             manager = batch[j].manager
-            sample = columns.sample(j)
-            due[j] = self._batchable(manager) and manager.prediction_due(sample.time_s)
-            others.append((j, sample))
+            due[j] = _due_maskable(manager) and manager.prediction_due(columns.time_s[j])
         columns.refuse_incomplete(due)
 
         decisions: Dict[str, CapDecision] = {}
@@ -511,85 +504,18 @@ class SessionPool:
                 return dict(zip(ids, plane_decisions))
             decisions.update(zip([ids[j] for j in pos.tolist()], plane_decisions))
 
-        if feedback:
-            for j in np.flatnonzero(resident & ~on_plane).tolist():
-                session_id = ids[j]
-                decisions[session_id] = batch[j].feed(
-                    columns.sample(j), feedback=feedback[session_id]
-                )
-                self._feed_count += 1
-
-        grouped: Dict[Tuple[int, bool], List[Tuple[int, TelemetrySample]]] = {}
-        for j, sample in others:
-            session_id, session = ids[j], batch[j]
-            manager = session.manager
-            if due[j]:
-                # External feedback first (the scalar feed's ordering), then
-                # an adaptive wrapper ingests the tick's simulated-user
-                # feedback via pre_feed — the step its observe() would have
-                # run before predicting.  Non-due wrapper ticks go through
-                # the scalar feed below, where feed() handles both itself.
-                for event in feedback.get(session_id, ()):
-                    session.feed_feedback(event)
-                pre_feed = getattr(manager, "pre_feed", None)
-                if pre_feed is not None:
-                    pre_feed(sample)
-                key = (id(manager.predictor), bool(manager.predict_screen))
-                grouped.setdefault(key, []).append((j, sample))
-            else:
-                decisions[session_id] = session.feed(
-                    sample, feedback=feedback.get(session_id, ())
-                )
-                self._feed_count += 1
-
-        for (_, predict_screen), group in grouped.items():
-            predictor = batch[group[0][0]].manager.predictor
-            pos = [j for j, _ in group]
-            features = np.column_stack(
-                (
-                    columns.cpu[pos],
-                    columns.battery[pos],
-                    columns.utilization[pos],
-                    columns.frequency_khz[pos],
-                )
+        for j in np.flatnonzero(~on_plane).tolist():
+            session_id = ids[j]
+            decisions[session_id] = batch[j].feed(
+                columns.sample(j), feedback=feedback.get(session_id, ())
             )
-            predictions = predictor.predict_batch(features, predict_screen=predict_screen)
-            self._batch_count += 1
-            self._prediction_count += len(group)
-            for (j, sample), prediction in zip(group, predictions):
-                session = batch[j]
-                manager_decision = session.manager.apply_prediction(sample.time_s, prediction)
-                decision = CapDecision.from_manager_decision(
-                    manager_decision, session.table if session.resolve_frequency else None
-                )
-                session.note_decision(decision)
-                decisions[ids[j]] = decision
-                self._feed_count += 1
+            self._feed_count += 1
 
         return {session_id: decisions[session_id] for session_id in ids}
 
     def feed_feedback(self, session_id: str, event: FeedbackEvent) -> float:
         """Route one comfort report into one session's adapter (live limit back)."""
         return self._session(session_id).feed_feedback(event)
-
-    @staticmethod
-    def _batchable(manager) -> bool:
-        """True when the batched due/apply split is faithful to ``observe``.
-
-        A subclass that overrides ``observe`` itself (rather than the
-        ``_cap_for`` hook) may implement logic the split would bypass, so it
-        must go through the scalar session feed.  An adaptive wrapper is
-        batchable when the controller it wraps is: its feedback step runs
-        through ``pre_feed`` on due ticks and through ``observe`` otherwise.
-        """
-        if isinstance(manager, AdaptiveComfortManager):
-            return type(manager) is AdaptiveComfortManager and SessionPool._batchable(
-                manager.inner
-            )
-        return (
-            isinstance(manager, USTAController)
-            and type(manager).observe is USTAController.observe
-        )
 
     # -- statistics -------------------------------------------------------------
 
@@ -600,19 +526,14 @@ class SessionPool:
 
     @property
     def prediction_count(self) -> int:
-        """Predictions evaluated through the batched path (incl. the plane)."""
-        count = self._prediction_count
-        if self._plane is not None:
-            count += self._plane.prediction_count
-        return count
+        """Predictions evaluated on the plane (a scalar feed counts its own
+        on its controller)."""
+        return 0 if self._plane is None else self._plane.prediction_count
 
     @property
     def batch_count(self) -> int:
-        """Matrix-predict calls issued (batches, incl. the plane)."""
-        count = self._batch_count
-        if self._plane is not None:
-            count += self._plane.batch_count
-        return count
+        """Matrix-predict calls the plane issued."""
+        return 0 if self._plane is None else self._plane.batch_count
 
     @property
     def average_batch_size(self) -> float:
@@ -690,13 +611,6 @@ class _PoolPlane(PolicyPlane):
     def __init__(self) -> None:
         super().__init__()
         self._freq_cache: Dict[Tuple, Tuple] = {}
-        # Value-keyed CapDecision memo: fleets have far fewer *distinct*
-        # decisions than sessions (shared tables, quantized sensor grids), and
-        # frozen-dataclass construction is the rebuild loop's dominant cost.
-        # Decisions are immutable, so sharing one object per value is
-        # observably identical.  Cleared when it outgrows its cap (a bound on
-        # long-run growth, not an LRU — hit rates are all-or-nothing here).
-        self._decision_memo: Dict[Tuple, CapDecision] = {}
         #: Vectorized ticks executed (PolicyService.stats / ServeReport).
         self.tick_count = 0
 
@@ -706,10 +620,8 @@ class _PoolPlane(PolicyPlane):
         """Cached level→frequency lookup for decision building.
 
         Keyed by the table's *frequency ladder*, not object identity: every
-        session owns its own ``FrequencyTable`` instance, and the decision
-        memo uses ``id(levels)`` as the table component of its key — without
-        value canonicalization here, 100k sessions on the same ladder would
-        produce 100k distinct memo keys and the memo would never hit.
+        session owns its own ``FrequencyTable`` instance, and keying by value
+        gives every session on one ladder the same shared tuple.
         """
         if table is None:
             return None
@@ -847,29 +759,15 @@ class _PoolPlane(PolicyPlane):
         limits = self.limit_obj[rows].tolist()
         tables = self.freq_levels[rows].tolist()
         decisions = self.decisions
-        memo = self._decision_memo
-        if len(memo) > 65_536:
-            memo.clear()
-        for j, r in enumerate(rows.tolist()):
-            cap = caps_list[j]
-            levels = tables[j]
-            # id(levels) stands in for the table: the tuples live in
-            # _freq_cache for the plane's lifetime, so ids are stable.
-            key = (cap, skins[j], screens[j], limits[j], id(levels))
-            decision = memo.get(key)
-            if decision is None:
-                if cap == NO_CAP:
-                    decision = CapDecision(None, None, skins[j], screens[j], limits[j])
-                else:
-                    decision = CapDecision(
-                        cap,
-                        None if levels is None else levels[cap],
-                        skins[j],
-                        screens[j],
-                        limits[j],
-                    )
-                memo[key] = decision
-            decisions[r] = decision
+        for r, cap, skin, screen, limit, levels in zip(
+            rows.tolist(), caps_list, skins, screens, limits, tables
+        ):
+            if cap == NO_CAP:
+                decisions[r] = CapDecision(None, None, skin, screen, limit)
+            else:
+                decisions[r] = CapDecision(
+                    cap, None if levels is None else levels[cap], skin, screen, limit
+                )
         self.valid[rows] = True
 
 
@@ -882,3 +780,18 @@ def _shared_features(sample: TelemetrySample) -> Tuple[float, float, float, floa
         # Re-raise the scalar path's exact channel-naming error.
         PredictionFeatures.from_readings(readings, sample.utilization, sample.frequency_khz)
         raise
+
+
+def _due_maskable(manager) -> bool:
+    """True when ``manager.prediction_due`` tells ahead whether ``observe``
+    will predict, so a sample lacking a predictor channel can be refused
+    before anything mutates.
+
+    A subclass that overrides ``observe`` itself (rather than the
+    ``_cap_for`` hook) may predict on its own schedule, so only its own
+    ``observe`` can check.  An adaptive wrapper is maskable when the
+    controller it wraps is.
+    """
+    if isinstance(manager, AdaptiveComfortManager):
+        return type(manager) is AdaptiveComfortManager and _due_maskable(manager.inner)
+    return isinstance(manager, USTAController) and type(manager).observe is USTAController.observe

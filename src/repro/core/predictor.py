@@ -15,7 +15,7 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass, field
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import Dict, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -111,8 +111,8 @@ class BatchPredictionArrays:
 
     The array counterpart of a list of :class:`SkinScreenPrediction`: row
     ``i`` of each array is sample ``i``'s prediction, and ``latency_s`` is
-    the amortized per-sample wall-clock of the batch (the latency each
-    session reports, exactly as :meth:`RuntimePredictor.predict_batch`).
+    the amortized per-sample wall-clock of the batch (the batch wall-clock
+    divided by its rows: the latency each plane row reports).
     """
 
     skin_temp_c: np.ndarray
@@ -167,43 +167,17 @@ class RuntimePredictor:
         latency = time.perf_counter() - start
         return SkinScreenPrediction(skin_temp_c=skin, screen_temp_c=screen, latency_s=latency)
 
-    def predict_batch(
-        self, features: np.ndarray, predict_screen: bool = True
-    ) -> List[SkinScreenPrediction]:
-        """Predict for a whole batch of feature rows at once.
-
-        This is the session pool's fast path: when N concurrent policy
-        sessions hit their prediction window on the same tick, one batched
-        call replaces N scalar ones (see :meth:`predict_batch_arrays` for how
-        each row keeps the bits of a single-row predict).  The reported
-        per-prediction latency is the batch wall-clock divided by N (the
-        amortized cost each session pays).
-
-        Args:
-            features: ``(n_samples, n_features)`` matrix in the canonical
-                column order (see :meth:`PredictionFeatures.as_vector`).
-            predict_screen: also evaluate the screen model when available.
-        """
-        arrays = self.predict_batch_arrays(features, predict_screen=predict_screen)
-        skin = arrays.skin_temp_c
-        screen = arrays.screen_temp_c
-        return [
-            SkinScreenPrediction(
-                skin_temp_c=float(skin[i]),
-                screen_temp_c=float(screen[i]) if screen is not None else None,
-                latency_s=arrays.latency_s,
-            )
-            for i in range(len(skin))
-        ]
-
     def predict_batch_arrays(
         self, features: np.ndarray, predict_screen: bool = True
     ) -> BatchPredictionArrays:
-        """Batched prediction returning columns instead of row objects.
+        """Predict for a whole batch of feature rows at once, as columns.
 
-        The policy plane consumes this form directly: the skin (and
-        optionally screen) predictions stay arrays, avoiding N
-        ``SkinScreenPrediction`` allocations per prediction window.
+        This is the policy plane's predict: when N rows hit their prediction
+        window on the same tick, one call replaces N scalar :meth:`predict`
+        calls, and the skin (and optionally screen) predictions stay arrays
+        instead of N ``SkinScreenPrediction`` objects.  ``features`` is an
+        ``(n_samples, n_features)`` matrix in the canonical column order
+        (see :meth:`PredictionFeatures.as_vector`).
 
         Every row carries exactly the bits of a single-row :meth:`predict`,
         whatever else is in the batch.  Models declaring

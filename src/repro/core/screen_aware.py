@@ -75,9 +75,9 @@ class ScreenAwareUSTAController(USTAController):
     def _cap_for(self, prediction: SkinScreenPrediction) -> Optional[int]:
         """The tighter of the skin-margin cap and the screen-margin cap.
 
-        The periodic scheduling (and hence the batched-session support)
-        lives in the base class; this hook only changes how one prediction
-        maps onto a cap.
+        The periodic scheduling (prediction_due → predict →
+        apply_prediction) lives in the base class; this hook only changes
+        how one prediction maps onto a cap.
         """
         skin_cap = self.policy.cap_for_prediction(
             prediction.skin_temp_c, self.current_skin_limit_c, self.table

@@ -190,11 +190,13 @@ class USTAController:
             return self.apply_prediction(time_s, prediction)
         return self.held_decision()
 
-    # -- batched-session support -----------------------------------------------------
+    # -- the two halves of observe() ------------------------------------------------
     #
-    # The observe() loop above is the scalar path.  A SessionPool splits the
-    # same logic in two so the predictor can run once for a whole batch of
-    # sessions: prediction_due() → (pooled predict_batch) → apply_prediction().
+    # observe() above is prediction_due() → predict → apply_prediction().  The
+    # split serves observe itself and the policy plane's eligibility check
+    # (runtime/plane.py refuses subclasses that override either half); a
+    # session also reads prediction_due() to refuse a sample lacking a
+    # predictor channel before anything mutates.
 
     def prediction_due(self, time_s: float) -> bool:
         """True when the periodic prediction window has elapsed."""

@@ -527,21 +527,15 @@ class AdaptiveComfortManager:
         self.inner.set_skin_limit(limit)
         return limit
 
-    def _ingest_feedback(self, time_s, sensor_readings) -> None:
-        """Let the simulated user report on this tick's felt skin temperature."""
-        if self.feedback is None:
-            return
-        felt = sensor_readings.get("skin")
-        if felt is not None:
-            event = self.feedback.observe(time_s, felt)
-            if event is not None:
-                self.apply_feedback(event)
-
     # -- ThermalManager protocol -------------------------------------------------
 
     def observe(self, time_s, sensor_readings, utilization, frequency_khz):
         """Let the simulated user report, adapt the limit, then decide the cap."""
-        self._ingest_feedback(time_s, sensor_readings)
+        felt = None if self.feedback is None else sensor_readings.get("skin")
+        if felt is not None:
+            event = self.feedback.observe(time_s, felt)
+            if event is not None:
+                self.apply_feedback(event)
         return self.inner.observe(
             time_s=time_s,
             sensor_readings=sensor_readings,
@@ -557,33 +551,10 @@ class AdaptiveComfortManager:
             self.feedback.reset()
         self.inner.set_skin_limit(self.adapter.current_limit_c)
 
-    # -- batched-session support -------------------------------------------------
-    #
-    # A SessionPool splits observe() into prediction_due → (pooled
-    # predict_batch) → apply_prediction to batch the predictor across
-    # sessions.  The wrapper stays faithful under that split: on due ticks
-    # the pool hands the telemetry to pre_feed() first (the feedback step
-    # observe() would have run), and the scheduling/apply calls forward to
-    # the inner controller.
-
-    def pre_feed(self, sample) -> None:
-        """Consume one telemetry sample's feedback before a batched prediction."""
-        self._ingest_feedback(sample.time_s, sample.sensor_readings)
+    # -- prediction schedule -----------------------------------------------------
 
     def prediction_due(self, time_s) -> bool:
-        """Forward the inner controller's prediction schedule."""
+        """Forward the inner controller's prediction schedule (a session
+        reads it to refuse a sample lacking a predictor channel before the
+        feedback step runs)."""
         return self.inner.prediction_due(time_s)
-
-    def apply_prediction(self, time_s, prediction):
-        """Forward a batch-computed prediction to the inner controller."""
-        return self.inner.apply_prediction(time_s, prediction)
-
-    @property
-    def predictor(self):
-        """The inner controller's predictor (pool batching groups by it)."""
-        return self.inner.predictor
-
-    @property
-    def predict_screen(self) -> bool:
-        """Whether the inner controller wants screen predictions."""
-        return self.inner.predict_screen

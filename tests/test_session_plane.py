@@ -14,13 +14,16 @@ import json
 
 import pytest
 
-from repro.api.session import SessionPool, open_session
+from repro.api.session import PolicySession, SessionPool, open_session
 from repro.api.specs import AdapterSpec, GovernorSpec, ManagerSpec, PolicySpec
 from repro.api.types import FeedbackEvent, TelemetrySample
+from repro.core.policy import ThrottlePolicy
 from repro.core.predictor import RuntimePredictor
+from repro.core.usta import USTAController
 from repro.fleet import PolicyService, restore_session_state, snapshot_session_state
 from repro.ml.mlp import MultilayerPerceptron
 from repro.runtime.plane import manager_vectorization_ineligibility
+from repro.users.adaptation import AdaptiveComfortManager, UserFeedbackModel
 
 REPORT_PERIOD_S = 3.0
 TRUE_LIMIT_C = 34.3
@@ -92,7 +95,9 @@ class TestPlaneParity:
         # The simulated users actually fired (limits moved off the default).
         assert any(plane_pool.get(sid).current_limit_c != 37.0 for sid in ids)
         # Same predictions happened, just batched on the plane.
-        assert plane_pool.prediction_count == scalar_pool.prediction_count
+        assert plane_pool.prediction_count == sum(
+            session.manager.inner.prediction_count for session in scalar_pool
+        )
 
     def test_external_feedback_on_due_and_held_ticks(self, linear_predictor):
         """External reports drop those sessions to scalar feeds — and the
@@ -289,9 +294,9 @@ class TestMlpPlaneParity(TestPlaneParity):
 
 
 def test_mlp_decisions_do_not_depend_on_batch_composition(mlp_predictor):
-    """A plane-disabled pool batches due MLP sessions into one predict; each
-    decision must still equal a scalar feed, whichever sessions share the
-    batch."""
+    """A plane-disabled pool feeds each MLP session on its own; its decisions
+    must equal lone scalar feeds, however the sessions are split across
+    ``feed_many`` calls."""
     ids = [f"m{i:03d}" for i in range(60)]
     whole = SessionPool(use_plane=False)
     halves = SessionPool(use_plane=False)
@@ -307,6 +312,132 @@ def test_mlp_decisions_do_not_depend_on_batch_composition(mlp_predictor):
         for part in (ids[t % 7 :: 2], [sid for sid in ids if sid not in ids[t % 7 :: 2]]):
             got.update(halves.feed_many({sid: samples[sid] for sid in part}))
         assert got == want
+
+
+class _OneLevelStricter(ThrottlePolicy):
+    """A custom throttle policy: the stock cap, one level lower."""
+
+    def cap_for_margin(self, margin_c, table):
+        cap = super().cap_for_margin(margin_c, table)
+        return None if cap is None else max(table.min_level, cap - 1)
+
+
+class _HalfDegreeDown:
+    """A custom comfort adapter: half a degree down per discomfort report."""
+
+    name = "half_degree_down"
+
+    def __init__(self) -> None:
+        self.current_limit_c = 37.0
+
+    def observe(self, event: FeedbackEvent) -> float:
+        if event.is_discomfort:
+            self.current_limit_c = max(31.0, self.current_limit_c - 0.5)
+        return self.current_limit_c
+
+    def reset(self) -> None:
+        self.current_limit_c = 37.0
+
+
+class TestMixedPool:
+    """One plane-enabled pool holding resident sessions next to every kind of
+    off-plane session feeds each exactly as a lone session would."""
+
+    RESIDENT = ("r-0", "r-1", "r-2")
+    STRICT, CUSTOM_ADAPTER, BARE = "strict", "custom-adapter", "bare"
+    IDS = RESIDENT + (STRICT, CUSTOM_ADAPTER, BARE)
+
+    def _open(self, predictor, pool=None):
+        """The six sessions, in a pool (through its adoption) or lone."""
+
+        def managed(session_id, manager):
+            session = PolicySession(manager=manager, session_id=session_id)
+            if pool is not None:
+                pool._sessions[session_id] = session
+                pool._adopt(session)
+            return session
+
+        def open_spec(session_id, spec):
+            if pool is not None:
+                return pool.open(session_id, spec, predictor=predictor)
+            return open_session(spec, predictor=predictor, session_id=session_id)
+
+        sessions = {sid: open_spec(sid, _spec()) for sid in self.RESIDENT}
+        sessions[self.STRICT] = managed(
+            self.STRICT,
+            USTAController(predictor=predictor, skin_limit_c=36.5, policy=_OneLevelStricter()),
+        )
+        sessions[self.CUSTOM_ADAPTER] = managed(
+            self.CUSTOM_ADAPTER,
+            AdaptiveComfortManager(
+                inner=USTAController(predictor=predictor),
+                adapter=_HalfDegreeDown(),
+                feedback=UserFeedbackModel(
+                    true_limit_c=TRUE_LIMIT_C, report_period_s=REPORT_PERIOD_S
+                ),
+            ),
+        )
+        sessions[self.BARE] = open_spec(self.BARE, PolicySpec(governor=GovernorSpec("ondemand")))
+        return sessions
+
+    @staticmethod
+    def _state(sessions):
+        state = {}
+        for sid, session in sessions.items():
+            session.sync_policy_state()
+            inner = getattr(session.manager, "inner", session.manager)
+            model = getattr(session.manager, "feedback", None)
+            state[sid] = (
+                session.last_decision,
+                session.current_limit_c,
+                session.feed_count,
+                session.cap_count,
+                snapshot_session_state(session),
+                None if inner is None else inner.prediction_count,
+                None if model is None else (model._last_report_s, list(model._pending)),
+            )
+        return state
+
+    def test_feed_many_matches_lone_sessions(self, linear_predictor):
+        pool = SessionPool()
+        self._open(linear_predictor, pool)
+        lone = self._open(linear_predictor)
+        report = {e["session_id"]: e["fallback_reason"] for e in pool.describe_plane()["sessions"]}
+        assert [sid for sid in self.IDS if report[sid] is None] == list(self.RESIDENT)
+        assert "custom throttle policy" in report[self.STRICT]
+        assert "custom comfort adapter" in report[self.CUSTOM_ADAPTER]
+        assert "bare-governor" in report[self.BARE]
+        for t in range(24):
+            samples = {sid: _sample(float(t + 1), 3 * i + t) for i, sid in enumerate(self.IDS)}
+            feedback = {}
+            if t % 5 == 2:  # external reports on resident and off-plane rows alike
+                event = FeedbackEvent.discomfort(float(t + 1), 36.0)
+                feedback = {"r-1": [event], self.CUSTOM_ADAPTER: [event]}
+            want = {
+                sid: lone[sid].feed(samples[sid], feedback=feedback.get(sid, ()))
+                for sid in self.IDS
+            }
+            assert pool.feed_many(samples, feedback=feedback) == want
+        assert self._state(dict(zip(self.IDS, map(pool.get, self.IDS)))) == self._state(lone)
+        # The off-plane sessions capped and adapted.
+        assert pool.get(self.STRICT).cap_count > 0
+        assert pool.get(self.CUSTOM_ADAPTER).current_limit_c < 37.0
+        assert pool.feed_count == 24 * len(self.IDS)
+
+    @pytest.mark.parametrize("lacking", [STRICT, CUSTOM_ADAPTER])
+    def test_off_plane_due_row_without_cpu_changes_no_session(self, linear_predictor, lacking):
+        pool = SessionPool()
+        sessions = self._open(linear_predictor, pool)
+        pool.feed_many({sid: _sample(1.0, i) for i, sid in enumerate(self.IDS)})
+        before = self._state(sessions)
+        # 3 s later every managed row is due again; the felt skin is hot.
+        samples = {sid: _sample(4.0, i) for i, sid in enumerate(self.IDS)}
+        readings = {**samples[lacking].sensor_readings, "skin": 45.0}
+        del readings["cpu"]
+        samples[lacking] = TelemetrySample(4.0, 0.5, 1_512_000.0, readings)
+        with pytest.raises(ValueError, match=f"session '{lacking}'.*'cpu'"):
+            pool.feed_many(samples, feedback={"r-1": [FeedbackEvent.discomfort(4.0, 36.0)]})
+        assert self._state(sessions) == before
 
 
 def test_delayed_reports_wait_for_a_skin_reading(linear_predictor):

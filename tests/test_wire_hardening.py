@@ -11,7 +11,9 @@ Each class is a regression suite for one named bug:
 5. malformed ``feed_batch`` samples escaping as bare ``TypeError``/
    ``KeyError``/``AttributeError`` (or, for ``"2"`` and ``true``, accepted);
 6. a prediction-due sample without ``cpu`` refused only after the feedback
-   gate had already run for the rest of the batch.
+   gate had already run for the rest of the batch;
+7. the single ``feed`` op refusing such a sample, without naming the
+   session, only after the feedback step had moved the comfort limit.
 """
 
 import json
@@ -453,3 +455,41 @@ class TestRefuseBeforeMutation:
             pool.feed_all(self._sample(10.0, cpu=None, skin=40.0))
         assert self._columns(pool) == columns
         assert self._models(pool) == models
+
+    @pytest.mark.parametrize("use_plane", [True, False])
+    @pytest.mark.parametrize(
+        "feedback", [[], [{"kind": "discomfort", "time_s": 10.0, "skin_temp_c": 45.0}]]
+    )
+    def test_single_feed_op_refuses_before_the_feedback_step(
+        self, linear_predictor, use_plane, feedback
+    ):
+        """A due sample without ``cpu`` and a felt 45 °C: the feed op is
+        refused, naming the session, and neither the simulated user nor an
+        external report moves the limit."""
+        service = PolicyService(self.SPEC, predictor=linear_predictor, use_plane=use_plane)
+        service.handle({"op": "open", "session": "s1"})
+        sample = {"time_s": 0.0, "utilization": 0.5, "frequency_khz": 1_512_000.0}
+        first = {**sample, "sensors": {"cpu": 45.0, "battery": 40.0, "skin": 33.0}}
+        assert service.handle({"op": "feed", "session": "s1", "sample": first})["ok"]
+        session = service.pool.get("s1")
+
+        def state():
+            return (
+                session.current_limit_c,
+                session.feed_count,
+                snapshot_session_state(session),
+                self._models(service.pool),
+            )
+
+        before = state()
+        lacking = {**sample, "time_s": 10.0, "sensors": {"battery": 40.0, "skin": 45.0}}
+        reply = service.handle(
+            {"op": "feed", "session": "s1", "sample": lacking, "feedback": feedback}
+        )
+        assert reply["ok"] is False and reply["error_type"] == "ValueError"
+        assert "session 's1'" in reply["error"] and "'cpu'" in reply["error"]
+        assert state() == before
+        # With the channel present the same tick goes through and steps down.
+        lacking["sensors"]["cpu"] = 45.0
+        service.handle({"op": "feed", "session": "s1", "sample": lacking, "feedback": feedback})
+        assert session.current_limit_c < before[0]
