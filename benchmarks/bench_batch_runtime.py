@@ -23,13 +23,19 @@ introduces —
    mixed traces) through ``VectorizedExecutor``, split into member set-up
    (building and validating the batch members) and the engine's tick loop —
    the regime where per-member set-up, not stepping, sets the pace,
+8. the narrow tick: µs per engine tick of the ``sweep_stream`` Skype plan
+   (the paper population's USTA users, REPTree predictor, full Skype trace)
+   at 1, 10, 20 and 40 members, through the policy plane and with the bare
+   ondemand governor — below ~20 members a tick costs about the same at any
+   width, which is what every fleet worker pays in full,
 
 so regressions in the batching machinery are visible over time.
 
 Run under pytest-benchmark as part of the harness, or directly::
 
-    python benchmarks/bench_batch_runtime.py            # rewrite the baseline
-    python benchmarks/bench_batch_runtime.py --smoke    # CI gate: SoA > serial
+    python benchmarks/bench_batch_runtime.py               # rewrite the baseline
+    python benchmarks/bench_batch_runtime.py --smoke       # CI gate: SoA > serial
+    python benchmarks/bench_batch_runtime.py --narrow-tick # rewrite only arm 8
 
 The first form re-measures everything and rewrites
 ``benchmarks/BENCH_batch_runtime.json`` — the committed baseline that gives
@@ -57,6 +63,7 @@ from repro.device.platform import DevicePlatform
 from repro.governors import OndemandGovernor
 from repro.ml.dataset import Dataset
 from repro.ml.linear import LinearRegression
+from repro.analysis.context import ReproductionContext
 from repro.api.specs import AdapterSpec, ManagerSpec, PolicySpec
 from repro.runtime import (
     ExperimentCell,
@@ -76,7 +83,7 @@ from repro.users.adaptation import (
     QuantileTracker,
     UserFeedbackModel,
 )
-from repro.workloads.benchmarks import build_benchmark
+from repro.workloads.benchmarks import BENCHMARKS, build_benchmark
 
 POWER = {"cpu": 2.5, "screen": 0.5, "board": 0.6, "battery": 0.2}
 POPULATION_SIZE = 16
@@ -485,6 +492,62 @@ def measure_wide_short_trace(count=WIDE_CELLS, repeats=5):
 
 
 # ---------------------------------------------------------------------------
+# narrow tick (narrow_tick): the per-tick fixed cost at fleet-unit widths
+# ---------------------------------------------------------------------------
+
+NARROW_WIDTHS = (1, 10, 20, 40)
+NARROW_SEED = 1  # perfbench's --seed 1 plan
+
+
+def _narrow_members(context, executor, trace, width, plane):
+    """``width`` members of the ``sweep_stream`` plan (user ``i % 10``,
+    repeat ``i // 10``); without the plane they run bare ondemand."""
+    policy = context.usta_policy_spec()
+    users = list(context.population)
+    cells = [
+        ExperimentCell(
+            cell_id=f"narrow/{i}",
+            trace=trace,
+            policy=policy.for_user(users[i % len(users)]) if plane else None,
+            predictor=context.predictor if plane else None,
+            seed=context.seed + i // len(users),
+        )
+        for i in range(width)
+    ]
+    return executor._build_members(cells)
+
+
+def measure_narrow_tick(widths=NARROW_WIDTHS, repeats=7):
+    """Median µs per engine tick at each width, with and without the plane.
+
+    Members are built outside the timed call (one fresh set per repeat);
+    the first call per width warms the step maps and the trace stack.
+    """
+    context = ReproductionContext.build(seed=NARROW_SEED, duration_scale=1.0)
+    trace = build_benchmark("skype", seed=context.seed, duration_s=BENCHMARKS["skype"].duration_s)
+    executor = VectorizedExecutor()
+    figures = {"plane": {}, "no_plane": {}}
+    for width in widths:
+        for arm, plane in (("plane", True), ("no_plane", False)):
+            times = []
+            for _ in range(repeats + 1):
+                members = _narrow_members(context, executor, trace, width, plane)
+                start = time.perf_counter()
+                simulate_population_mixed([trace] * width, members)
+                times.append(time.perf_counter() - start)
+            figures[arm][str(width)] = 1e6 * statistics.median(times[1:]) / len(trace)
+    return {
+        "trace": "skype",
+        "trace_steps": len(trace),
+        "predictor": "reptree",
+        "seed": NARROW_SEED,
+        "repeats": repeats,
+        "cpu_count": os.cpu_count(),
+        "us_per_tick": figures,
+    }
+
+
+# ---------------------------------------------------------------------------
 # pytest-benchmark entry points
 # ---------------------------------------------------------------------------
 
@@ -621,6 +684,9 @@ def write_baseline(path=BASELINE_PATH):
     # -- wide short-trace executor plan ------------------------------------
     wide = measure_wide_short_trace()
 
+    # -- narrow tick --------------------------------------------------------
+    narrow = measure_narrow_tick()
+
     steps = len(trace)
     member_steps = steps * POPULATION_SIZE
     baseline = {
@@ -674,11 +740,23 @@ def write_baseline(path=BASELINE_PATH):
         },
         "long_trace_windowed": long_trace,
         "wide_short_trace_executor": wide,
+        "narrow_tick": narrow,
     }
     with open(path, "w", encoding="utf-8") as handle:
         json.dump(baseline, handle, indent=2)
         handle.write("\n")
     return baseline
+
+
+def write_narrow_tick(path=BASELINE_PATH):
+    """Re-measure only the ``narrow_tick`` arm and update it in the baseline."""
+    with open(path, encoding="utf-8") as handle:
+        baseline = json.load(handle)
+    baseline["narrow_tick"] = measure_narrow_tick()
+    with open(path, "w", encoding="utf-8") as handle:
+        json.dump(baseline, handle, indent=2)
+        handle.write("\n")
+    return baseline["narrow_tick"]
 
 
 #: Generous smoke-gate thresholds: the committed baseline records >8x
@@ -841,6 +919,10 @@ def run_smoke(min_speedup=SMOKE_MIN_SPEEDUP, min_managed=SMOKE_MIN_MANAGED_SPEED
 if __name__ == "__main__":
     if "--smoke" in sys.argv[1:]:
         sys.exit(run_smoke())
+    if "--narrow-tick" in sys.argv[1:]:
+        narrow = write_narrow_tick()
+        print(json.dumps(narrow, indent=2))
+        sys.exit(0)
     report = write_baseline()
     print(json.dumps(report, indent=2))
     speedup = report["population_16"]["speedup_exact"]

@@ -41,7 +41,7 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 from repro.runtime.plan import ExperimentCell, ExperimentPlan, batch_ineligibility
 
 from .merge import MergeReport, collect_cell_locations, harvest_completed_ids, merge_stores
-from .protocol import ProtocolError, recv_msg, send_msg
+from .protocol import ProtocolError, recv_msg, send_msg, set_nodelay
 from .worker import worker_main
 
 WORKERS_DIRNAME = "workers"
@@ -198,6 +198,8 @@ class FleetReport:
 
 class FleetCoordinator:
     """Distribute an :class:`ExperimentPlan` across local worker processes.
+
+    Its loopback TCP connections run with no Nagle delay.
 
     Args:
         plan: the cells to execute (must be picklable: every worker process
@@ -389,6 +391,7 @@ class FleetCoordinator:
                 conn = listener.accept()
             except (socket.timeout, AuthenticationError, OSError, EOFError):
                 return
+            set_nodelay(conn)
             hello = recv_msg(conn)
             if hello is None:
                 conn.close()  # died pre-hello; its sentinel fires

@@ -5,7 +5,8 @@ Messages are UTF-8 JSON objects carried over
 a loopback TCP :class:`~multiprocessing.connection.Listener` with an HMAC
 authkey handshake — the same ``(host, port, authkey)`` triple works across
 machines, so moving workers off-box later changes how processes are spawned,
-not the protocol.
+not the protocol.  Both ends run with no Nagle delay (:func:`set_nodelay`):
+each message is one small frame the peer waits for.
 
 Coordinator -> worker:
 
@@ -28,6 +29,7 @@ Worker -> coordinator:
 from __future__ import annotations
 
 import json
+import socket
 from typing import Optional
 
 PROTOCOL_VERSION = 1
@@ -35,6 +37,12 @@ PROTOCOL_VERSION = 1
 
 class ProtocolError(RuntimeError):
     """A malformed or out-of-sequence fleet message."""
+
+
+def set_nodelay(conn) -> None:
+    """Turn Nagle's algorithm off on a TCP Connection (through a dup'd fd)."""
+    with socket.fromfd(conn.fileno(), socket.AF_INET, socket.SOCK_STREAM) as sock:
+        sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
 
 
 def send_msg(conn, message: dict) -> None:

@@ -27,6 +27,7 @@ import argparse
 import os
 import shutil
 import sys
+import time
 from pathlib import Path
 
 from repro.api.specs import ManagerSpec, PolicySpec, PredictorSpec
@@ -90,8 +91,10 @@ def main(argv=None) -> int:
     # Fault injection: once the third unit is handed out (both workers are
     # warm and mid-flight), SIGKILL a worker that is NOT the one receiving it.
     state = {"killed": None}
+    seen_at = {}  # (event, worker_id) -> time
 
     def hook(event: str, info: dict) -> None:
+        seen_at[event, info.get("worker_id")] = time.perf_counter()
         if event == "assign" and state["killed"] is None and info["unit"] >= 2:
             victims = [
                 wid
@@ -113,6 +116,8 @@ def main(argv=None) -> int:
         f"({report.unit_summary}; {report.worker_deaths} death(s), "
         f"{report.reassigned_units} unit(s) reassigned -> {report.reassigned_cells} cell(s))"
     )
+    latency = max(t - seen_at["spawn", w] for (e, w), t in seen_at.items() if e == "hello")
+    print(f"fleet-smoke: largest spawn->hello latency {1e3 * latency:.1f} ms")
 
     failures = []
     if state["killed"] is None:

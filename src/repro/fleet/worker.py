@@ -19,7 +19,7 @@ from repro.runtime.plan import ExperimentCell, ExperimentPlan
 from repro.runtime.runner import BatchRunner
 from repro.runtime.streamstore import StreamingResultStore
 
-from .protocol import recv_msg, send_msg
+from .protocol import recv_msg, send_msg, set_nodelay
 
 
 def worker_main(
@@ -37,6 +37,7 @@ def worker_main(
     directory.mkdir(parents=True, exist_ok=True)
     store = StreamingResultStore(directory, max_cells_per_shard=max_cells_per_shard)
     conn = Client(address, authkey=authkey)
+    set_nodelay(conn)
     runner = BatchRunner(executor=VectorizedExecutor())
     import os
 

@@ -49,8 +49,16 @@ few implementation choices:
 
 * the thermal solve evaluates the solver's precomputed step map in its one
   fixed summation order (:meth:`~repro.thermal.solver.ThermalSolver.
-  make_stepper`), so a member's column is bit-identical to its scalar step
-  whatever batch it rides in;
+  make_stepper` reduces over the outer axis in ``_ordered_sum``'s order), so
+  a member's column is bit-identical to its scalar step in any batch;
+* results land in their record columns as they are computed (node and
+  sensor temperatures: one gather into a block each);
+* the plane's decision columns, the caps and (without scalar managers or
+  custom governors) ``level_cap`` are written only on ticks where a
+  prediction was due or a limit moved; each window boundary fills the rows
+  between from the last write (:class:`_HeldRows`);
+* SoC is integrated only for batches with a platform: its only readers are
+  the charging term, whose one output is SoC, and the platform write-back;
 * hand-contact toggling must round-trip bitwise on the conductance matrices
   (verified up front), so the two canonical step maps reproduce exactly the
   matrices a scalar run rebuilds its map from after each toggle;
@@ -80,7 +88,7 @@ import math
 import os
 from collections import OrderedDict
 from dataclasses import dataclass, replace
-from functools import partial
+from functools import lru_cache, partial
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
@@ -238,6 +246,73 @@ def _hand_state_solvers(spec: HardwareSpec) -> Dict[bool, ThermalSolver]:
     return solvers
 
 
+@lru_cache(maxsize=8)
+def _proportional_thresholds(freqs_khz: Tuple[int, ...], up_threshold: float) -> np.ndarray:
+    """Per level ``k < max_level``, the least ``u`` with ``freqs[k] < rint((u /
+    up_threshold) * f_max)``, found by bisecting the ordered bit patterns of
+    the doubles (the target is monotone in ``u``); ``searchsorted(u, "right")``
+    over them is ondemand's proportional level, bit for bit (NaN included)."""
+    freqs = np.array(freqs_khz, dtype=np.int64)
+    below_top = freqs[:-1]
+    lo = np.full(len(below_top), -1, dtype=np.int64)  # holds nowhere below 0.0
+    hi = np.full(len(below_top), np.array(np.inf).view(np.int64))  # holds at +inf
+    while (hi - lo > 1).any():
+        mid = lo + (hi - lo) // 2
+        holds = below_top < np.rint((mid.view(np.float64) / up_threshold) * freqs[-1])
+        hi = np.where(holds, mid, hi)
+        lo = np.where(holds, lo, mid)
+    return hi.view(np.float64)
+
+
+def _ondemand_levels(utilization, levels, thresholds, down_threshold, down_step_levels):
+    """Stock ondemand's uncapped next levels (``OndemandGovernor._target_level``).
+
+    At or above ``up_threshold`` the proportional level is the top, and at or
+    above the current level ``max(proportional, level - step)`` is proportional
+    (``down_step_levels >= 1``): one maximum and one select cover all branches.
+    """
+    proportional = thresholds.searchsorted(utilization, "right")
+    stepped = np.maximum(proportional, levels - down_step_levels)
+    return np.where(utilization <= down_threshold, proportional, stepped)
+
+
+class _HeldRows:
+    """Record columns written only on ticks that change them; :meth:`end_window`
+    fills the other rows from the last write before them (one gather per
+    column).  ``dest`` covers every member; rows past a trace end hold anything.
+    """
+
+    __slots__ = ("columns", "dest", "rows")
+
+    def __init__(self, dest, *columns: np.ndarray) -> None:
+        self.columns = columns
+        self.dest = dest
+        self.rows: List[int] = []  # the buffer rows written this window
+
+    def write(self, row: int, dest, *values) -> None:
+        for column, value in zip(self.columns, values):
+            column[row, dest] = value
+        self.rows.append(row)
+
+    def start_window(self, base: int, drained: bool) -> None:
+        """Carry the held values into a window; a drained buffer restarts at
+        row 0, so the previous window's last row (row -1) is copied there."""
+        if not self.rows:  # the first window: its first tick writes
+            return
+        if drained:
+            for column in self.columns:
+                column[0, self.dest] = column[-1, self.dest]
+        self.rows = [0 if drained else base - 1]
+
+    def end_window(self, start: int, stop: int) -> None:
+        rows = np.array(self.rows)
+        src = rows[rows.searchsorted(np.arange(start, stop), "right") - 1]
+        dest = self.dest
+        at = (src, dest) if isinstance(dest, slice) else (src[:, None], dest)
+        for column in self.columns:
+            column[start:stop, dest] = column[at]
+
+
 class _EnginePlane:
     """The batch engine's adapter onto the shared :class:`PolicyPlane`.
 
@@ -245,13 +320,14 @@ class _EnginePlane:
     internal (longest-trace-first) order, so the live plane rows are always
     a prefix and every tick passes ``slice(0, k)``.  Per tick the adapter
     hands the plane the features and the felt skin temperature from the
-    sensor block, then stages the plane's decision columns into the record
-    buffer and the engine's cap array.  State goes back to the controller,
-    adapter and governor objects once, at the batch boundary (:meth:`finish`).
+    sensor block; on ticks where a row was due or a limit moved, it stages the
+    plane's decision columns into the record buffer (:class:`_HeldRows`) and
+    the engine's cap array.  State goes back to the controller, adapter and
+    governor objects once, at the batch boundary (:meth:`finish`).
     """
 
     def __init__(
-        self, entries: Sequence[Tuple[int, PopulationMember]], block_row: Dict[str, int]
+        self, entries: Sequence[Tuple[int, PopulationMember]], block_row: Dict[str, int], buf
     ) -> None:
         self.plane = PolicyPlane()
         for _, member in entries:
@@ -263,23 +339,27 @@ class _EnginePlane:
         self._cpu_row = block_row["cpu"]
         self._battery_row = block_row["battery"]
         self._skin_row = block_row.get("skin")
+        self.held = _HeldRows(
+            slice(0, len(entries)) if self.contiguous else self.cols, buf.usta_active,
+            buf.predicted_skin_temp_c, buf.predicted_screen_temp_c, buf.comfort_limit_c,
+        )
 
     def tick(
         self,
         buf_row: int,
         time_s: float,
         n_act: int,
-        buf: ColumnarRecordBuffer,
         caps: np.ndarray,
         sensor_block: np.ndarray,
         utilization: np.ndarray,
         freq_khz: np.ndarray,
         max_level: int,
         sync_governors: bool,
-    ) -> None:
+    ) -> bool:
+        """One plane tick; True when it wrote the decision columns and caps."""
         k = int(self.cols.searchsorted(n_act))
         if k == 0:
-            return
+            return False
         cols = self.cols
         contiguous = self.contiguous
 
@@ -299,7 +379,9 @@ class _EnginePlane:
 
         plane = self.plane
         live = slice(0, k)
-        due, _ = plane.tick(live, time_s, features, felt)
+        due, moved = plane.tick(live, time_s, features, felt)
+        if due is None and not moved and self.held.rows:
+            return False
         if sync_governors and due is not None:
             # Custom-governor path: select_level reads the governor's internal
             # cap, so install changes as they happen (between due ticks the
@@ -311,11 +393,12 @@ class _EnginePlane:
 
         dest = live if contiguous else cols[:k]
         cap_req = plane.cap_req[:k]
-        buf.usta_active[buf_row, dest] = (cap_req != _NO_CAP) & (cap_req < max_level)
-        buf.predicted_skin_temp_c[buf_row, dest] = plane.skin_obj[:k]
-        buf.predicted_screen_temp_c[buf_row, dest] = plane.screen_obj[:k]
-        buf.comfort_limit_c[buf_row, dest] = plane.limit_obj[:k]
-        caps[dest] = np.where(cap_req == _NO_CAP, max_level, cap_req)
+        capped = np.where(cap_req == _NO_CAP, max_level, cap_req)
+        caps[dest] = capped
+        active = capped < max_level  # NO_CAP maps to max_level: inactive
+        values = (active, plane.skin_obj[:k], plane.screen_obj[:k], plane.limit_obj[:k])
+        self.held.write(buf_row, dest, *values)
+        return True
 
     def finish(self) -> None:
         """Write the plane's state back to the controllers, adapters and governors."""
@@ -753,14 +836,14 @@ def simulate_population_mixed(
     freqs_khz = np.array(table.frequencies_khz, dtype=np.int64)
     max_freq_khz = table.max_frequency_khz
     max_level = table.max_level
+    # Per level: (capacity, dyn_k, volt_factor), gathered once per tick.
     # dynamic_power(opp, 1.0) == ((C_eff * V^2) * f) — the prefix of the
     # scalar expression ((C_eff * V^2) * f) * util, so multiplying by util
     # afterwards reproduces the scalar result bit-for-bit.
-    dyn_k = np.array(
-        [cpu_model.dynamic_power(table[level], 1.0) for level in range(len(table))]
-    )
-    volt_factor = np.array(
-        [table[level].voltage_v / cpu_model.reference_voltage_v for level in range(len(table))]
+    level_consts = np.array(
+        [freqs_khz / max_freq_khz]
+        + [[cpu_model.dynamic_power(opp, 1.0) for opp in table]]
+        + [[opp.voltage_v / cpu_model.reference_voltage_v for opp in table]]
     )
     leak_coeff = cpu_model.leakage_temp_coeff
     leak_ref = cpu_model.reference_temp_c
@@ -769,6 +852,7 @@ def simulate_population_mixed(
     charge_heat_w = charger.charge_power_w * charger.charge_loss_fraction
     discharge_loss = charger.discharge_loss_fraction
     battery_charge_w = battery.charge_power_w * battery.charge_efficiency
+    capacity_wh = battery.capacity_wh
 
     # -- per-member state (internal, longest-first order) ----------------------
     # A reset leaves every member (platform or not: they share the spec's
@@ -812,6 +896,9 @@ def simulate_population_mixed(
     # load over the memoised full-trace stack; see _WindowStage.
     stacked = None if windowed else _stack_trace_arrays(s_traces, max_steps)
     stage = _WindowStage(s_traces, s_lengths, window_len, power_model, stacked)
+    # SoC's only readers are the charging term, whose one output is SoC, and
+    # the platform write-back: a batch without a platform skips integrating it.
+    track_soc = any(member.platform is not None for member in members)
     demand_mat = stage.cpu_demand
     charging_mat = stage.charging
     touching_mat = stage.touching
@@ -843,12 +930,6 @@ def simulate_population_mixed(
         if sensor.noise_std_c > 0
     ]
     noise_block = np.zeros((n_noisy, window_len, n_members)) if noise_draws else None
-    record_sensor_fields = (
-        ("sensor_cpu_temp_c", "cpu", cpu_i),
-        ("sensor_battery_temp_c", "battery", battery_i),
-        ("sensor_skin_temp_c", "skin", back_i),
-        ("sensor_screen_temp_c", "screen", screen_i),
-    )
 
     # Block layout for the per-tick sensor reads: all sensors are read with a
     # handful of array ops on an (n_sensors, n_live) block instead of one
@@ -887,10 +968,6 @@ def simulate_population_mixed(
     # With a drain the record buffer is window-sized (rows are flushed at
     # every window boundary); otherwise it spans the whole run.
     buf_steps = window_len if window_drain is not None else max_steps
-    buf = ColumnarRecordBuffer(n_members, buf_steps, with_decisions=has_managers)
-    times: List[float] = []
-    node_power = np.zeros((temps.shape[0], n_members))
-
     # The demand column is exactly the (clamped, padded) trace matrix the
     # engine reads from — alias it instead of copying it back tick by tick
     # whenever the shapes line up (unwindowed, or drained window-sized
@@ -899,8 +976,11 @@ def simulate_population_mixed(
     # without a drain copies each window's staged demand into the full-size
     # buffer instead.
     copy_demand = windowed and window_drain is None
-    if not copy_demand:
-        buf.demand = demand_mat
+    buf = ColumnarRecordBuffer(
+        n_members, buf_steps, has_managers, demand=None if copy_demand else demand_mat
+    )
+    times: List[float] = []
+    node_power = np.zeros((temps.shape[0], n_members))
 
     # Hoisted buffer columns: one attribute lookup per run instead of per tick.
     buf_frequency_khz = buf.frequency_khz
@@ -908,19 +988,16 @@ def simulate_population_mixed(
     buf_utilization = buf.utilization
     buf_delivered = buf.delivered_work
     buf_power_w = buf.power_w
-    buf_cpu_temp = buf.cpu_temp_c
-    buf_battery_temp = buf.battery_temp_c
-    buf_skin_temp = buf.skin_temp_c
-    buf_screen_temp = buf.screen_temp_c
+    buf_node_temps = buf.node_temps
+    buf_sensor_temps = buf.sensor_temps
     buf_level_cap = buf.level_cap
-    # (column, row in the sensor block or None when the spec lacks that
-    # sensor, fallback node index).
+    # The nodes and sensors behind the buffer's node and sensor blocks; a
+    # sensor field whose sensor the spec lacks records its node instead.
+    record_nodes = np.array([cpu_i, battery_i, back_i, screen_i], dtype=np.int64)
     _block_row = {name: i for i, name in enumerate(sensor_block_names)}
-    record_sensor_cols = [
-        (getattr(buf, field), _block_row.get(sensor_name), node_idx)
-        for field, sensor_name, node_idx in record_sensor_fields
-    ]
-    plane = _EnginePlane(plane_rows, _block_row) if plane_rows else None
+    record_sensors = np.array([_block_row.get(s, -1) for s in ("cpu", "battery", "skin", "screen")])
+    all_sensors = bool((record_sensors >= 0).all())
+    plane = _EnginePlane(plane_rows, _block_row, buf) if plane_rows else None
     # SystemLogger.log_columns argument order.
     logged_columns = (
         buf.sensor_cpu_temp_c,
@@ -939,9 +1016,15 @@ def simulate_population_mixed(
         len({(g.up_threshold, g.down_threshold, g.down_step_levels) for g in governors}) == 1
     )
     if fast_ondemand:
-        up_threshold = governors[0].up_threshold
-        down_threshold = governors[0].down_threshold
-        down_step_levels = governors[0].down_step_levels
+        gov = governors[0]
+        thresholds = _proportional_thresholds(tuple(table.frequencies_khz), gov.up_threshold)
+        ondemand = (thresholds, gov.down_threshold, gov.down_step_levels)
+    # Scalar managers and custom governors may move a cap on any tick; with
+    # neither, caps move only on ticks the plane writes.
+    caps_held = _HeldRows(slice(0, n_members), buf_level_cap)
+    if scalar_manager_rows or not fast_ondemand:
+        caps_held = None
+    held = [h for h in (caps_held, plane.held if plane is not None else None) if h is not None]
 
     # Local bindings for the tick loop (global lookups add up at 600+ ticks).
     np_minimum = np.minimum
@@ -960,6 +1043,8 @@ def simulate_population_mixed(
         n_live = int(n_active_at[w0])
         buf_base = 0 if window_drain is not None else w0
         stage.load(w0, w_len, n_live)
+        for h in held:
+            h.start_window(buf_base, window_drain is not None)
         if noise_block is not None:  # one draw per live member and sensor
             for s_idx, draws in enumerate(noise_draws):
                 block = noise_block[s_idx]
@@ -994,9 +1079,11 @@ def simulate_population_mixed(
             total_demand = demand + backlog[live] if carry_over else demand
             live_levels = levels[live]
             freq_khz = freqs_khz[live_levels]
-            capacity = freq_khz / max_freq_khz
-            delivered = np_minimum(total_demand, capacity)
-            utilization = np_minimum(1.0, total_demand / capacity)
+            buf_frequency_khz[bt, live] = freq_khz
+            per_level = level_consts.take(live_levels, 1)
+            capacity = per_level[0]
+            delivered = np_minimum(total_demand, capacity, out=buf_delivered[bt, live])
+            utilization = np_minimum(1.0, total_demand / capacity, out=buf_utilization[bt, live])
             if carry_over:
                 leftover = np_maximum(0.0, total_demand - delivered)
                 backlog[live] = np_minimum(leftover, max_backlog)
@@ -1005,18 +1092,19 @@ def simulate_population_mixed(
             die_temp = temps[cpu_i, live]
             # utilization is min(1.0, demand/capacity) with demand >= 0, so the
             # scalar model's [0, 1] clamp returns it unchanged — bit-identically.
-            dyn_w = dyn_k[live_levels] * utilization
+            dyn_w = per_level[1] * utilization
             # The exp argument vectorizes bit-exactly (IEEE subtract/multiply match
             # the scalar order), but the exp itself must be math.exp per element:
             # numpy's vectorized exp differs from libm in the last ulp.
             leak_arg = (die_temp - leak_ref) * leak_coeff
             temp_factor = np_fromiter(map(math_exp, leak_arg.tolist()), np_float64, n_act)
-            leak_w = leak0 * temp_factor * volt_factor[live_levels]
+            leak_w = leak0 * temp_factor * per_level[2]
             cpu_w = idle_w + dyn_w + leak_w
-            gpu_w = gpu_w_mat[r, live]
-            display_w = display_w_mat[r, live]
-            radio_w = radio_w_mat[r, live]
-            platform_draw = cpu_w + gpu_w + display_w + radio_w
+            # The CPU node's power, cpu_w + gpu_w, is also the first partial sum
+            # of ((cpu_w + gpu_w) + display_w) + radio_w.
+            platform_draw = np_add(cpu_w, gpu_w_mat[r, live], out=node_power[cpu_i, live])
+            platform_draw = platform_draw + display_w_mat[r, live]
+            platform_draw += radio_w_mat[r, live]
             charging_now = any_charging_w[r]
             if charging_now:
                 charging_t = charging_mat[r, live]
@@ -1027,20 +1115,19 @@ def simulate_population_mixed(
                 # All-False charging: np_where would return the discharge branch
                 # verbatim, so skip the select (same bits, two ops fewer).
                 battery_w = np_maximum(platform_draw, 0.0) * discharge_loss
-            total_w = platform_draw + battery_w
+            total_w = np_add(platform_draw, battery_w, out=buf_power_w[bt, live])
 
             # -- thermal (the step map of each member's hand-contact state) --------
-            # node_power rows other than the four below stay zero for the whole run.
-            np_add(cpu_w, gpu_w, out=node_power[cpu_i, live])
+            # node_power rows other than cpu's and these three stay zero all run.
             node_power[screen_i, live] = screen_node_w_mat[r, live]
             node_power[board_i, live] = board_node_w_mat[r, live]
             node_power[battery_i, live] = battery_w
             live_power = node_power[:, live]
             live_temps = temps[:, live]
             if all_touching_w[r]:
-                temps[:, live] = step_touching(live_power, live_temps)
+                step_touching(live_power, live_temps, out=live_temps)
             elif none_touching_w[r]:
-                temps[:, live] = step_free(live_power, live_temps)
+                step_free(live_power, live_temps, out=live_temps)
             else:
                 # A column's result does not depend on its batch-mates, so
                 # stepping everyone through both maps and selecting per member
@@ -1052,21 +1139,22 @@ def simulate_population_mixed(
                 )
 
             # -- battery SoC (Battery.step, vectorized) ----------------------------
-            draw_param = total_w - battery_w
-            net_w = -np_maximum(draw_param, 0.0)
-            live_soc = soc[live]
-            if charging_now:
-                # With no charger connected the scalar path adds an all-zero
-                # term; net_w is strictly negative (idle power alone draws), so
-                # skipping the add is bit-identical.
-                net_w = net_w + np_where(
-                    charging_t, np_where(live_soc >= 0.995, 0.0, battery_charge_w), 0.0
-                )
-            delta_wh = net_w * dt / 3600.0
-            soc[live] = np_minimum(1.0, np_maximum(0.0, live_soc + delta_wh / battery.capacity_wh))
+            if track_soc:
+                draw_param = total_w - battery_w
+                net_w = -np_maximum(draw_param, 0.0)
+                live_soc = soc[live]
+                if charging_now:
+                    # With no charger connected the scalar path adds an all-zero
+                    # term; net_w is strictly negative (idle power alone draws), so
+                    # skipping the add is bit-identical.
+                    net_w = net_w + np_where(
+                        charging_t, np_where(live_soc >= 0.995, 0.0, battery_charge_w), 0.0
+                    )
+                delta_wh = net_w * dt / 3600.0
+                soc[live] = np_minimum(1.0, np_maximum(0.0, live_soc + delta_wh / capacity_wh))
 
             # -- sensors (one block read; pre-drawn noise; vectorized quantization) -
-            vals = temps[sensor_block_nodes, live]
+            vals = live_temps.take(sensor_block_nodes, 0)
             vals += sensor_block_offsets
             if noise_block is not None:
                 vals[:n_noisy] += noise_block[:, r, live]
@@ -1081,17 +1169,14 @@ def simulate_population_mixed(
             times.append(time_s)
 
             # -- columnar record staging (the hot loop builds no record objects) ---
-            buf_frequency_khz[bt, live] = freq_khz
             buf_frequency_level[bt, live] = live_levels
-            buf_utilization[bt, live] = utilization
-            buf_delivered[bt, live] = delivered
-            buf_power_w[bt, live] = total_w
-            buf_cpu_temp[bt, live] = temps[cpu_i, live]
-            buf_battery_temp[bt, live] = temps[battery_i, live]
-            buf_skin_temp[bt, live] = temps[back_i, live]
-            buf_screen_temp[bt, live] = temps[screen_i, live]
-            for column, vals_row, node_idx in record_sensor_cols:
-                column[bt, live] = vals[vals_row] if vals_row is not None else temps[node_idx, live]
+            live_temps.take(record_nodes, 0, buf_node_temps[:, bt, live])
+            if all_sensors:
+                vals.take(record_sensors, 0, buf_sensor_temps[:, bt, live])
+            else:
+                for i, row in enumerate(record_sensors.tolist()):
+                    source = vals[row] if row >= 0 else live_temps[record_nodes[i]]
+                    buf_sensor_temps[i, bt, live] = source
 
             # Per-member Python views are only materialised for components that
             # genuinely cannot batch (scalar managers, custom governors).
@@ -1101,19 +1186,9 @@ def simulate_population_mixed(
                 level_list = live_levels.tolist()
 
             # -- managers observe (may install/remove frequency caps) --------------
-            if plane is not None:
-                plane.tick(
-                    bt,
-                    time_s,
-                    n_act,
-                    buf,
-                    caps,
-                    vals,
-                    utilization,
-                    freq_khz,
-                    max_level,
-                    sync_governors=not fast_ondemand,
-                )
+            plane_wrote = plane is not None and plane.tick(
+                bt, time_s, n_act, caps, vals, utilization, freq_khz, max_level, not fast_ondemand
+            )
             if scalar_manager_rows:
                 reading_lists = [
                     (sensor.name, vals[_block_row[sensor.name]].tolist()) for sensor in spec.sensors
@@ -1134,30 +1209,16 @@ def simulate_population_mixed(
                     buf.predicted_skin_temp_c[bt, row] = decision.predicted_skin_temp_c
                     buf.predicted_screen_temp_c[bt, row] = decision.predicted_screen_temp_c
                     buf.comfort_limit_c[bt, row] = decision.comfort_limit_c
-            buf_level_cap[bt, live] = caps[live]
+            if caps_held is None:
+                buf_level_cap[bt, live] = caps[live]
+            elif plane_wrote or not caps_held.rows:
+                caps_held.write(bt, live, caps[live])
 
             # -- governors pick the level for the next window ----------------------
             if fast_ondemand:
-                # Exact vectorization of OndemandGovernor._target_level: jump to
-                # the top above up_threshold, straight to the load-proportional
-                # level below down_threshold, step down gradually in between —
-                # then apply each member's current level cap.
-                target_khz = np_rint((utilization / up_threshold) * max_freq_khz)
-                proportional = np_minimum(
-                    freqs_khz.searchsorted(target_khz, side="left"), max_level
-                )
-                stepped = np_where(
-                    proportional < live_levels,
-                    np_maximum(proportional, live_levels - down_step_levels),
-                    proportional,
-                )
-                uncapped = np_where(
-                    utilization >= up_threshold,
-                    max_level,
-                    np_where(utilization <= down_threshold, proportional, stepped),
-                )
+                uncapped = _ondemand_levels(utilization, live_levels, *ondemand)
                 if has_managers:
-                    levels[live] = np_minimum(uncapped, caps[live])
+                    np_minimum(uncapped, caps[live], out=live_levels)
                 else:
                     # Without managers nothing ever installs a cap.
                     levels[live] = uncapped
@@ -1172,6 +1233,10 @@ def simulate_population_mixed(
                     governor = governors[row]
                     levels[row] = governor.select_level(observation)
                     caps[row] = governor.level_cap
+
+        # -- window boundary: held columns fill the rows between their writes --
+        for h in held:
+            h.end_window(buf_base, buf_base + w_len)
 
         # -- window boundary: loggers sample the window's record columns -------
         # Logging only reads what the records already hold, so it stays out of

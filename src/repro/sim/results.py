@@ -72,6 +72,10 @@ class ColumnarRecordBuffer:
     writes one step across the live member prefix per tick, and a step-major
     layout makes that write a contiguous row instead of a strided column.
 
+    The node and sensor temperature fields are the rows of two ``(4, n_steps,
+    n_members)`` blocks, :attr:`node_temps` and :attr:`sensor_temps`.
+    ``demand`` may alias a caller-owned array.
+
     The three optional decision fields (predictions and the live comfort
     limit) hold ``None``-able Python objects, so they live in object columns
     allocated only when the batch carries thermal managers at all; without
@@ -99,12 +103,22 @@ class ColumnarRecordBuffer:
         "comfort_limit_c",
     )
 
-    def __init__(self, n_members: int, n_steps: int, with_decisions: bool = False):
+    #: The fields of the node_temps and sensor_temps rows, in row order.
+    _NODE_FIELDS = ("cpu_temp_c", "battery_temp_c", "skin_temp_c", "screen_temp_c")
+    _SENSOR_FIELDS = tuple("sensor_" + name for name in _NODE_FIELDS)
+
+    def __init__(self, n_members: int, n_steps: int, with_decisions: bool = False, demand=None):
         shape = (n_steps, n_members)
         for name in self._INT_COLUMNS:
             setattr(self, name, np.zeros(shape, dtype=np.int64))
+        self.node_temps = np.zeros((4,) + shape)
+        self.sensor_temps = np.zeros((4,) + shape)
+        names = self._NODE_FIELDS + self._SENSOR_FIELDS
+        blocks = dict(zip(names, [*self.node_temps, *self.sensor_temps]))
+        if demand is not None:
+            blocks["demand"] = demand
         for name in self._FLOAT_COLUMNS:
-            setattr(self, name, np.zeros(shape, dtype=float))
+            setattr(self, name, blocks[name] if name in blocks else np.zeros(shape))
         self.with_decisions = with_decisions
         if with_decisions:
             self.usta_active = np.zeros(shape, dtype=bool)

@@ -19,7 +19,8 @@ so the implicit path inverts ``A = C/dt + G`` once per ``(dt, topology)``
 (invalidated through the network's
 :attr:`~repro.thermal.network.ThermalNetwork.matrix_version` counter) and
 every step evaluates ``x_i = sum_k M[i, k] * b[k]`` with ``k`` ascending
-(:func:`_ordered_sum`).  That one fixed order is shared by the scalar
+(:func:`_ordered_sum` for floats, an outer-axis ``np.add.reduce`` for
+arrays).  That one fixed order is shared by the scalar
 :meth:`ThermalSolver.step` (Python floats), :meth:`ThermalSolver.step_many`
 and :meth:`ThermalSolver.make_stepper` (``(n_nodes, N)`` arrays, one column
 per device instance — the substrate of the batched runtime in
@@ -51,9 +52,9 @@ def _check_dt(dt_s: float) -> None:
 def _ordered_sum(terms):
     """``terms[0] + terms[1] + ...`` accumulated strictly in ascending order.
 
-    The one summation order of the step map, for both of its forms: Python
-    floats (one node of a scalar step) or arrays (the ``(n_nodes, N)`` slabs
-    of a batch step, accumulated in place into the first slab).
+    The scalar form of the step map's one summation order (one node of a
+    scalar step, over Python floats).  The batch step reaches the same order
+    through ``np.add.reduce`` over the outer axis (see :func:`_batch_step`).
     """
     terms = iter(terms)
     total = next(terms)
@@ -68,15 +69,18 @@ def _batch_step(
     map_terms: np.ndarray,
     power_matrix: np.ndarray,
     temps_matrix: np.ndarray,
+    out: Optional[np.ndarray] = None,
 ) -> np.ndarray:
-    """One implicit step of N instances (columns) through the step map."""
+    """One implicit step of N instances (columns) through the step map, into
+    ``out`` when given (which may be ``temps_matrix``: it is read first)."""
     # b = (C/dt) * T + G_b T_b + P, in the scalar step's operation order.
     b = c_over_dt * temps_matrix
     b += rhs_const
     b += power_matrix
     # map_terms[k] is column k of M as (n, 1); the product is M[i, k] * b[k, j]
-    # laid out k-major, so the ordered sum runs over k.
-    return _ordered_sum(map_terms * b[:, None, :])
+    # laid out k-major.  An outer-axis reduce adds one k-slab at a time, k
+    # ascending (numpy sums pairwise only along the inner axis).
+    return np.add.reduce(map_terms * b[:, None, :], axis=0, out=out)
 
 
 def steady_state(network: ThermalNetwork, power_w: Mapping[str, float]) -> Dict[str, float]:
@@ -263,8 +267,8 @@ class ThermalSolver:
     def make_stepper(self, dt_s: float):
         """Prebind the multi-instance step for a hot batch loop.
 
-        Returns ``step(power_matrix, temps_matrix) -> new_temps`` doing what
-        :meth:`step_many` does — bit-for-bit — minus the per-call argument
+        Returns ``step(power_matrix, temps_matrix, out=None) -> new_temps``
+        doing what :meth:`step_many` does — bit-for-bit — minus the per-call argument
         validation and cache lookups, which the batch engines pay hundreds of
         times per run otherwise.  The returned callable is pinned to ``dt_s``
         and to the network's matrices and boundary temperatures *as of this

@@ -9,7 +9,9 @@ workers left on disk instead of re-executing it.
 
 import os
 import signal
-from multiprocessing.connection import wait
+import socket
+import threading
+from multiprocessing.connection import Client, Listener, wait
 
 import pytest
 from hypothesis import given
@@ -20,6 +22,7 @@ from repro.cli import main
 from repro.fleet import FleetCoordinator, FleetError, stores_byte_identical
 from repro.fleet import coordinator as coordinator_module
 from repro.fleet.coordinator import _balanced_slices, _cell_shapes, _split_cells
+from repro.fleet.protocol import set_nodelay
 from repro.runtime import (
     BatchRunner,
     ExperimentCell,
@@ -305,6 +308,53 @@ class TestFleetCoordinator:
         assert report.executed == len(plan)
         ref_dir = _reference_store(plan, tmp_path / "ref")
         assert stores_byte_identical(fleet_dir, ref_dir) is None
+
+
+def _nodelay(conn) -> int:
+    """TCP_NODELAY as set on ``conn``'s socket (read through a duplicate fd)."""
+    with socket.socket(fileno=os.dup(conn.fileno())) as sock:
+        return sock.getsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY)
+
+
+class TestNoNagleDelay:
+    """Fleet messages are single small frames: none may wait for a delayed ACK."""
+
+    def test_set_nodelay_on_a_real_listener_client_pair(self):
+        authkey = b"nagle-test"
+        with Listener(("127.0.0.1", 0), authkey=authkey) as listener:
+            # The HMAC handshake needs both ends at once.
+            accepted = []
+            acceptor = threading.Thread(target=lambda: accepted.append(listener.accept()))
+            acceptor.start()
+            client = Client(listener.address, authkey=authkey)
+            acceptor.join(timeout=30)
+            (server,) = accepted
+            try:
+                assert _nodelay(client) == 0 and _nodelay(server) == 0
+                set_nodelay(client)
+                set_nodelay(server)
+                assert _nodelay(client) != 0 and _nodelay(server) != 0
+                # The connections still own working descriptors.
+                client.send_bytes(b"ping")
+                assert server.recv_bytes() == b"ping"
+            finally:
+                client.close()
+                server.close()
+
+    def test_coordinator_connections_run_without_nagle(self, tmp_path, linear_predictor):
+        plan = _mini_plan(linear_predictor)
+        seen = {}
+
+        def hook(event, info):
+            if event == "hello":
+                handle = coordinator._handles[info["worker_id"]]
+                seen[info["worker_id"]] = _nodelay(handle.conn)
+
+        coordinator = FleetCoordinator(plan, tmp_path / "fleet", workers=2, on_event=hook)
+        report = coordinator.run()
+        assert report.executed == len(plan)
+        assert len(seen) == report.workers_spawned == 2
+        assert all(value != 0 for value in seen.values()), seen
 
 
 class TestUnitPlanning:
