@@ -19,7 +19,7 @@ export PYTHONPATH := src$(if $(PYTHONPATH),:$(PYTHONPATH))
 # Recursively expanded (=) so the probe only runs for targets that use it.
 COV_FLAGS = $(shell $(PYTHON) -c "import importlib.util as u; print('--cov=repro --cov-fail-under=80' if u.find_spec('pytest_cov') else '')")
 
-.PHONY: check test coverage smoke serve-smoke plane-residency stream-smoke bench-smoke setup-smoke fleet-smoke serve-load-smoke hal-smoke perfbench-selftest golden lint bench-baseline
+.PHONY: check test coverage smoke serve-smoke plane-residency stream-smoke bench-smoke setup-smoke fleet-smoke serve-load-smoke hal-smoke perfbench-selftest golden lint loc bench-baseline
 
 check: test smoke serve-smoke plane-residency stream-smoke bench-smoke setup-smoke fleet-smoke serve-load-smoke hal-smoke perfbench-selftest
 
@@ -112,6 +112,11 @@ perfbench-selftest:
 
 lint:
 	$(PYTHON) -m ruff check .
+
+# src/ size: total lines and code lines (blank, comment and docstring lines
+# left out), the figures CHANGES.md and ROADMAP.md track.  Not part of check.
+loc:
+	$(PYTHON) tools/loc.py src
 
 bench-baseline:
 	$(PYTHON) benchmarks/bench_batch_runtime.py

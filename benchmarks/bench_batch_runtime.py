@@ -70,7 +70,6 @@ from repro.runtime import (
     PopulationMember,
     VectorizedExecutor,
     plan_batches,
-    simulate_population,
     simulate_population_mixed,
 )
 from repro.runtime import vectorized as vectorized_engine
@@ -116,13 +115,12 @@ def _unfactored_step(network, dt_s, power_w):
 
 
 def _population_members(count):
-    members = []
-    for seed in range(count):
-        platform = DevicePlatform(seed=seed)
-        members.append(
-            PopulationMember(platform=platform, governor=OndemandGovernor(table=platform.freq_table))
-        )
-    return members
+    return [PopulationMember(seed=seed, governor=OndemandGovernor()) for seed in range(count)]
+
+
+def _population(trace, count):
+    """``count`` same-trace users as one vectorized population."""
+    return simulate_population_mixed([trace] * count, _population_members(count))
 
 
 def _sequential_population(trace, count):
@@ -144,13 +142,7 @@ def _mixed_pairs(configs=MIXED_CONFIGS, seeds=MIXED_SEEDS, duration_scale=1.0):
 
 
 def _mixed_members(pairs):
-    members = []
-    for _, seed in pairs:
-        platform = DevicePlatform(seed=seed)
-        members.append(
-            PopulationMember(platform=platform, governor=OndemandGovernor(table=platform.freq_table))
-        )
-    return members
+    return [PopulationMember(seed=seed, governor=OndemandGovernor()) for _, seed in pairs]
 
 
 def _mixed_sequential(pairs):
@@ -171,9 +163,8 @@ def _mixed_same_trace_grouped(pairs):
     for trace, seed in pairs:
         by_trace.setdefault(id(trace), (trace, []))[1].append(seed)
     for trace, seeds in by_trace.values():
-        results.extend(
-            simulate_population(trace, _mixed_members([(trace, s) for s in seeds]))
-        )
+        members = _mixed_members([(trace, s) for s in seeds])
+        results.extend(simulate_population_mixed([trace] * len(members), members))
     return results
 
 
@@ -225,7 +216,6 @@ def _managed_members(pairs):
     predictor = _usta_predictor()
     members = []
     for idx, (_, seed) in enumerate(pairs):
-        platform = DevicePlatform(seed=seed)
         manager = AdaptiveComfortManager(
             inner=USTAController(
                 predictor=predictor,
@@ -241,13 +231,14 @@ def _managed_members(pairs):
             ),
         )
         members.append(
-            PopulationMember(
-                platform=platform,
-                governor=OndemandGovernor(table=platform.freq_table),
-                thermal_manager=manager,
-            )
+            PopulationMember(seed=seed, governor=OndemandGovernor(), thermal_manager=manager)
         )
     return members
+
+
+def _platforms(pairs):
+    """One fresh handset per cell, for the sequential arms."""
+    return [DevicePlatform(seed=seed) for _, seed in pairs]
 
 
 def _managed_plane(traces, members):
@@ -261,27 +252,29 @@ def _managed_scalar(traces, members):
     return simulate_population_mixed(traces, members, vectorize_managers=False)
 
 
-def _managed_sequential(pairs, members):
-    """One scalar Simulator.run per managed cell."""
+def _managed_sequential(pairs, members, platforms):
+    """One scalar Simulator.run per managed cell, on the given platforms."""
     return [
         Simulator(
-            platform=member.platform,
+            platform=platform,
             governor=member.governor,
             thermal_manager=member.thermal_manager,
         ).run(trace)
-        for (trace, _), member in zip(pairs, members)
+        for (trace, _), member, platform in zip(pairs, members, platforms)
     ]
 
 
 def _time_managed(fn, pairs, repeats):
-    """Best-of timing with a fresh member set per repeat (members are
-    stateful; construction stays outside the timed window in every arm so
-    the comparison isolates engine throughput)."""
+    """Best-of timing of ``fn(members, platforms)`` with a fresh member and
+    platform set per repeat (both are stateful; construction stays outside
+    the timed window in every arm so the comparison isolates engine
+    throughput)."""
     best = float("inf")
     for _ in range(repeats):
         members = _managed_members(pairs)
+        platforms = _platforms(pairs)
         start = time.perf_counter()
-        fn(members)
+        fn(members, platforms)
         best = min(best, time.perf_counter() - start)
     return best
 
@@ -578,10 +571,9 @@ def bench_population_16_vectorized(benchmark):
     """16 same-trace users as one vectorized population."""
     trace = build_benchmark("skype", seed=0, duration_s=TRACE_SECONDS)
 
-    def run():
-        return simulate_population(trace, _population_members(POPULATION_SIZE))
-
-    results = benchmark.pedantic(run, rounds=3, iterations=1)
+    results = benchmark.pedantic(
+        lambda: _population(trace, POPULATION_SIZE), rounds=3, iterations=1
+    )
     assert len(results) == POPULATION_SIZE
 
 
@@ -659,9 +651,7 @@ def write_baseline(path=BASELINE_PATH):
 
     # -- population --------------------------------------------------------
     sequential_s = _time_call(lambda: _sequential_population(trace, POPULATION_SIZE))
-    vectorized_s = _time_call(
-        lambda: simulate_population(trace, _population_members(POPULATION_SIZE))
-    )
+    vectorized_s = _time_call(lambda: _population(trace, POPULATION_SIZE))
 
     # -- heterogeneous mixed-trace sweep -----------------------------------
     pairs = _mixed_pairs()
@@ -672,10 +662,10 @@ def write_baseline(path=BASELINE_PATH):
 
     # -- managed mixed-trace sweep (usta_mixed_population) -----------------
     traces = [trace for trace, _ in pairs]
-    managed_plane_s = _time_managed(lambda m: _managed_plane(traces, m), pairs, repeats=8)
-    managed_scalar_s = _time_managed(lambda m: _managed_scalar(traces, m), pairs, repeats=5)
+    managed_plane_s = _time_managed(lambda m, _: _managed_plane(traces, m), pairs, repeats=8)
+    managed_scalar_s = _time_managed(lambda m, _: _managed_scalar(traces, m), pairs, repeats=5)
     managed_sequential_s = _time_managed(
-        lambda m: _managed_sequential(pairs, m), pairs, repeats=3
+        lambda m, p: _managed_sequential(pairs, m, p), pairs, repeats=3
     )
 
     # -- windowed long-trace streaming -------------------------------------
@@ -828,7 +818,7 @@ def run_smoke(min_speedup=SMOKE_MIN_SPEEDUP, min_managed=SMOKE_MIN_MANAGED_SPEED
     traces = [trace for trace, _ in pairs]
     plane_results = _managed_plane(traces, _managed_members(pairs))
     scalar_results = _managed_scalar(traces, _managed_members(pairs))
-    sequential_managed = _managed_sequential(pairs, _managed_members(pairs))
+    sequential_managed = _managed_sequential(pairs, _managed_members(pairs), _platforms(pairs))
     for plane_r, scalar_r, seq_r in zip(plane_results, scalar_results, sequential_managed):
         if not (plane_r.records == scalar_r.records == seq_r.records):
             print(
@@ -836,8 +826,8 @@ def run_smoke(min_speedup=SMOKE_MIN_SPEEDUP, min_managed=SMOKE_MIN_MANAGED_SPEED
                 "(policy plane vs scalar managers vs sequential)"
             )
             return 1
-    plane_s = _time_managed(lambda m: _managed_plane(traces, m), pairs, repeats=3)
-    scalar_s = _time_managed(lambda m: _managed_scalar(traces, m), pairs, repeats=2)
+    plane_s = _time_managed(lambda m, _: _managed_plane(traces, m), pairs, repeats=3)
+    scalar_s = _time_managed(lambda m, _: _managed_scalar(traces, m), pairs, repeats=2)
     managed_speedup = scalar_s / plane_s
     print(
         f"bench-smoke: managed sweep — scalar managers "

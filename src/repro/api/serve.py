@@ -89,8 +89,8 @@ class ServeReport:
             f"policy: {self.policy_label}",
             f"{self.n_sessions} sessions x {self.n_steps} telemetry steps "
             f"in {self.elapsed_s:.2f}s ({self.feeds_per_second:,.0f} feeds/s)",
-            f"predictions: {self.prediction_count} in {self.batch_count} batches "
-            f"(avg batch {self.average_batch_size:.1f} sessions)",
+            f"predictions: {self.prediction_count} ({self.batch_count} plane batches, "
+            f"avg batch {self.average_batch_size:.1f} sessions)",
             f"plane: {self.plane_resident}/{self.n_sessions} sessions resident "
             f"({self.plane_ticks} vectorized ticks)",
             f"sessions ever capped: {self.capped_sessions}/{self.n_sessions}",

@@ -318,6 +318,8 @@ class SessionPool:
     def __init__(self, use_plane: bool = True) -> None:
         self._sessions: Dict[str, PolicySession] = {}
         self._feed_count = 0
+        # Predictions made by sessions' own feeds (the plane counts its own).
+        self._session_predictions = 0
         self._plane: Optional[_PoolPlane] = _PoolPlane() if use_plane else None
         #: session_id -> why it stayed off the plane (``--explain-plane``).
         self._plane_reasons: Dict[str, str] = {}
@@ -506,12 +508,31 @@ class SessionPool:
 
         for j in np.flatnonzero(~on_plane).tolist():
             session_id = ids[j]
-            decisions[session_id] = batch[j].feed(
-                columns.sample(j), feedback=feedback.get(session_id, ())
+            decisions[session_id] = self._feed_one(
+                batch[j], columns.sample(j), feedback.get(session_id, ())
             )
-            self._feed_count += 1
 
         return {session_id: decisions[session_id] for session_id in ids}
+
+    def feed(
+        self,
+        session_id: str,
+        sample: TelemetrySample,
+        feedback: Sequence[FeedbackEvent] = (),
+    ) -> CapDecision:
+        """Feed one session through its own :meth:`PolicySession.feed`."""
+        return self._feed_one(self._session(session_id), sample, feedback)
+
+    def _feed_one(
+        self, session: PolicySession, sample: TelemetrySample, feedback: Sequence[FeedbackEvent]
+    ) -> CapDecision:
+        """A session's own feed, counted in :attr:`feed_count` and
+        :attr:`prediction_count`."""
+        before = _controller_predictions(session)
+        decision = session.feed(sample, feedback=feedback)
+        self._session_predictions += _controller_predictions(session) - before
+        self._feed_count += 1
+        return decision
 
     def feed_feedback(self, session_id: str, event: FeedbackEvent) -> float:
         """Route one comfort report into one session's adapter (live limit back)."""
@@ -526,9 +547,10 @@ class SessionPool:
 
     @property
     def prediction_count(self) -> int:
-        """Predictions evaluated on the plane (a scalar feed counts its own
-        on its controller)."""
-        return 0 if self._plane is None else self._plane.prediction_count
+        """Predictions the pool's sessions made, on the plane or in their own
+        feed (counted as they happen, so a restored session adds none)."""
+        plane = 0 if self._plane is None else self._plane.prediction_count
+        return plane + self._session_predictions
 
     @property
     def batch_count(self) -> int:
@@ -541,7 +563,7 @@ class SessionPool:
         batches = self.batch_count
         if batches == 0:
             return 0.0
-        return self.prediction_count / batches
+        return self._plane.prediction_count / batches
 
     @property
     def plane_resident_count(self) -> int:
@@ -780,6 +802,15 @@ def _shared_features(sample: TelemetrySample) -> Tuple[float, float, float, floa
         # Re-raise the scalar path's exact channel-naming error.
         PredictionFeatures.from_readings(readings, sample.utilization, sample.frequency_khz)
         raise
+
+
+def _controller_predictions(session: PolicySession) -> int:
+    """Predictions the session's controller has made: the plane's count
+    column while the session is resident, else the controller's own count."""
+    if session._plane is not None:
+        return int(session._plane.count[session._plane_row])
+    controller = getattr(session.manager, "inner", session.manager)
+    return getattr(controller, "prediction_count", 0)
 
 
 def _due_maskable(manager) -> bool:

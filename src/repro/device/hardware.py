@@ -4,8 +4,9 @@ A population sweep replays many users on *one* phone model: members share
 the frequency/voltage table, CPU, power and battery constants, thermal
 network and sensor layout, and differ only in state (sensor seed, initial
 temperatures).  :class:`HardwareSpec` holds the shared part once; its
-:attr:`~HardwareSpec.key` digests every constant, so whether two members can
-share a batch is a bytes comparison.
+:attr:`~HardwareSpec.key` digests every constant, so whether two specs are
+the same hardware is a bytes comparison (the batch engine keys its cached
+hand-state step maps by it).
 """
 
 from __future__ import annotations
@@ -128,10 +129,10 @@ class HardwareSpec:
         )
         return HardwareSpec.of(parts)
 
-    # -- comparison ---------------------------------------------------------------
+    # -- key ----------------------------------------------------------------------
 
     def _sections(self) -> Tuple[Tuple[str, bytes], ...]:
-        """Every constant as ``(label, bytes)`` parts, in diff-report order."""
+        """Every constant as ``(label, bytes)`` parts, in key order."""
         net = self.network
         arrays = (
             net.capacitances,
@@ -152,14 +153,6 @@ class HardwareSpec:
             ("CPU/frequency tables", repr((table, self.carry_over, self.max_backlog)).encode()),
             ("sensor configurations", repr(_canon(self.sensors)).encode()),
         )
-
-    def difference(self, other: "HardwareSpec") -> Optional[str]:
-        """The first part (e.g. ``"thermal networks"``) two specs differ in, or
-        ``None``.  Walks every constant: the failure path after a key mismatch."""
-        for (label, mine), (_, theirs) in zip(self._sections(), other._sections()):
-            if mine != theirs:
-                return label
-        return None
 
     # -- per-member state ---------------------------------------------------------
 

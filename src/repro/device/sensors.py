@@ -76,18 +76,6 @@ class TemperatureSensor:
         self._last_reading = value
         return value
 
-    def draw_noise(self, count: int) -> np.ndarray:
-        """Pre-draw ``count`` noise samples, one per future :meth:`read`.
-
-        A block draw consumes the generator stream exactly like ``count``
-        successive scalar draws, so the batched runtime can pre-draw a whole
-        run's noise up front and stay bit-identical to step-by-step reads.
-        """
-        if self.noise_std_c <= 0:
-            return np.zeros(count)
-        self._rng_fresh = False
-        return self._rng.normal(0.0, self.noise_std_c, size=count)
-
     def reset(self, seed: Optional[int] = None) -> None:
         """Reset the RNG (optionally with a new seed) and clear the last reading.
 

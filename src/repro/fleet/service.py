@@ -210,6 +210,12 @@ class PolicyService:
     # -- operations --------------------------------------------------------------
 
     def open(self, session_id: str, user_id: Optional[str] = None) -> dict:
+        # Checked before the pool sees the id: the state store keys users by
+        # string, so a session under another id would fail every checkpoint.
+        if not isinstance(session_id, str):
+            raise ValueError(f"open session id must be a string, got {type(session_id).__name__}")
+        if user_id is not None and not isinstance(user_id, str):
+            raise ValueError(f"open user id must be a string, got {type(user_id).__name__}")
         profile = self.profiles.get(user_id) if user_id is not None else None
         session = self.pool.open(
             session_id,
@@ -239,9 +245,9 @@ class PolicyService:
         sample: Mapping,
         feedback: Sequence[Mapping] = (),
     ) -> dict:
-        session = self.pool.get(session_id)
+        self.pool.get(session_id)  # an unknown id is refused before decoding
         events = _events_from_wire(session_id, feedback)
-        decision = session.feed(sample_from_wire(session_id, sample), feedback=events)
+        decision = self.pool.feed(session_id, sample_from_wire(session_id, sample), events)
         self.feeds += 1
         if self._log is not None:
             self._log.write((session_id,), (sample["time_s"],), (decision,))
@@ -339,6 +345,8 @@ class PolicyService:
     def handle(self, request: Mapping) -> dict:
         """One request dictionary in, one response dictionary out."""
         try:
+            if not isinstance(request, Mapping):
+                raise ValueError(f"a request must be a JSON object, got {type(request).__name__}")
             op = request.get("op")
             if op == "open":
                 return self.open(request["session"], request.get("user"))

@@ -65,12 +65,7 @@ from .runner import BatchRunner, run_cell, stream_cell
 from .store import CellResult, ResultStore
 from .stream import CollectorSink, RecordSink, TeeSink, push_cell_result
 from .streamstore import StoreCorruptionError, StreamingResultStore
-from .vectorized import (
-    PopulationMember,
-    VectorizationError,
-    simulate_population,
-    simulate_population_mixed,
-)
+from .vectorized import PopulationMember, VectorizationError, simulate_population_mixed
 
 __all__ = [
     "ArtifactCache",
@@ -95,7 +90,6 @@ __all__ = [
     "plan_batches",
     "push_cell_result",
     "run_cell",
-    "simulate_population",
     "simulate_population_mixed",
     "stream_cell",
 ]

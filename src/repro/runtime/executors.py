@@ -229,8 +229,10 @@ class VectorizedExecutor:
                 self._stream_batch(group, traces, sink)
 
     def _build_members(self, group: Sequence[ExperimentCell]) -> List[PopulationMember]:
-        """One state-only member per cell on the shared Nexus 4 spec (batched
-        cells never carry a custom platform, so none is built)."""
+        """One member per cell: its seed, initial temperatures, governor,
+        manager and logger.  The engine runs every member on the stock
+        :meth:`HardwareSpec.nexus4` (batched cells never carry a custom
+        platform), so no platform is built."""
         table = HardwareSpec.nexus4().freq_table
         return [
             PopulationMember(

@@ -7,14 +7,12 @@ instances march through their traces in lockstep and the expensive parts of
 the device step — the implicit thermal solve, the CPU window, the power
 model, the sensor models — are evaluated once per tick across the population.
 
-Members are state, not platforms: the whole batch shares one
-:class:`~repro.device.hardware.HardwareSpec` (validated by comparing hashed
-keys) and each :class:`PopulationMember` brings only its seed, optional
-initial temperatures, governor, manager and logger.  The engine derives each
-member's reset state and one seeded noise stream per noisy sensor from these;
-members built around a full :class:`~repro.device.platform.DevicePlatform`
-still work, draw from their own sensors and get their platform written back
-warm.
+Members are state, not platforms: the whole batch runs on the stock
+:meth:`HardwareSpec.nexus4 <repro.device.hardware.HardwareSpec.nexus4>` and
+each :class:`PopulationMember` brings only its seed, optional initial
+temperatures, governor, manager and logger.  The engine derives each member's
+reset state and one seeded noise stream per sensor from these; a member's
+state ends with the batch.
 
 :func:`simulate_population_mixed` is the general engine: every member brings
 its own trace (stacked into padded step-major ``(n_steps, n_members)``
@@ -22,8 +20,7 @@ matrices, so each tick reads one contiguous row across the live members),
 members whose traces end early drop out of the live prefix instead of forcing
 the batch to its longest member, and hand-contact state may differ per member
 — the thermal solve selects per member between two canonical step maps
-(touching / not touching).  :func:`simulate_population` is the same-trace
-special case.  Per-step record data is staged in a
+(touching / not touching).  Per-step record data is staged in a
 :class:`~repro.sim.results.ColumnarRecordBuffer`, so the hot loop allocates
 ~zero Python objects per member-step.
 
@@ -35,7 +32,7 @@ power matrices, the pre-drawn sensor noise (:class:`_WindowStage`) — is
 refilled per window instead of materialising O(trace) matrices, while every
 piece of cross-step state (node temperatures, the cached step maps,
 governor/manager objects, the policy plane's columns, the live-prefix
-ordering, battery SoC, CPU backlog) carries across window boundaries
+ordering, CPU backlog) carries across window boundaries
 untouched — so windowed runs are bit-identical to unwindowed ones and to the
 scalar engine.  An unwindowed run is the one-window case over the memoised
 full-trace stack.  A ``window_drain`` additionally flushes each live member's
@@ -57,8 +54,8 @@ few implementation choices:
   custom governors) ``level_cap`` are written only on ticks where a
   prediction was due or a limit moved; each window boundary fills the rows
   between from the last write (:class:`_HeldRows`);
-* SoC is integrated only for batches with a platform: its only readers are
-  the charging term, whose one output is SoC, and the platform write-back;
+* battery SoC is not integrated: its only reader is the charging term, whose
+  one output is SoC, so no record depends on it;
 * hand-contact toggling must round-trip bitwise on the conductance matrices
   (verified up front), so the two canonical step maps reproduce exactly the
   matrices a scalar run rebuilds its map from after each toggle;
@@ -93,9 +90,7 @@ from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
-from ..device.battery import RESET_STATE_OF_CHARGE
 from ..device.hardware import HardwareSpec
-from ..device.platform import DevicePlatform
 from ..governors.base import Governor, GovernorObservation
 from ..governors.ondemand import OndemandGovernor
 from ..sim.engine import SimulationKernel, ThermalManager
@@ -117,7 +112,6 @@ __all__ = [
     "describe_window_plan",
     "manager_vectorization_ineligibility",
     "resolve_window_steps",
-    "simulate_population",
     "simulate_population_mixed",
     "window_bytes_per_step",
 ]
@@ -126,23 +120,19 @@ __all__ = [
 class VectorizationError(RuntimeError):
     """The member set cannot be integrated as one population.
 
-    Raised during validation, after the members have been reset but before
-    any trace step has executed, so callers can safely fall back to
-    sequential execution (which resets again).
+    Raised before any trace step has executed, so callers can safely fall
+    back to sequential execution (which resets again).
     """
 
 
 @dataclass
 class PopulationMember:
-    """One device instance of a batched population: state on shared hardware.
+    """One device instance of a batched population: state on the stock handset.
 
     A member is state: the sensor seed, optional initial temperatures and its
-    own governor, manager and logger.  Its hardware is the stock Nexus 4
-    (:meth:`HardwareSpec.nexus4 <repro.device.hardware.HardwareSpec.nexus4>`)
-    unless it brings a full ``platform``; the spec is then
-    :meth:`HardwareSpec.of <repro.device.hardware.HardwareSpec.of>` the reset
-    platform, the noise comes from the platform's own sensors, and the
-    platform is written back warm after the run.  A batch shares one spec.
+    own governor, manager and logger.  Every member runs on the stock Nexus 4
+    (:meth:`HardwareSpec.nexus4 <repro.device.hardware.HardwareSpec.nexus4>`),
+    and runs like ``Simulator(DevicePlatform(seed=seed), ...)`` from a reset.
 
     Attributes:
         governor: the member's DVFS policy (exclusive to this member).
@@ -150,7 +140,6 @@ class PopulationMember:
         logger: optional system logger filled during the run.
         initial_temps: optional initial *internal* node temperatures (°C).
         seed: sensor-noise seed (sensor ``i`` draws from ``seed + i``).
-        platform: optional simulated handset replacing the stock spec and ``seed``.
     """
 
     governor: Governor
@@ -158,45 +147,29 @@ class PopulationMember:
     logger: Optional[SystemLogger] = None
     initial_temps: Optional[Mapping[str, float]] = None
     seed: int = 0
-    platform: Optional[DevicePlatform] = None
 
     #: The scalar kernel's result label (it reads only governor and manager).
     governor_label = SimulationKernel.governor_label
 
 
 def _validate_members(members: Sequence[PopulationMember]) -> HardwareSpec:
-    """Check that all members share one hardware spec; return it.
+    """Check that the members' state can share one batch; return its spec.
 
-    Specs are compared by identity, then :attr:`HardwareSpec.key`; only a
-    mismatch walks them to name the differing part.  Seeds, governors,
-    managers and initial internal temperatures are per-member state.
+    Every member runs on :meth:`HardwareSpec.nexus4`, whose sensors all sit
+    on internal nodes, add noise and quantize.  Governors and managers must
+    be exclusive to their member, and initial temperatures internal.
     """
-    specs = [
-        HardwareSpec.nexus4() if member.platform is None else HardwareSpec.of(member.platform)
-        for member in members
-    ]
-    template = specs[0]
-    for spec in specs[1:]:
-        if spec is not template and spec.key != template.key:
-            raise VectorizationError(f"members have different {template.difference(spec)}")
-    internal = set(template.network.internal_names)
-    for sensor in template.sensors:
-        if sensor.node not in internal:
-            raise VectorizationError(
-                f"sensor {sensor.name!r} observes non-internal node {sensor.node!r}"
-            )
+    spec = HardwareSpec.nexus4()
     if len({id(member.governor) for member in members}) < len(members):
         raise VectorizationError("two members share one governor instance")
     managers = [id(m.thermal_manager) for m in members if m.thermal_manager is not None]
     if len(set(managers)) < len(managers):
         raise VectorizationError("two members share one thermal manager instance")
-    boundary = set(template.network.boundary_names)
+    boundary = set(spec.network.boundary_names)
     for member in members:
-        if member.platform is not None and member.platform.solver.method != "implicit":
-            raise VectorizationError("all members must use the implicit solver")
         if member.initial_temps and not boundary.isdisjoint(member.initial_temps):
             raise VectorizationError("per-member boundary temperatures break the shared step map")
-    return template
+    return spec
 
 
 #: Hand-state solver pairs memoised by :attr:`HardwareSpec.key`.  A batch run
@@ -338,7 +311,7 @@ class _EnginePlane:
         self.contiguous = bool(np.array_equal(self.cols, np.arange(len(entries))))
         self._cpu_row = block_row["cpu"]
         self._battery_row = block_row["battery"]
-        self._skin_row = block_row.get("skin")
+        self._skin_row = block_row["skin"]
         self.held = _HeldRows(
             slice(0, len(entries)) if self.contiguous else self.cols, buf.usta_active,
             buf.predicted_skin_temp_c, buf.predicted_screen_temp_c, buf.comfort_limit_c,
@@ -372,10 +345,8 @@ class _EnginePlane:
                 freq_khz[at],
             )
 
-        felt = None
-        if self._skin_row is not None:
-            skin = sensor_block[self._skin_row]
-            felt = lambda pos: skin[pos if contiguous else cols[pos]]
+        skin = sensor_block[self._skin_row]
+        felt = lambda pos: skin[pos if contiguous else cols[pos]]
 
         plane = self.plane
         live = slice(0, k)
@@ -694,31 +665,6 @@ class _WindowStage:
         np.add(radio_w, board_w, out=board_w)
 
 
-def simulate_population(
-    trace: WorkloadTrace,
-    members: Sequence[PopulationMember],
-    vectorize_managers: bool = True,
-    window_steps: Optional[int] = None,
-    max_window_bytes: Optional[int] = None,
-    window_drain: Optional[object] = None,
-) -> List[SimulationResult]:
-    """Replay one shared trace against N device instances in lockstep.
-
-    The same-trace special case of :func:`simulate_population_mixed`, kept as
-    the historical entry point.  Semantically equivalent to
-    ``[Simulator(m...).run(trace) for m in members]`` and bit-for-bit
-    identical to it.
-    """
-    return simulate_population_mixed(
-        [trace] * len(members),
-        members,
-        vectorize_managers=vectorize_managers,
-        window_steps=window_steps,
-        max_window_bytes=max_window_bytes,
-        window_drain=window_drain,
-    )
-
-
 def simulate_population_mixed(
     traces: Sequence[WorkloadTrace],
     members: Sequence[PopulationMember],
@@ -782,21 +728,15 @@ def simulate_population_mixed(
         if len(trace) == 0:
             raise VectorizationError(f"trace {trace.name!r} is empty")
 
+    spec = _validate_members(members)
+
     # -- reset every member exactly like SimulationKernel.reset ---------------
     for member in members:
-        if member.platform is not None:
-            member.platform.reset(dict(member.initial_temps) if member.initial_temps else None)
         member.governor.reset()
         if member.thermal_manager is not None:
             member.thermal_manager.reset()
         if member.logger is not None:
             member.logger.reset()
-
-    # Validation runs after the resets (a platform's reset re-applies its
-    # ambient and hand contact, which is exactly the state its spec must
-    # agree on); no trace step has executed yet, so callers can still fall
-    # back to sequential execution safely.
-    spec = _validate_members(members)
 
     # -- internal ordering: longest trace first ---------------------------------
     lengths = np.array([len(trace) for trace in traces], dtype=np.int64)
@@ -816,7 +756,6 @@ def simulate_population_mixed(
     power_model = spec.power_model
     cpu_model = power_model.cpu
     charger = power_model.charger
-    battery = spec.battery
     carry_over = spec.carry_over
     max_backlog = spec.max_backlog
     solver_by_touch = _hand_state_solvers(spec)
@@ -851,13 +790,10 @@ def simulate_population_mixed(
     idle_w = cpu_model.idle_power_w
     charge_heat_w = charger.charge_power_w * charger.charge_loss_fraction
     discharge_loss = charger.discharge_loss_fraction
-    battery_charge_w = battery.charge_power_w * battery.charge_efficiency
-    capacity_wh = battery.capacity_wh
 
     # -- per-member state (internal, longest-first order) ----------------------
-    # A reset leaves every member (platform or not: they share the spec's
-    # reset temperatures) at the lowest level, no backlog and the reset
-    # charge; only the initial temperatures differ.
+    # A reset leaves every member at the spec's reset temperatures, the
+    # lowest level and no backlog; only the initial temperatures differ.
     temps = np.empty((len(internal_index), n_members))
     temps[:] = spec.initial_temperatures()[:, None]
     for row, member in enumerate(s_members):
@@ -866,7 +802,6 @@ def simulate_population_mixed(
     levels = np.full(n_members, table.min_level, dtype=np.int64)
     caps = np.full(n_members, max_level, dtype=np.int64)
     backlog = np.zeros(n_members)
-    soc = np.full(n_members, RESET_STATE_OF_CHARGE)
 
     manager_rows = [
         (row, member) for row, member in enumerate(s_members) if member.thermal_manager is not None
@@ -896,9 +831,6 @@ def simulate_population_mixed(
     # load over the memoised full-trace stack; see _WindowStage.
     stacked = None if windowed else _stack_trace_arrays(s_traces, max_steps)
     stage = _WindowStage(s_traces, s_lengths, window_len, power_model, stacked)
-    # SoC's only readers are the charging term, whose one output is SoC, and
-    # the platform write-back: a batch without a platform skips integrating it.
-    track_soc = any(member.platform is not None for member in members)
     demand_mat = stage.cpu_demand
     charging_mat = stage.charging
     touching_mat = stage.touching
@@ -912,52 +844,35 @@ def simulate_population_mixed(
     # One block draw per (member, sensor) and window consumes each seeded
     # stream exactly like the scalar engine's one-draw-per-step reads; a
     # windowed run draws the same stream in window-sized chunks, which
-    # consumes it identically.  Sensor i of a state-only member seeded s draws
-    # from default_rng(s + i), the stream a platform seeded s gives it; a
-    # platform member draws from its own sensors, which then sit where a
-    # sequential run leaves them (so a warm ``reset=False`` run continues the
-    # stream).  Noiseless sensors carry no rows (the scalar read skips the add
-    # too).  noise_draws[k][row](count): the next count samples of noisy
-    # sensor k.
+    # consumes it identically.  Sensor i of a member seeded s draws from
+    # default_rng(s + i), the stream a DevicePlatform seeded s gives it (every
+    # stock sensor is noisy).  noise_draws[i][row](count): the next count
+    # samples of sensor i.
     noise_draws = [
         [
             partial(np.random.default_rng(m.seed + i).normal, 0.0, sensor.noise_std_c)
-            if m.platform is None
-            else m.platform.sensors[sensor.name].draw_noise
             for m in s_members
         ]
         for i, sensor in enumerate(spec.sensors)
-        if sensor.noise_std_c > 0
     ]
-    noise_block = np.zeros((n_noisy, window_len, n_members)) if noise_draws else None
+    noise_block = np.zeros((n_noisy, window_len, n_members))
 
     # Block layout for the per-tick sensor reads: all sensors are read with a
-    # handful of array ops on an (n_sensors, n_live) block instead of one
-    # mini-pipeline per sensor.  Noisy sensors come first (a stable sort, so
-    # in noise_draws order) and the noise add is a single slice over a
-    # prefix — noiseless rows never see a ``+ 0.0``, exactly like the scalar
-    # read that skips the add altogether.
-    block = sorted(spec.sensors, key=lambda sensor: not sensor.noise_std_c > 0)
-    sensor_block_names = [sensor.name for sensor in block]
-    sensor_block_nodes = np.array([internal_index[sensor.node] for sensor in block], dtype=np.int64)
-    sensor_block_offsets = np.array([sensor.offset_c for sensor in block])[:, None]
-    _quants = [sensor.quantization_c for sensor in block]
-    if all(q > 0 for q in _quants):
-        sensor_block_quant: Optional[np.ndarray] = np.array(_quants)[:, None]
-        quant_rows = []
-    else:
-        sensor_block_quant = None
-        quant_rows = [(i, q) for i, q in enumerate(_quants) if q > 0]
+    # handful of array ops on an (n_sensors, n_live) block, in spec order,
+    # instead of one mini-pipeline per sensor.
+    sensor_block_nodes = np.array(
+        [internal_index[sensor.node] for sensor in spec.sensors], dtype=np.int64
+    )
+    sensor_block_offsets = np.array([sensor.offset_c for sensor in spec.sensors])[:, None]
+    sensor_block_quant = np.array([sensor.quantization_c for sensor in spec.sensors])[:, None]
 
     # -- policy plane: batch the eligible USTA-family managers -----------------
     # Eligible managers leave the scalar loop entirely; anything custom stays
     # on it (manager_vectorization_ineligibility knows why, for
-    # --explain-batching).  Plane feature assembly needs the cpu and battery
-    # sensors the scalar feature path reads.
-    sensor_names = {sensor.name for sensor in spec.sensors}
+    # --explain-batching).
     plane_rows: List[Tuple[int, PopulationMember]] = []
     scalar_manager_rows = manager_rows
-    if vectorize_managers and manager_rows and {"cpu", "battery"} <= sensor_names:
+    if vectorize_managers and manager_rows:
         scalar_manager_rows = []
         for row, member in manager_rows:
             if manager_vectorization_ineligibility(member.thermal_manager, table) is None:
@@ -991,12 +906,10 @@ def simulate_population_mixed(
     buf_node_temps = buf.node_temps
     buf_sensor_temps = buf.sensor_temps
     buf_level_cap = buf.level_cap
-    # The nodes and sensors behind the buffer's node and sensor blocks; a
-    # sensor field whose sensor the spec lacks records its node instead.
+    # The nodes and sensors behind the buffer's node and sensor blocks.
     record_nodes = np.array([cpu_i, battery_i, back_i, screen_i], dtype=np.int64)
-    _block_row = {name: i for i, name in enumerate(sensor_block_names)}
-    record_sensors = np.array([_block_row.get(s, -1) for s in ("cpu", "battery", "skin", "screen")])
-    all_sensors = bool((record_sensors >= 0).all())
+    _block_row = {sensor.name: i for i, sensor in enumerate(spec.sensors)}
+    record_sensors = np.array([_block_row[s] for s in ("cpu", "battery", "skin", "screen")])
     plane = _EnginePlane(plane_rows, _block_row, buf) if plane_rows else None
     # SystemLogger.log_columns argument order.
     logged_columns = (
@@ -1045,14 +958,13 @@ def simulate_population_mixed(
         stage.load(w0, w_len, n_live)
         for h in held:
             h.start_window(buf_base, window_drain is not None)
-        if noise_block is not None:  # one draw per live member and sensor
-            for s_idx, draws in enumerate(noise_draws):
-                block = noise_block[s_idx]
-                for row in range(n_live):
-                    count = min(int(s_lengths[row]) - w0, w_len)
-                    block[:count, row] = draws[row](count)
-                    if count < w_len and windowed:  # the block holds the last window
-                        block[count:w_len, row] = 0.0
+        for s_idx, draws in enumerate(noise_draws):  # one draw per live member and sensor
+            block = noise_block[s_idx]
+            for row in range(n_live):
+                count = min(int(s_lengths[row]) - w0, w_len)
+                block[:count, row] = draws[row](count)
+                if count < w_len and windowed:  # the block holds the last window
+                    block[count:w_len, row] = 0.0
         if copy_demand:
             buf.demand[w0 : w0 + w_len, :n_live] = demand_mat[:w_len, :n_live]
 
@@ -1105,17 +1017,17 @@ def simulate_population_mixed(
             platform_draw = np_add(cpu_w, gpu_w_mat[r, live], out=node_power[cpu_i, live])
             platform_draw = platform_draw + display_w_mat[r, live]
             platform_draw += radio_w_mat[r, live]
-            charging_now = any_charging_w[r]
-            if charging_now:
-                charging_t = charging_mat[r, live]
+            if any_charging_w[r]:
                 battery_w = np_where(
-                    charging_t, charge_heat_w, np_maximum(platform_draw, 0.0) * discharge_loss
+                    charging_mat[r, live],
+                    charge_heat_w,
+                    np_maximum(platform_draw, 0.0) * discharge_loss,
                 )
             else:
                 # All-False charging: np_where would return the discharge branch
                 # verbatim, so skip the select (same bits, two ops fewer).
                 battery_w = np_maximum(platform_draw, 0.0) * discharge_loss
-            total_w = np_add(platform_draw, battery_w, out=buf_power_w[bt, live])
+            np_add(platform_draw, battery_w, out=buf_power_w[bt, live])
 
             # -- thermal (the step map of each member's hand-contact state) --------
             # node_power rows other than cpu's and these three stay zero all run.
@@ -1138,32 +1050,12 @@ def simulate_population_mixed(
                     step_free(live_power, live_temps),
                 )
 
-            # -- battery SoC (Battery.step, vectorized) ----------------------------
-            if track_soc:
-                draw_param = total_w - battery_w
-                net_w = -np_maximum(draw_param, 0.0)
-                live_soc = soc[live]
-                if charging_now:
-                    # With no charger connected the scalar path adds an all-zero
-                    # term; net_w is strictly negative (idle power alone draws), so
-                    # skipping the add is bit-identical.
-                    net_w = net_w + np_where(
-                        charging_t, np_where(live_soc >= 0.995, 0.0, battery_charge_w), 0.0
-                    )
-                delta_wh = net_w * dt / 3600.0
-                soc[live] = np_minimum(1.0, np_maximum(0.0, live_soc + delta_wh / capacity_wh))
-
             # -- sensors (one block read; pre-drawn noise; vectorized quantization) -
             vals = live_temps.take(sensor_block_nodes, 0)
             vals += sensor_block_offsets
-            if noise_block is not None:
-                vals[:n_noisy] += noise_block[:, r, live]
-            if sensor_block_quant is not None:
-                np_rint(np_divide(vals, sensor_block_quant, out=vals), out=vals)
-                vals *= sensor_block_quant
-            else:
-                for i, quantization in quant_rows:
-                    vals[i] = np_rint(vals[i] / quantization) * quantization
+            vals += noise_block[:, r, live]
+            np_rint(np_divide(vals, sensor_block_quant, out=vals), out=vals)
+            vals *= sensor_block_quant
 
             time_s += dt
             times.append(time_s)
@@ -1171,12 +1063,7 @@ def simulate_population_mixed(
             # -- columnar record staging (the hot loop builds no record objects) ---
             buf_frequency_level[bt, live] = live_levels
             live_temps.take(record_nodes, 0, buf_node_temps[:, bt, live])
-            if all_sensors:
-                vals.take(record_sensors, 0, buf_sensor_temps[:, bt, live])
-            else:
-                for i, row in enumerate(record_sensors.tolist()):
-                    source = vals[row] if row >= 0 else live_temps[record_nodes[i]]
-                    buf_sensor_temps[i, bt, live] = source
+            vals.take(record_sensors, 0, buf_sensor_temps[:, bt, live])
 
             # Per-member Python views are only materialised for components that
             # genuinely cannot batch (scalar managers, custom governors).
@@ -1191,7 +1078,7 @@ def simulate_population_mixed(
             )
             if scalar_manager_rows:
                 reading_lists = [
-                    (sensor.name, vals[_block_row[sensor.name]].tolist()) for sensor in spec.sensors
+                    (sensor.name, values.tolist()) for sensor, values in zip(spec.sensors, vals)
                 ]
                 for row, member in scalar_manager_rows:
                     if row >= n_act:
@@ -1285,23 +1172,5 @@ def simulate_population_mixed(
         if window_drain is None:
             buf.extend_result(result, row, times, int(s_lengths[row]))
         results.append(result)
-
-    # -- write final state back to the member platforms ------------------------
-    # A sequential run leaves every platform warm (final temperatures, SoC,
-    # CPU level/backlog, hand contact, elapsed time); mirror that so warm
-    # restarts and re-validation behave identically after a batched run.
-    # Spec members own no platform: their state ends with the batch.
-    for row, member in enumerate(s_members):
-        platform = member.platform
-        if platform is None:
-            continue
-        count = int(s_lengths[row])
-        platform.hand.touching = bool(s_traces[row].arrays_window(count - 1, count).touching[0])
-        platform.hand.apply(platform.network)
-        platform.network.apply_temperature_vector(temps[:, row])
-        platform.cpu.level = int(levels[row])
-        platform.cpu._backlog = float(backlog[row])
-        platform.battery.state_of_charge = float(soc[row])
-        platform._time_s = times[count - 1]
 
     return results

@@ -165,10 +165,11 @@ class TestSessionPool:
         )
         pool._sessions["pinned"] = session
         decisions = pool.feed_all(_sample(1.0, 30.0))
-        # The override's pinned cap survives, and nothing went through a batch.
+        # The override's pinned cap survives, and nothing went through a batch;
+        # the prediction its own observe made still counts.
         assert decisions["pinned"].level_cap == 0
         assert pool.batch_count == 0
-        assert pool.prediction_count == 0
+        assert pool.prediction_count == session.manager.prediction_count == 1
 
     def test_feed_many_routes_per_session_samples(self, linear_predictor, small_context):
         pool = self._pool(linear_predictor, small_context.population, n=2)

@@ -140,25 +140,29 @@ class TestMixedTraceParity:
         assert len(results) == 4
         assert built == []
 
-    def test_executor_matches_explicit_platform_members(self, linear_predictor):
-        # The executor's state-only members against the public API path with
-        # a full platform per member: same records, bit for bit.
+    def test_executor_matches_public_members_and_serial_runs(self, linear_predictor):
+        # The executor's members against the public API path and a full
+        # platform per cell run sequentially: same records, bit for bit.
         cells = list(_mixed_plan(linear_predictor))
-        platforms = [DevicePlatform(seed=cell.seed) for cell in cells]
         members = [
             PopulationMember(
-                governor=cell.build_governor(table=platform.freq_table),
-                thermal_manager=cell.build_manager(table=platform.freq_table),
+                governor=cell.build_governor(),
+                thermal_manager=cell.build_manager(),
                 initial_temps=cell.initial_temps,
-                platform=platform,
+                seed=cell.seed,
             )
-            for cell, platform in zip(cells, platforms)
+            for cell in cells
         ]
         public = simulate_population_mixed([cell.build_trace() for cell in cells], members)
         executed = list(VectorizedExecutor().execute(cells))
-        for got, expected in zip(executed, public):
+        for cell, got, expected in zip(cells, executed, public):
+            serial = Simulator(
+                platform=DevicePlatform(seed=cell.seed),
+                governor=cell.build_governor(),
+                thermal_manager=cell.build_manager(),
+            ).run(cell.build_trace(), initial_temps=cell.initial_temps)
             assert got.result.governor_name == expected.governor_name
-            assert got.result.records == expected.records
+            assert got.result.records == expected.records == serial.records
 
     def test_whole_plan_is_one_batch(self, linear_predictor):
         plan = _mixed_plan(linear_predictor)
@@ -221,11 +225,7 @@ class TestMixedTraceParity:
             build_benchmark("skype", seed=2, duration_s=90),
         ]
         members = [
-            PopulationMember(
-                platform=DevicePlatform(seed=seed),
-                governor=OndemandGovernor(table=DevicePlatform(seed=seed).freq_table),
-            )
-            for seed in range(3)
+            PopulationMember(seed=seed, governor=OndemandGovernor()) for seed in range(3)
         ]
         results = simulate_population_mixed(traces, members)
         for seed, (trace, result) in enumerate(zip(traces, results)):
@@ -247,11 +247,7 @@ class TestMixedTraceParity:
             "table", 60, WorkloadSample(cpu_demand=0.8, touching=False)
         )
         members = [
-            PopulationMember(
-                platform=DevicePlatform(seed=seed),
-                governor=OndemandGovernor(table=DevicePlatform(seed=seed).freq_table),
-            )
-            for seed in range(2)
+            PopulationMember(seed=seed, governor=OndemandGovernor()) for seed in range(2)
         ]
         results = simulate_population_mixed([held, on_table], members)
         for seed, trace in enumerate((held, on_table)):
@@ -267,8 +263,7 @@ class TestMixedTraceParity:
         )
         slow = WorkloadTrace.constant("slow", 10, WorkloadSample(cpu_demand=0.5))
         members = [
-            PopulationMember(platform=DevicePlatform(seed=s), governor=OndemandGovernor())
-            for s in range(2)
+            PopulationMember(seed=s, governor=OndemandGovernor()) for s in range(2)
         ]
         from repro.runtime import VectorizationError
 
@@ -682,7 +677,6 @@ def _managed_member(
     delay_s=0.0,
     controller_cls=USTAController,
 ):
-    platform = DevicePlatform(seed=seed)
     manager = AdaptiveComfortManager(
         inner=controller_cls(
             predictor=predictor,
@@ -699,11 +693,7 @@ def _managed_member(
             seed=seed,
         ),
     )
-    return PopulationMember(
-        platform=platform,
-        governor=OndemandGovernor(table=platform.freq_table),
-        thermal_manager=manager,
-    )
+    return PopulationMember(seed=seed, governor=OndemandGovernor(), thermal_manager=manager)
 
 
 def _assert_three_way_parity(traces, make_members):
@@ -718,7 +708,9 @@ def _assert_three_way_parity(traces, make_members):
     )
     serial = [
         Simulator(
-            platform=m.platform, governor=m.governor, thermal_manager=m.thermal_manager
+            platform=DevicePlatform(seed=m.seed),
+            governor=m.governor,
+            thermal_manager=m.thermal_manager,
         ).run(t)
         for t, m in zip(traces, make_members())
     ]
@@ -777,15 +769,9 @@ class TestPolicyPlaneParity:
             members = [
                 _managed_member(linear_predictor, seed=i) for i in range(2)
             ]
-            for seed in (7, 8):
-                platform = DevicePlatform(seed=seed)
-                members.append(
-                    PopulationMember(
-                        platform=platform,
-                        governor=OndemandGovernor(table=platform.freq_table),
-                        thermal_manager=None,
-                    )
-                )
+            members.extend(
+                PopulationMember(seed=seed, governor=OndemandGovernor()) for seed in (7, 8)
+            )
             return members
 
         _assert_three_way_parity(traces, build)

@@ -16,7 +16,7 @@ from repro.api.session import PolicySession, SessionPool
 from repro.api.types import TelemetrySample
 from repro.core.policy import ThrottlePolicy, ThrottleStep
 from repro.core.usta import USTAController
-from repro.device.platform import DevicePlatform
+from repro.device.hardware import HardwareSpec
 from repro.governors import OndemandGovernor
 from repro.runtime import PopulationMember, simulate_population_mixed
 from repro.users.adaptation import (
@@ -41,7 +41,6 @@ def _members(predictor):
     """Managers spanning two predictor groups (screen flag) and two policies."""
     members = []
     for seed in range(6):
-        platform = DevicePlatform(seed=seed)
         manager = AdaptiveComfortManager(
             inner=USTAController(
                 predictor=predictor,
@@ -57,8 +56,8 @@ def _members(predictor):
         )
         members.append(
             PopulationMember(
-                platform=platform,
-                governor=OndemandGovernor(table=platform.freq_table),
+                seed=seed,
+                governor=OndemandGovernor(),
                 thermal_manager=manager,
                 initial_temps=WARM_START_TEMPS,
             )
@@ -83,7 +82,7 @@ def test_serve_replay_matches_the_sweep_records(model, linear_predictor, small_p
     copies = copy.deepcopy([member.thermal_manager for member in members])
     traces = _traces()
     results = simulate_population_mixed(traces, members)
-    max_level = members[0].platform.freq_table.max_level
+    max_level = HardwareSpec.nexus4().freq_table.max_level
     scalar = simulate_population_mixed(traces, _members(predictor), vectorize_managers=False)
     assert [r.records for r in results] == [r.records for r in scalar]
 

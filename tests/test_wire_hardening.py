@@ -13,7 +13,11 @@ Each class is a regression suite for one named bug:
 6. a prediction-due sample without ``cpu`` refused only after the feedback
    gate had already run for the rest of the batch;
 7. the single ``feed`` op refusing such a sample, without naming the
-   session, only after the feedback step had moved the comfort limit.
+   session, only after the feedback step had moved the comfort limit;
+8. an ``open`` with a non-string session or user id entering the pool before
+   the state store refused it, so every later ``checkpoint`` and ``close``
+   failed (and a non-object request answering ``AttributeError``);
+9. the ``stats`` op's ``predictions`` counting plane predictions only.
 """
 
 import json
@@ -28,7 +32,7 @@ from repro.api.session import SessionPool, open_session
 from repro.api.specs import AdapterSpec, ManagerSpec, PolicySpec
 from repro.api.types import TelemetrySample
 from repro.core.predictor import PredictionFeatures
-from repro.fleet import PolicyService
+from repro.fleet import PolicyService, SessionStateStore
 from repro.fleet.state import restore_session_state, snapshot_session_state
 from repro.users import paper_population
 
@@ -493,3 +497,94 @@ class TestRefuseBeforeMutation:
         lacking["sensors"]["cpu"] = 45.0
         service.handle({"op": "feed", "session": "s1", "sample": lacking, "feedback": feedback})
         assert session.current_limit_c < before[0]
+
+
+class TestRefusedOpen:
+    """Satellite 8: a refused ``open`` changes nothing, so checkpoints go on."""
+
+    @pytest.fixture
+    def service(self, linear_predictor, tmp_path):
+        service = PolicyService(
+            USTA, predictor=linear_predictor, state_store=SessionStateStore(tmp_path / "state")
+        )
+        assert service.handle({"op": "open", "session": "a"})["ok"]
+        sample = {**_wire(0.0), "sensors": {"cpu": 45.0, "battery": 42.0, "skin": 36.0}}
+        assert service.handle({"op": "feed", "session": "a", "sample": sample})["ok"]
+        return service
+
+    @staticmethod
+    def _stats(service):
+        stats = service.handle({"op": "stats"})
+        del stats["uptime_s"]
+        return stats
+
+    @pytest.mark.parametrize(
+        "request_, field",
+        [
+            ({"op": "open", "session": "x", "user": 5}, "user"),
+            ({"op": "open", "session": "x", "user": ["u"]}, "user"),
+            ({"op": "open", "session": 7}, "session"),
+            ({"op": "open", "session": 7, "user": "u"}, "session"),
+            ({"op": "open", "session": ["x"]}, "session"),
+        ],
+        ids=["user-int", "user-list", "session-int", "session-int-user", "session-list"],
+    )
+    def test_refused_open_leaves_checkpoints_working(self, service, request_, field):
+        before = self._stats(service)
+        reply = service.handle(request_)
+        assert reply["ok"] is False and reply["error_type"] == "ValueError", reply
+        assert f"open {field} id" in reply["error"], reply["error"]
+        assert self._stats(service) == before
+        checkpoint = service.handle({"op": "checkpoint"})
+        assert checkpoint["ok"] and checkpoint["recorded"] == 1, checkpoint
+        assert service.handle({"op": "close", "session": "a"})["ok"]
+
+    @pytest.mark.parametrize("request_", [[1, 2], None, "open", 5], ids=repr)
+    def test_non_object_request_is_refused(self, service, request_):
+        reply = service.handle(request_)
+        assert reply["ok"] is False and reply["error_type"] == "ValueError", reply
+        assert "JSON object" in reply["error"]
+
+
+class TestPredictionCount:
+    """Satellite 9: ``stats.predictions`` counts every prediction once."""
+
+    @pytest.mark.parametrize("use_plane", [True, False])
+    def test_every_feed_path_is_counted_once(self, linear_predictor, tmp_path, use_plane):
+        service = PolicyService(
+            TRACKER,
+            predictor=linear_predictor,
+            state_store=SessionStateStore(tmp_path / "state"),
+            use_plane=use_plane,
+        )
+        ids = ("a", "b", "c")
+        made = {}
+
+        def predictions(sid):
+            session = service.pool.get(sid)
+            session.sync_policy_state()
+            return session.manager.inner.prediction_count
+
+        for sid in ids:
+            assert service.handle({"op": "open", "session": sid})["ok"]
+        report = {"kind": "discomfort", "time_s": 3.0, "skin_temp_c": 38.0}
+        for t in range(12):
+            if t % 4 == 1:  # the single feed op
+                for sid in ids:
+                    reply = service.handle({"op": "feed", "session": sid, "sample": _wire(t)})
+                    assert reply["ok"], reply
+                continue
+            request = {"op": "feed_batch", "samples": {sid: _wire(t) for sid in ids}}
+            if t == 3:  # a feedback-carrying row on a due tick
+                request["feedback"] = {"b": [report]}
+            assert service.handle(request)["ok"]
+        made.update((sid, predictions(sid)) for sid in ids)
+        assert service.handle({"op": "stats"})["predictions"] == sum(made.values())
+
+        # A resumed session brings its limit and counters, not predictions.
+        assert service.handle({"op": "close", "session": "c"})["ok"]
+        assert service.handle({"op": "open", "session": "c"})["resumed"]
+        assert predictions("c") == 0
+        reply = service.handle({"op": "feed", "session": "c", "sample": _wire(12.0)})
+        assert reply["ok"], reply
+        assert service.handle({"op": "stats"})["predictions"] == sum(made.values()) + 1
