@@ -52,18 +52,22 @@ plane-residency:
 # every persisted cell and rebuild the table from the shards).  The same
 # sweep through a 2-worker fleet must write the same index.jsonl byte for
 # byte — offsets, lengths and sha256 stamps: a store depends only on its
-# plan, not on the executor that wrote it.  Then the same resume over a copy
-# of tests/data/store_v2, the committed store written in the earlier
+# plan, not on the executor that wrote it.  So must the same sweep windowed
+# every 7 steps, whose records go through the per-member window spool
+# (encode, decode, replay) before the store.  Then the same resume over a
+# copy of tests/data/store_v2, the committed store written in the earlier
 # per-record line format: every legacy cell must still load.
 stream-smoke:
-	rm -rf .stream-smoke .stream-smoke-fleet .stream-smoke-v2
+	rm -rf .stream-smoke .stream-smoke-fleet .stream-smoke-win .stream-smoke-v2
 	$(PYTHON) -m repro sweep --scale 0.02 --model linear_regression --stream-to .stream-smoke
 	$(PYTHON) -m repro sweep --scale 0.02 --model linear_regression --stream-to .stream-smoke --resume
 	$(PYTHON) -m repro sweep --scale 0.02 --model linear_regression --stream-to .stream-smoke-fleet --fleet 2
 	cmp .stream-smoke/index.jsonl .stream-smoke-fleet/index.jsonl
+	$(PYTHON) -m repro sweep --scale 0.02 --model linear_regression --stream-to .stream-smoke-win --window-steps 7
+	cmp .stream-smoke/index.jsonl .stream-smoke-win/index.jsonl
 	cp -r tests/data/store_v2 .stream-smoke-v2
 	$(PYTHON) -m repro sweep --scale 0.02 --model linear_regression --stream-to .stream-smoke-v2 --resume | grep "0 cell(s) executed, 10 resumed from disk"
-	rm -rf .stream-smoke .stream-smoke-fleet .stream-smoke-v2
+	rm -rf .stream-smoke .stream-smoke-fleet .stream-smoke-win .stream-smoke-v2
 
 # Perf gate for the heterogeneous vectorized engine: a scaled-down
 # mixed-trace sweep must run bit-identical to — and clearly faster than —

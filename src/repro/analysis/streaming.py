@@ -19,11 +19,11 @@ far below the precision any report prints.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
-from functools import reduce
-from itertools import chain
-from operator import add
 from typing import TYPE_CHECKING, Callable, Dict, Iterable, List, Optional
+
+import numpy as np
 
 from ..sim.results import RecordColumns, StepRecord
 
@@ -56,8 +56,8 @@ class StreamingCellSummary:
     """
 
     def __init__(self, dt_s: float, limit_c: Optional[float] = None):
-        if dt_s <= 0:
-            raise ValueError("dt_s must be positive")
+        if not 0.0 < dt_s < math.inf:
+            raise ValueError("dt_s must be positive and finite")
         self.dt_s = dt_s
         self.limit_c = limit_c
         self._n = 0
@@ -99,36 +99,35 @@ class StreamingCellSummary:
         """Fold a run of records held as columns; bit-identical to :meth:`add`.
 
         Every aggregate sees the same values, in the same step order, under
-        the same comparison as :meth:`add` applies per record: ``max`` over
-        the running value followed by the column replaces only on a strict
-        ``>`` exactly like the per-record branch, and ``reduce(add, ...)``
-        is the same left-to-right chain of float additions (numpy's pairwise
-        sums would differ in the last ulp).
+        the same comparison as :meth:`add` applies per record, folded with
+        numpy over the run's typed arrays: a maximum replaces the running
+        value only on a strict ``>`` (NaN never does; of equal values,
+        ``±0.0`` included, the first is kept), and a sum is
+        ``np.add.accumulate`` from the running value, the same left-to-right
+        chain of float additions (numpy's pairwise sums would differ in the
+        last ulp).
         """
         n = len(columns)
         if not n:
             return
-        skin = columns["skin_temp_c"]
+        skin = columns.column("skin_temp_c")
         self._n += n
-        self._max_skin = max(chain((self._max_skin,), skin))
-        self._max_screen = max(chain((self._max_screen,), columns["screen_temp_c"]))
-        self._max_cpu = max(chain((self._max_cpu,), columns["cpu_temp_c"]))
-        self._freq_sum = reduce(add, columns["frequency_khz"], self._freq_sum)
-        self._power_sum = reduce(add, columns["power_w"], self._power_sum)
-        self._demand_sum = reduce(add, columns["demand"], self._demand_sum)
-        self._delivered_sum = reduce(add, columns["delivered_work"], self._delivered_sum)
-        self._usta_active += sum(1 for active in columns["usta_active"] if active)
+        self._max_skin = _fold_max(self._max_skin, skin)
+        self._max_screen = _fold_max(self._max_screen, columns.column("screen_temp_c"))
+        self._max_cpu = _fold_max(self._max_cpu, columns.column("cpu_temp_c"))
+        self._freq_sum = _fold_sum(self._freq_sum, columns.column("frequency_khz"))
+        self._power_sum = _fold_sum(self._power_sum, columns.column("power_w"))
+        self._demand_sum = _fold_sum(self._demand_sum, columns.column("demand"))
+        self._delivered_sum = _fold_sum(self._delivered_sum, columns.column("delivered_work"))
+        self._usta_active += int(np.count_nonzero(columns.column("usta_active")))
         limit = self.limit_c
         if limit is not None:
-            over, peak = self._over_limit, self._peak_exceedance
-            for value in skin:
-                if value > limit:
-                    over += 1
-                    excess = value - limit
-                    if excess > peak:
-                        peak = excess
-            self._over_limit, self._peak_exceedance = over, peak
-        self._final_limit = columns["comfort_limit_c"][-1]
+            over = skin[skin > limit]
+            if len(over):
+                self._over_limit += len(over)
+                self._peak_exceedance = _fold_max(self._peak_exceedance, over - limit)
+        last = columns.column("comfort_limit_c")[-1]
+        self._final_limit = last.item() if columns.present("comfort_limit_c")[-1] else None
 
     # -- SimulationResult-compatible metrics -------------------------------------
 
@@ -233,6 +232,24 @@ class StreamingCellSummary:
             "throughput_ratio": self.throughput_ratio,
             "usta_active_fraction": self.usta_active_fraction,
         }
+
+
+def _fold_max(running: float, values: np.ndarray) -> float:
+    """``running`` after ``if value > running: running = value`` over ``values``."""
+    top = np.fmax.reduce(values)  # NaN only when every value is NaN
+    if top > running:
+        # The first value equal to the maximum is the one a strict > keeps.
+        return values[np.argmax(values == top)].item()
+    return running
+
+
+def _fold_sum(running: float, values: np.ndarray) -> float:
+    """``functools.reduce(operator.add, values, running)`` as one accumulate."""
+    chain = np.empty(len(values) + 1)
+    chain[0] = running
+    chain[1:] = values
+    with np.errstate(all="ignore"):  # inf - inf is NaN here too, silently
+        return np.add.accumulate(chain, out=chain)[-1].item()
 
 
 def summarize_records(

@@ -36,6 +36,7 @@ from ..runtime.plane import (
     manager_vectorization_ineligibility,
 )
 from ..sim.engine import ThermalManager
+from ..sim.results import nullable_list
 from ..users.adaptation import AdaptiveComfortManager
 from .columns import SampleColumns, refuse_missing_channel
 from .specs import PolicySpec
@@ -217,7 +218,7 @@ class PolicySession:
         if self._plane is not None:
             # Resident sessions always have a manager; the plane's live-limit
             # column is the same value set_skin_limit would have installed.
-            return self._plane.limit_obj[self._plane_row]
+            return float(self._plane.limit[self._plane_row])
         if self.manager is None:
             return None
         limit = getattr(self.manager, "current_limit_c", None)
@@ -776,9 +777,9 @@ class _PoolPlane(PolicyPlane):
     def _decide(self, rows: np.ndarray) -> None:
         """Rebuild the cached decisions of ``rows`` from the columns."""
         caps_list = self.cap_req[rows].tolist()
-        skins = self.skin_obj[rows].tolist()
-        screens = self.screen_obj[rows].tolist()
-        limits = self.limit_obj[rows].tolist()
+        skins = nullable_list(self.pred_skin[rows], self.has_skin[rows])
+        screens = nullable_list(self.pred_screen[rows], self.has_screen[rows])
+        limits = self.limit[rows].tolist()
         tables = self.freq_levels[rows].tolist()
         decisions = self.decisions
         for r, cap, skin, screen, limit, levels in zip(

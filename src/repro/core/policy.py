@@ -18,6 +18,7 @@ ablation benchmarks can vary the margins and the step sizes.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
@@ -236,8 +237,8 @@ class ThrottlePolicy:
         Used by the margin-ablation benchmark: the three break points keep the
         same proportions (100%, 50% and 25% of the activation margin).
         """
-        if activation_margin_c <= 0:
-            raise ValueError("activation_margin_c must be positive")
+        if not 0.0 < activation_margin_c < math.inf:
+            raise ValueError("activation_margin_c must be positive and finite")
         return cls(
             steps=(
                 ThrottleStep(margin_above_c=activation_margin_c, levels_below_max=1),

@@ -199,11 +199,12 @@ class RuntimePredictor:
         want_screen = predict_screen and self.screen_model is not None
         screen: Optional[np.ndarray] = None
 
+        # The matrix is validated once, here: the models skip re-validation.
         def _rows(model) -> np.ndarray:
+            predict = model.predict_matrix
             if len(matrix) > 1 and not getattr(model, "batch_row_invariant", False):
-                predict = model.predict
                 return np.array([predict(matrix[i : i + 1])[0] for i in range(len(matrix))])
-            return np.asarray(model.predict(matrix), dtype=float)
+            return np.asarray(predict(matrix), dtype=float)
 
         skin = _rows(self.skin_model)
         if want_screen:

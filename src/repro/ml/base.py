@@ -42,10 +42,14 @@ class Regressor(abc.ABC):
 
     def predict(self, features: np.ndarray) -> np.ndarray:
         """Predict targets for a (n_samples, n_features) feature matrix."""
+        return self.predict_matrix(np.atleast_2d(np.asarray(features, dtype=float)))
+
+    def predict_matrix(self, matrix: np.ndarray) -> np.ndarray:
+        """Predict for a 2-D float64 feature matrix the caller has already
+        validated (no conversion, no copy)."""
         if not self._fitted:
             raise RuntimeError(f"{type(self).__name__} must be fitted before predicting")
-        features = np.atleast_2d(np.asarray(features, dtype=float))
-        return self._predict(features)
+        return self._predict(matrix)
 
     def predict_one(self, features: np.ndarray) -> float:
         """Predict a single row of features."""

@@ -9,6 +9,7 @@ reproduction needs a faithful but ordinary MLP rather than a tuned deep net.
 
 from __future__ import annotations
 
+import math
 from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -48,8 +49,8 @@ class MultilayerPerceptron(Regressor):
             raise ValueError("hidden_sizes must contain positive integers")
         if epochs < 1:
             raise ValueError("epochs must be at least 1")
-        if learning_rate <= 0:
-            raise ValueError("learning_rate must be positive")
+        if not 0.0 < learning_rate < math.inf:
+            raise ValueError("learning_rate must be positive and finite")
         if not 0.0 <= momentum < 1.0:
             raise ValueError("momentum must lie in [0, 1)")
         self.hidden_sizes = tuple(int(h) for h in hidden_sizes)

@@ -230,6 +230,10 @@ class PolicyPlane:
         ("period_minus", float, 0.0),
         ("last_time", float, -np.inf),
         ("pred_skin", float, np.nan),
+        ("pred_screen", float, np.nan),
+        # Whether each prediction exists (a controller has none before its first).
+        ("has_skin", bool, False),
+        ("has_screen", bool, False),
         ("latency", float, 0.0),
         ("count", np.int64, 0),
         ("cap_req", np.int64, NO_CAP),
@@ -262,9 +266,8 @@ class PolicyPlane:
         ("fb_threshold", float, 0.0),
         ("fb_pending", bool, False),
     )
-    #: Per-row Python objects: the predictions and the live limit as Python
-    #: floats, so records and decisions serialize like scalar runs.
-    _OBJECT_FIELDS = ("skin_obj", "screen_obj", "limit_obj")
+    #: Per-row Python objects (none here; adapters add theirs).
+    _OBJECT_FIELDS: Tuple[str, ...] = ()
 
     def __init__(self) -> None:
         self.size = 0
@@ -391,15 +394,16 @@ class PolicyPlane:
         self.last_time[i] = -np.inf if last_time is None else last_time
         last_pred = inner._last_prediction
         self.pred_skin[i] = np.nan if last_pred is None else last_pred
-        self.skin_obj[i] = last_pred
-        self.screen_obj[i] = inner._last_screen_prediction
+        self.has_skin[i] = last_pred is not None
+        last_screen = inner._last_screen_prediction
+        self.pred_screen[i] = np.nan if last_screen is None else last_screen
+        self.has_screen[i] = last_screen is not None
         self.latency[i] = inner._total_latency_s
         self.count[i] = inner._prediction_count
         cap = inner._current_cap
         self.cap_req[i] = NO_CAP if cap is None else cap
         limit_c = inner.current_skin_limit_c
         self.limit[i] = limit_c
-        self.limit_obj[i] = float(limit_c)
         self.step_last_change[i] = np.nan
         adapter = self.adapters[i]
         if isinstance(adapter, FeedbackStep):
@@ -452,8 +456,8 @@ class PolicyPlane:
         cap = int(self.cap_req[i])
         self.inners[i].restore_batch_state(
             last_prediction_time=None if math.isinf(last_time) else float(last_time),
-            last_prediction=self.skin_obj[i],
-            last_screen_prediction=self.screen_obj[i],
+            last_prediction=float(self.pred_skin[i]) if self.has_skin[i] else None,
+            last_screen_prediction=float(self.pred_screen[i]) if self.has_screen[i] else None,
             total_latency_s=float(self.latency[i]),
             prediction_count=int(self.count[i]),
             current_cap=None if cap == NO_CAP else cap,
@@ -569,14 +573,12 @@ class PolicyPlane:
                 skin = arrays.skin_temp_c
                 screen = arrays.screen_temp_c
             latency = (time.perf_counter() - start) / n
+            # A shared feature row's single prediction broadcasts.
             self.pred_skin[grows] = skin
-            # tolist() keeps Python floats in the object columns; a shared
-            # feature row's single prediction broadcasts.
-            values = skin.tolist()
-            self.skin_obj[grows] = values if len(values) == n else values[0]
+            self.has_skin[grows] = True
             if screen is not None:
-                values = screen.tolist()
-                self.screen_obj[grows] = values if len(values) == n else values[0]
+                self.pred_screen[grows] = screen
+                self.has_screen[grows] = True
             self.latency[grows] += latency
             self.count[grows] += 1
             self.last_time[grows] = t[gpos] if per_row_t else t
@@ -694,7 +696,6 @@ class PolicyPlane:
         new_limit = np.where(changed, adjusted, limit)
         self.limit[loc] = new_limit
         self.step_last_change[loc[changed]] = times[changed]
-        self.limit_obj[loc] = new_limit.tolist()
 
     def _apply_quantile_events(self, events: List[Tuple[int, object]]) -> None:
         """Grouped QuantileTracker.observe over one tick's events (bit-exact)."""
@@ -723,4 +724,3 @@ class PolicyPlane:
             accepted, np.minimum(self.q_max[loc], np.maximum(self.q_min[loc], moved)), moved
         )
         self.limit[loc] = new_limit
-        self.limit_obj[loc] = new_limit.tolist()

@@ -126,20 +126,25 @@ class CellLineWriter:
     writes the tail and the newline.  Whatever the arrival pattern, the
     records are re-chunked into blocks of exactly
     :data:`~repro.sim.results.BLOCK_ROWS` rows (a cell's last block may be
-    shorter), so the line's bytes depend only on the records — and at most
-    one block is staged at a time.  ``write`` receives ASCII text pieces.
+    shorter) by slicing the runs, so the line's bytes depend only on the
+    records — and at most one block is staged at a time.  A staged run is
+    kept, not copied, until its block is written: its arrays must stay
+    unchanged until then (``end_cell`` at the latest).  ``write`` receives
+    ASCII text pieces.
     """
 
     def __init__(self, write: Callable[[str], object]):
         self._write = write
         self._cell_id: Optional[str] = None
-        self._stage: List[list] = []
+        self._runs: List[RecordColumns] = []  # the staged block, in order
+        self._staged = 0  # rows in self._runs
+        self._records: List[list] = []  # per-record emits not yet in a run
         self._rows = 0
 
     def begin_cell(self, cell, workload_name: str, governor_name: str, dt_s: float) -> None:
         self._cell_id = cell.cell_id
-        self._stage = [[] for _ in _STEP_RECORD_FIELDS]
-        self._rows = 0
+        self._runs, self._staged, self._rows = [], 0, 0
+        self._records = [[] for _ in _STEP_RECORD_FIELDS]
         self._write(
             '{"cell":'
             + _dumps(cell_to_jsonable(cell))
@@ -153,37 +158,54 @@ class CellLineWriter:
         )
 
     def emit(self, record: StepRecord) -> None:
-        for column, value in zip(self._stage, _record_values(record)):
+        for column, value in zip(self._records, _record_values(record)):
             column.append(value)
-        if len(self._stage[0]) == BLOCK_ROWS:
+        if self._staged + len(self._records[0]) == BLOCK_ROWS:
             self._write_block()
 
     def emit_columns(self, columns: RecordColumns) -> None:
+        self._stage_records()
         n = len(columns)
         start = 0
         while start < n:
-            stop = min(n, start + BLOCK_ROWS - len(self._stage[0]))
-            for column, values in zip(self._stage, columns.columns):
-                column += values[start:stop]
+            stop = min(n, start + BLOCK_ROWS - self._staged)
+            try:
+                run = columns if stop - start == n else columns.slice(start, stop)
+            except (TypeError, ValueError) as exc:
+                raise self._in_cell(exc) from None
+            self._runs.append(run)
+            self._staged += stop - start
             start = stop
-            if len(self._stage[0]) == BLOCK_ROWS:
+            if self._staged == BLOCK_ROWS:
                 self._write_block()
 
     def end_cell(self, logger=None) -> None:
-        if self._stage[0]:
+        self._stage_records()
+        if self._staged:
             self._write_block()
         self._write(f'],"n":{self._rows}}}}}\n')
         self._cell_id = None
 
+    def _stage_records(self) -> None:
+        """Turn the per-record emits so far into one staged (list) run."""
+        if self._records[0]:
+            self._runs.append(RecordColumns(self._records))
+            self._staged += len(self._records[0])
+            self._records = [[] for _ in _STEP_RECORD_FIELDS]
+
+    def _in_cell(self, exc: Exception) -> Exception:
+        return type(exc)(f"{exc} (cell {self._cell_id!r})")
+
     def _write_block(self) -> None:
-        staged = RecordColumns(self._stage)
+        self._stage_records()
+        runs = self._runs
         try:
-            block = staged.to_block()
+            block = (runs[0] if len(runs) == 1 else RecordColumns.concat(runs)).to_block()
         except (TypeError, ValueError) as exc:
-            raise type(exc)(f"{exc} (cell {self._cell_id!r})") from None
+            raise self._in_cell(exc) from None
         self._write("," + block if self._rows else block)
-        self._rows += len(staged)
-        self._stage = [[] for _ in _STEP_RECORD_FIELDS]
+        self._rows += self._staged
+        self._runs, self._staged = [], 0
 
 
 class ResultStore:

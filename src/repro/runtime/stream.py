@@ -53,6 +53,8 @@ class RecordSink(Protocol):
     ``emit_columns(columns)`` with :class:`~repro.sim.results.RecordColumns`
     (what batch engines produce; :class:`~repro.analysis.streaming.
     SummarySink` folds them and the streaming store encodes them).
+    The columns may be views of the producer's buffers, left unchanged
+    until the cell's ``end_cell``; a sink keeping them longer copies them.
     :func:`_forward` picks the form per sink.
     """
 

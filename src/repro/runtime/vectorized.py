@@ -312,9 +312,11 @@ class _EnginePlane:
         self._cpu_row = block_row["cpu"]
         self._battery_row = block_row["battery"]
         self._skin_row = block_row["skin"]
+        # usta_active, then each decision field's values and presence (in
+        # buffer order): skin and screen predictions, and the live limit.
         self.held = _HeldRows(
             slice(0, len(entries)) if self.contiguous else self.cols, buf.usta_active,
-            buf.predicted_skin_temp_c, buf.predicted_screen_temp_c, buf.comfort_limit_c,
+            *buf.decision_values, *buf.decision_present,
         )
 
     def tick(
@@ -367,8 +369,10 @@ class _EnginePlane:
         capped = np.where(cap_req == _NO_CAP, max_level, cap_req)
         caps[dest] = capped
         active = capped < max_level  # NO_CAP maps to max_level: inactive
-        values = (active, plane.skin_obj[:k], plane.screen_obj[:k], plane.limit_obj[:k])
-        self.held.write(buf_row, dest, *values)
+        self.held.write(
+            buf_row, dest, active, plane.pred_skin[:k], plane.pred_screen[:k],
+            plane.limit[:k], plane.has_skin[:k], plane.has_screen[:k], True,
+        )
         return True
 
     def finish(self) -> None:
@@ -511,7 +515,7 @@ def window_bytes_per_step(
     per_member += n_noisy_sensors * 8  # pre-drawn sensor noise
     per_member += 3 * 8 + 12 * 8  # record buffer int + float columns
     if with_decisions:
-        per_member += 1 + 3 * 8  # usta_active + object decision columns
+        per_member += 1 + 3 * (8 + 1)  # usta_active + decision values and presence
     return per_member * max(1, n_members)
 
 
@@ -708,9 +712,10 @@ def simulate_population_mixed(
             is window-sized and after each window every live member's rows
             flush through ``drain.emit_member_window(index, records, done)``
             (``index`` in input member order; ``records`` is the window's
-            :class:`~repro.sim.results.RecordColumns`, which iterate as
-            records); the returned results then carry *no* records — the
-            drain owns them.
+            :class:`~repro.sim.results.RecordColumns`, views into the
+            window buffer that the drain must encode or copy before the
+            next window overwrites them; they iterate as records); the
+            returned results then carry *no* records — the drain owns them.
 
     Returns:
         One :class:`SimulationResult` per member, in member order.
@@ -1093,9 +1098,15 @@ def simulate_population_mixed(
                     member.governor.set_level_cap(decision.level_cap)
                     caps[row] = member.governor.level_cap
                     buf.usta_active[bt, row] = decision.active and member.governor.is_capped
-                    buf.predicted_skin_temp_c[bt, row] = decision.predicted_skin_temp_c
-                    buf.predicted_screen_temp_c[bt, row] = decision.predicted_screen_temp_c
-                    buf.comfort_limit_c[bt, row] = decision.comfort_limit_c
+                    decided = (
+                        decision.predicted_skin_temp_c,
+                        decision.predicted_screen_temp_c,
+                        decision.comfort_limit_c,
+                    )
+                    for k, value in enumerate(decided):
+                        buf.decision_present[k, bt, row] = value is not None
+                        if value is not None:
+                            buf.decision_values[k, bt, row] = value
             if caps_held is None:
                 buf_level_cap[bt, live] = caps[live]
             elif plane_wrote or not caps_held.rows:
@@ -1141,12 +1152,13 @@ def simulate_population_mixed(
 
         # -- window boundary: flush completed record rows through the drain ----
         if window_drain is not None:
+            window_times = np.array(times[w0 : w0 + w_len])
             for row in range(n_live):
                 remaining = int(s_lengths[row]) - w0
                 count = min(remaining, w_len)
                 window_drain.emit_member_window(
                     int(order[row]),
-                    buf.drain_window(row, times[w0 : w0 + count], count),
+                    buf.drain_window(row, window_times[:count], count),
                     remaining <= w_len,
                 )
 
@@ -1161,6 +1173,7 @@ def simulate_population_mixed(
     # With a window drain the records already left through it at the window
     # boundaries, so the results carry none.
     results: List[SimulationResult] = []
+    times_s = np.array(times)
     for index in range(n_members):
         row = int(position[index])
         member = members[index]
@@ -1170,7 +1183,7 @@ def simulate_population_mixed(
             dt_s=dt,
         )
         if window_drain is None:
-            buf.extend_result(result, row, times, int(s_lengths[row]))
+            buf.extend_result(result, row, times_s, int(s_lengths[row]))
         results.append(result)
 
     return results

@@ -17,6 +17,7 @@ window of its per-tick record columns at a time
 
 from __future__ import annotations
 
+import math
 from bisect import bisect_left
 from dataclasses import dataclass, field, fields
 from typing import Dict, List, Optional, Sequence
@@ -83,8 +84,8 @@ class SystemLogger:
     )
 
     def __post_init__(self) -> None:
-        if self.period_s <= 0:
-            raise ValueError("period_s must be positive")
+        if not 0.0 < self.period_s < math.inf:
+            raise ValueError("period_s must be positive and finite")
         self._last_log_time: Optional[float] = None
 
     def __len__(self) -> int:

@@ -62,11 +62,9 @@ class ColumnarRecordBuffer:
     The hot loop of the heterogeneous population engine writes one numpy
     column per :class:`StepRecord` field and allocates no per-member-step
     Python objects; at the batch/record-sink boundary each member leaves as
-    :class:`RecordColumns` (:meth:`member_columns`, one bulk ``.tolist()``
-    per column per member — which yields exactly the Python ints/floats
-    scalar extraction would, so records built from them, and the column
-    blocks the store encodes from them, stay byte-identical to the scalar
-    engine's).
+    :class:`RecordColumns` of views into these columns
+    (:meth:`member_columns`), which the store encodes and the summaries fold
+    without a Python value in between.
 
     Columns are *step-major* (shape ``(n_steps, n_members)``): the engine
     writes one step across the live member prefix per tick, and a step-major
@@ -76,10 +74,13 @@ class ColumnarRecordBuffer:
     n_members)`` blocks, :attr:`node_temps` and :attr:`sensor_temps`.
     ``demand`` may alias a caller-owned array.
 
-    The three optional decision fields (predictions and the live comfort
-    limit) hold ``None``-able Python objects, so they live in object columns
-    allocated only when the batch carries thermal managers at all; without
-    managers every member's records use the dataclass defaults.
+    The three ``None``-able decision fields (predictions and the live comfort
+    limit) are the rows of a float block, :attr:`decision_values`, beside a
+    presence block of the same shape, :attr:`decision_present` (``False``
+    is ``None``; the value in such a row is ignored).  Both, like
+    ``usta_active``, are allocated only when the batch carries thermal
+    managers at all; without managers every member's records use the
+    dataclass defaults.
     """
 
     _FLOAT_COLUMNS = (
@@ -122,23 +123,24 @@ class ColumnarRecordBuffer:
         self.with_decisions = with_decisions
         if with_decisions:
             self.usta_active = np.zeros(shape, dtype=bool)
-            for name in self._DECISION_COLUMNS:
-                setattr(self, name, np.full(shape, None, dtype=object))
+            self.decision_values = np.zeros((3,) + shape)
+            self.decision_present = np.zeros((3,) + shape, dtype=bool)
+            for name, column in zip(self._DECISION_COLUMNS, self.decision_values):
+                setattr(self, name, column)
         else:
-            self.usta_active = None
+            self.usta_active = self.decision_values = self.decision_present = None
             for name in self._DECISION_COLUMNS:
                 setattr(self, name, None)
 
     def member_columns(
         self, member: int, times_s: Sequence[float], count: int, start: int = 0
     ) -> "RecordColumns":
-        """One member's steps ``[start, count)`` as field-ordered column lists.
+        """One member's steps ``[start, count)`` as typed column views.
 
-        One bulk ``.tolist()`` per column yields exactly the Python
-        ints/floats/bools scalar extraction would, so every form built from
-        the columns — :class:`StepRecord` objects, stored column blocks —
-        matches the scalar engine's bit for bit.  The column order is pinned to the
-        dataclass field order by ``_check_field_order`` below.
+        The columns are views into the buffer (a batch without managers gets
+        fresh default columns for the decision fields), so they are only
+        valid while the buffer rows stay unwritten.  The column order is
+        pinned to the dataclass field order by ``_check_field_order`` below.
 
         Args:
             member: column index of the member in the batch.
@@ -148,25 +150,24 @@ class ColumnarRecordBuffer:
             start: first step to extract.
         """
         rows = slice(start, count)
-        series = [list(times_s[rows])]
-        series.extend(
-            getattr(self, name)[rows, member].tolist()
+        arrays = [np.asarray(times_s[rows], dtype=np.float64)]
+        arrays.extend(
+            getattr(self, name)[rows, member]
             for name in self._INT_COLUMNS + self._FLOAT_COLUMNS
         )
         if self.with_decisions:
-            series.append(self.predicted_skin_temp_c[rows, member].tolist())
-            series.append(self.predicted_screen_temp_c[rows, member].tolist())
-            series.append(self.usta_active[rows, member].tolist())
-            series.append(self.comfort_limit_c[rows, member].tolist())
+            skin, screen, limit = (
+                getattr(self, name)[rows, member] for name in self._DECISION_COLUMNS
+            )
+            active = self.usta_active[rows, member]
+            present = self.decision_present[:, rows, member]
         else:
-            # Mirror the dataclass defaults explicitly (every form built
-            # from the columns fills every field).
-            nones = [None] * (count - start)
-            series.append(nones)
-            series.append(nones)
-            series.append([False] * (count - start))
-            series.append(nones)
-        return RecordColumns(series)
+            n = len(arrays[0])
+            skin = screen = limit = np.zeros(n)
+            active = np.zeros(n, dtype=bool)
+            present = np.zeros((3, n), dtype=bool)
+        arrays += [skin, screen, active, limit]
+        return RecordColumns.of_arrays(arrays, present)
 
     def iter_records(
         self, member: int, times_s: Sequence[float], count: int
@@ -188,8 +189,8 @@ class ColumnarRecordBuffer:
         rows ``[0, count)`` exactly like :meth:`member_columns` — the caller
         passes the window's absolute timestamps as ``times_s`` — so drained
         rows are bit-identical to batch-boundary ones.  The returned columns
-        are copies (iterating them yields :class:`StepRecord` objects), so
-        they stay valid after the buffer is rewritten.
+        are views, so a drain must encode or copy them before the next window
+        overwrites the buffer.
         """
         return self.member_columns(member, times_s, count)
 
@@ -216,8 +217,8 @@ class _MemberRows:
     """One member's rows of a :class:`ColumnarRecordBuffer`: a deferred
     result's record source.
 
-    Calling it extracts every field as :class:`RecordColumns` (what
-    :meth:`SimulationResult.record_columns` hands out); :meth:`array` copies
+    Calling it hands out the rows as :class:`RecordColumns` views (what
+    :meth:`SimulationResult.record_columns` returns); :meth:`array` copies
     one field and :meth:`record` builds one step, so a result read only for
     its summaries converts no column to Python objects.
     """
@@ -239,30 +240,41 @@ class _MemberRows:
         return self.count
 
     def record(self, index: int) -> StepRecord:
-        """Step ``index`` (``0 <= index < len(self)``) as one record."""
-        rows = self.buffer.member_columns(self.member, self.times_s, index + 1, start=index)
-        return next(iter(rows))
+        """Step ``index`` (``0 <= index < len(self)``) as one record, read
+        one item per field in :meth:`ColumnarRecordBuffer.member_columns`'s
+        field order."""
+        buffer, at = self.buffer, (index, self.member)
+        row = [float(self.times_s[index])]
+        row += [
+            getattr(buffer, name).item(at)
+            for name in buffer._INT_COLUMNS + buffer._FLOAT_COLUMNS
+        ]
+        if buffer.with_decisions:
+            cell = (slice(None),) + at
+            decided = [
+                value if here else None
+                for value, here in zip(
+                    buffer.decision_values[cell].tolist(), buffer.decision_present[cell].tolist()
+                )
+            ]
+            active = buffer.usta_active.item(at)
+        else:
+            decided, active = [None] * 3, False
+        skin, screen, limit = decided
+        row += [skin, screen, active, limit]
+        return next(_fast_records([[value] for value in row]))
 
     def array(self, name: str) -> np.ndarray:
-        """One field, as ``np.array`` over the records' values would give it.
-
-        Numeric buffer columns are int64/float64/bool, exactly the dtypes
-        ``np.array`` infers from the Python values ``.tolist()`` yields, and
-        the copy is contiguous — so reductions over it match reductions over
-        materialised records bit for bit.
-        """
+        """One field, as ``np.array`` over the records' values would give it."""
         count = self.count
-        if not count:
-            return np.array([])  # what np.array gives for no records at all
+        buffer = self.buffer
         if name == "time_s":
-            return np.array(self.times_s[:count])
-        column = getattr(self.buffer, name)
-        if column is None:  # a decision field of a batch without managers
-            return np.array([_FIELD_DEFAULTS[name]] * count)
-        column = column[:count, self.member]
-        if column.dtype == object:
-            return np.array(column.tolist())
-        return column.copy()
+            return _values_array(np.asarray(self.times_s[:count], dtype=np.float64), None)
+        if name in _FIELD_DEFAULTS and not buffer.with_decisions:
+            return np.array([_FIELD_DEFAULTS[name]] * count)  # a batch without managers
+        index = _DECISION_INDEX.get(name)
+        present = None if index is None else buffer.decision_present[index, :count, self.member]
+        return _values_array(getattr(buffer, name)[:count, self.member], present)
 
 
 #: StepRecord field names in declaration order — the key order of every
@@ -270,23 +282,71 @@ class _MemberRows:
 _RECORD_FIELDS = tuple(f.name for f in fields(StepRecord))
 _FIELD_INDEX = {name: index for index, name in enumerate(_RECORD_FIELDS)}
 _FIELD_DEFAULTS = {f.name: f.default for f in fields(StepRecord) if f.default is not MISSING}
+#: Row of each ``None``-able decision field in a run's presence block.
+_DECISION_INDEX = {
+    name: index for index, name in enumerate(ColumnarRecordBuffer._DECISION_COLUMNS)
+}
+
+
+def _values_array(values: np.ndarray, present: Optional[np.ndarray]) -> np.ndarray:
+    """A typed field as ``np.array`` over its Python values would give it.
+
+    Numeric columns are int64/float64/bool, exactly the dtypes ``np.array``
+    infers from the values, and the copy is contiguous — so reductions over
+    it match reductions over materialised records bit for bit.  A decision
+    field with ``None`` rows is an object array, as ``np.array`` makes it.
+    """
+    if not len(values):
+        return np.array([])  # what np.array gives for no records at all
+    if present is not None and not present.all():
+        return np.array(nullable_list(values, present))
+    return values.copy()
+
+
+def nullable_list(values: np.ndarray, present: Optional[np.ndarray]) -> list:
+    """A typed column as Python values, ``None`` where ``present`` is False
+    (``present=None``: every value is present)."""
+    column = values.tolist()
+    if present is not None and not present.all():
+        for index in np.flatnonzero(~present).tolist():
+            column[index] = None
+    return column
 
 
 class RecordColumns:
-    """A run of step records held as one Python list per :class:`StepRecord` field.
+    """A run of step records held as one typed numpy column per :class:`StepRecord` field.
 
-    This is the form batch engines hand to record sinks: sinks that fold or
-    store records read the columns directly (the store encodes them as
-    column blocks, :meth:`to_block`), and only sinks that want objects pay
-    for :class:`StepRecord` construction (iterating yields them).
-    ``columns`` is in field order, and indexing by field name
-    (``run["skin_temp_c"]``) returns one column.
+    This is the form batch engines hand to record sinks and the store
+    decodes: ``<f8`` floats, ``<i8`` ints and a bool ``usta_active``, and
+    for each ``None``-able decision field a ``<f8`` value column beside a
+    row of the presence block (``False`` is ``None``).  Sinks that fold or
+    store records read the arrays (:meth:`column`, :meth:`present`,
+    :meth:`to_block`); Python values exist only when something asks for
+    records (iteration, :meth:`record`) or lists (``run[name]``,
+    :attr:`columns`).
+
+    ``RecordColumns(lists)`` takes hand-built field-ordered Python lists.
+    They are type-checked when first read as arrays — a value of the wrong
+    type, or an int beyond the int64 range, raises naming its field — so a
+    store writing them names the cell too.  Values are never narrowed.
     """
 
-    __slots__ = ("columns",)
+    __slots__ = ("_lists", "_arrays", "_present")
 
     def __init__(self, columns: List[list]):
-        self.columns = columns
+        self._lists = columns
+        self._arrays: Optional[List[np.ndarray]] = None
+        self._present: Optional[np.ndarray] = None
+
+    @classmethod
+    def of_arrays(cls, arrays: List[np.ndarray], present: np.ndarray) -> "RecordColumns":
+        """A run of typed arrays in field order (decision fields as values)
+        and its ``(3, rows)`` presence block, in decision-field order."""
+        run = cls.__new__(cls)
+        run._lists = None
+        run._arrays = arrays
+        run._present = present
+        return run
 
     @classmethod
     def from_jsonable(cls, records: Sequence[Dict[str, object]]) -> "RecordColumns":
@@ -296,14 +356,16 @@ class RecordColumns:
         ``StepRecord(**record)`` would.
 
         Raises:
-            ValueError: a record carries a field :class:`StepRecord` lacks.
+            ValueError: a record carries a field :class:`StepRecord` lacks,
+                or an int beyond the int64 range.
+            TypeError: a value's type does not match its field.
         """
         known = _FIELD_INDEX.keys()
         for record in records:
             if not record.keys() <= known:
                 unknown = sorted(set(record) - set(known))
                 raise ValueError(f"unknown step-record field(s) {unknown}")
-        return cls(
+        run = cls(
             [
                 [record[name] for record in records]
                 if name not in _FIELD_DEFAULTS
@@ -311,52 +373,104 @@ class RecordColumns:
                 for name in _RECORD_FIELDS
             ]
         )
+        run._typed()  # checked now: a misfit stored value is refused at load
+        return run
+
+    def _typed(self) -> List[np.ndarray]:
+        if self._arrays is None:
+            self._arrays, self._present = _check_lists(self._lists)
+            self._lists = None
+        return self._arrays
 
     def __len__(self) -> int:
-        return len(self.columns[0])
+        if self._arrays is None:
+            return len(self._lists[0])
+        return len(self._arrays[0])
+
+    def column(self, name: str) -> np.ndarray:
+        """One field's typed array (a decision field's values, ``None`` rows unset)."""
+        return self._typed()[_FIELD_INDEX[name]]
+
+    def present(self, name: str) -> np.ndarray:
+        """A decision field's presence mask (``False`` where the value is ``None``)."""
+        self._typed()
+        return self._present[_DECISION_INDEX[name]]
+
+    def _mask(self, name: str) -> Optional[np.ndarray]:
+        index = _DECISION_INDEX.get(name)
+        return None if index is None else self._present[index]
 
     def __getitem__(self, name: str) -> list:
-        return self.columns[_FIELD_INDEX[name]]
+        """One field as Python values (``None`` in a decision field's unset rows)."""
+        return nullable_list(self.column(name), self._mask(name))
+
+    @property
+    def columns(self) -> List[list]:
+        """Every field as Python values, in field order (built on each read)."""
+        arrays = self._typed()
+        return [
+            nullable_list(array, self._mask(name))
+            for name, array in zip(_RECORD_FIELDS, arrays)
+        ]
 
     def __iter__(self) -> Iterator[StepRecord]:
         return _fast_records(self.columns)
 
     def record(self, index: int) -> StepRecord:
         """Record ``index`` alone."""
-        return next(_fast_records([[column[index]] for column in self.columns]))
+        row = [array.item(index) for array in self._typed()]
+        for name, k in _DECISION_INDEX.items():
+            if not self._present[k, index]:
+                row[_FIELD_INDEX[name]] = None
+        return next(_fast_records([[value] for value in row]))
 
     def array(self, name: str) -> np.ndarray:
         """One field as an array (``np.array`` over the records' values)."""
-        return np.array(self[name])
+        return _values_array(self.column(name), self._mask(name))
+
+    def slice(self, start: int, stop: int) -> "RecordColumns":
+        """Rows ``[start, stop)`` as views."""
+        arrays = self._typed()
+        return RecordColumns.of_arrays(
+            [array[start:stop] for array in arrays], self._present[:, start:stop]
+        )
+
+    @classmethod
+    def concat(cls, runs: Sequence["RecordColumns"]) -> "RecordColumns":
+        """The runs one after another, as one run of fresh arrays."""
+        typed = [run._typed() for run in runs]
+        return cls.of_arrays(
+            [np.concatenate(parts) for parts in zip(*typed)],
+            np.concatenate([run._present for run in runs], axis=1),
+        )
 
     # -- the column-block codec (store format 3) ----------------------------------
 
     def to_block(self) -> str:
         """The run as one column block: compact JSON text, fields in order.
 
-        ``{"rows":R,"time_s":"<base64>",...}``: each field's values as
+        ``{"rows":R,"time_s":"<base64>",...}``: each field's array as
         little-endian bytes in base64 — ``<f8`` floats, ``<i8`` ints, one
-        byte per ``usta_active`` flag.  A decision field (``None``-able) is
-        ``null`` when every row is ``None``, plain ``<f8`` text when none
-        is, and otherwise ``{"values":"<f8>","none":"<packed mask>"}`` with
-        ``0.0`` in the masked rows.  Values are never narrowed: a value of
-        the wrong type or out of int64 range raises naming the field, so
-        :meth:`from_blocks` gives back exactly the values and types put in
-        (NaN payloads and signed zeros included).
+        byte per ``usta_active`` flag.  A decision field is ``null`` when
+        every row is ``None``, plain ``<f8`` text when none is, and otherwise
+        ``{"values":"<f8>","none":"<packed mask>"}`` with ``0.0`` in the
+        masked rows.  :meth:`from_blocks` gives back exactly the values put
+        in (NaN payloads and signed zeros included).
 
         Raises:
-            TypeError: a value's type does not match its field.
-            ValueError: an int beyond the int64 range.
+            TypeError: a hand-built list value's type does not match its field.
+            ValueError: a hand-built list int beyond the int64 range.
         """
-        parts = [f'{{"rows":{len(self)}']
-        for name, values in zip(_RECORD_FIELDS, self.columns):
-            parts.append(f',"{name}":{_column_text(name, values)}')
+        arrays = self._typed()
+        parts = [f'{{"rows":{len(arrays[0])}']
+        for name, array in zip(_RECORD_FIELDS, arrays):
+            parts.append(f',"{name}":{_column_text(name, array, self._mask(name))}')
         parts.append("}")
         return "".join(parts)
 
     @classmethod
     def from_blocks(cls, blocks: Sequence[Dict[str, object]]) -> "RecordColumns":
-        """Columns of parsed :meth:`to_block` objects, concatenated in order.
+        """Typed columns of parsed :meth:`to_block` objects, concatenated in order.
 
         Raises:
             ValueError: a block is malformed (unknown or missing fields,
@@ -364,11 +478,10 @@ class RecordColumns:
         """
         if not isinstance(blocks, list):
             raise ValueError("column blocks are not a list")
-        columns: List[list] = [[] for _ in _RECORD_FIELDS]
-        for block in blocks:
-            for column, values in zip(columns, _decode_block(block)):
-                column += values
-        return cls(columns)
+        runs = [_decode_block(block) for block in blocks]
+        if len(runs) == 1:
+            return runs[0]
+        return cls.concat(runs) if runs else cls([[] for _ in _RECORD_FIELDS])
 
 
 #: Rows per column block of a stored cell line.  The store re-chunks every
@@ -378,6 +491,8 @@ class RecordColumns:
 BLOCK_ROWS = 2048
 
 _F8 = np.dtype("<f8")
+_I8 = np.dtype("<i8")
+_BOOL = np.dtype(np.bool_)
 _U1 = np.dtype("u1")
 
 
@@ -390,44 +505,63 @@ def _is_int(kind) -> bool:
 
 
 def _field_codec(name: str):
-    """(column dtype, accepted value type, what to call it in errors)."""
+    """(array dtype, accepted list value type, what to call it in errors)."""
     if name in ColumnarRecordBuffer._INT_COLUMNS:
-        return np.dtype("<i8"), _is_int, "an int"
+        return _I8, _is_int, "an int"
     if name == "usta_active":
-        return _U1, lambda kind: kind is bool, "a bool"
+        return _BOOL, lambda kind: kind is bool, "a bool"
     return _F8, _is_float, "a float"
 
 
 _FIELD_CODECS = {name: _field_codec(name) for name in _RECORD_FIELDS}
-_OPTIONAL = frozenset(ColumnarRecordBuffer._DECISION_COLUMNS)
 _BLOCK_KEYS = frozenset(_RECORD_FIELDS) | {"rows"}
+
+
+def _check_lists(columns: List[list]):
+    """Hand-built field-ordered lists as typed arrays and a presence block.
+
+    Raises:
+        TypeError: a value's type does not match its field.
+        ValueError: an int beyond the int64 range.
+    """
+    arrays = []
+    present = []
+    for name, values in zip(_RECORD_FIELDS, columns):
+        dtype, accepted, what = _FIELD_CODECS[name]
+        if name in _DECISION_INDEX:
+            mask = [value is not None for value in values]
+            present.append(mask)
+            if not all(mask):
+                values = [0.0 if value is None else value for value in values]
+        for kind in set(map(type, values)):
+            if not accepted(kind):
+                raise TypeError(f"{name}: {kind.__name__} value in {what} field")
+        try:
+            arrays.append(np.array(values, dtype=dtype))
+        except OverflowError:
+            raise ValueError(f"{name}: int value beyond the int64 range") from None
+    return arrays, np.array(present, dtype=bool).reshape(3, len(arrays[0]))
 
 
 def _b64(array: np.ndarray) -> str:
     return base64.b64encode(array.tobytes()).decode("ascii")
 
 
-def _column_text(name: str, values: list) -> str:
-    """One field's values as block JSON (see :meth:`RecordColumns.to_block`)."""
-    dtype, accepted, what = _FIELD_CODECS[name]
-    mask = None
-    if name in _OPTIONAL:
-        nones = values.count(None)
-        if nones == len(values):
+def _column_text(name: str, array: np.ndarray, present: Optional[np.ndarray]) -> str:
+    """One field's array as block JSON (see :meth:`RecordColumns.to_block`)."""
+    none = None
+    if present is not None:
+        if not present.any():
             return "null"
-        if nones:
-            mask = np.array([value is None for value in values])
-            values = [0.0 if value is None else value for value in values]
-    for kind in set(map(type, values)):
-        if not accepted(kind):
-            raise TypeError(f"{name}: {kind.__name__} value in {what} field")
-    try:
-        text = f'"{_b64(np.array(values, dtype=dtype))}"'
-    except OverflowError:
-        raise ValueError(f"{name}: int value beyond the int64 range") from None
-    if mask is None:
+        if not present.all():
+            none = ~present
+            array = np.where(present, array, 0.0)
+    # On a little-endian host the cast is a no-op; a bool array's bytes are
+    # its 0/1 flag bytes.
+    text = f'"{_b64(array.astype(_FIELD_CODECS[name][0], copy=False))}"'
+    if none is None:
         return text
-    return f'{{"values":{text},"none":"{_b64(np.packbits(mask))}"}}'
+    return f'{{"values":{text},"none":"{_b64(np.packbits(none))}"}}'
 
 
 def _raw(name: str, text: object, dtype: np.dtype, rows: int) -> np.ndarray:
@@ -439,32 +573,30 @@ def _raw(name: str, text: object, dtype: np.dtype, rows: int) -> np.ndarray:
     return np.frombuffer(data, dtype)
 
 
-def _column_values(name: str, value: object, rows: int) -> list:
-    """The inverse of :func:`_column_text` for a block of ``rows`` rows."""
+def _column_array(name: str, value: object, rows: int):
+    """The inverse of :func:`_column_text`: (typed array, presence or None)."""
     dtype = _FIELD_CODECS[name][0]
-    mask = None
-    if name in _OPTIONAL:
+    if name in _DECISION_INDEX:
         if value is None:
-            return [None] * rows
+            return np.zeros(rows), np.zeros(rows, dtype=bool)
+        present = np.ones(rows, dtype=bool)
         if isinstance(value, dict):
             if value.keys() != {"values", "none"}:
                 raise ValueError(f"{name}: masked column needs exactly 'values' and 'none'")
             mask = _raw(name, value["none"], _U1, (rows + 7) // 8)
+            present = ~np.unpackbits(mask, count=rows).view(np.bool_)
             value = value["values"]
-    array = _raw(name, value, dtype, rows)
-    if dtype is _U1:
-        if rows and array.max() > 1:
+        return _raw(name, value, _F8, rows), present
+    if dtype is _BOOL:
+        flags = _raw(name, value, _U1, rows)
+        if rows and flags.max() > 1:
             raise ValueError(f"{name}: flag byte other than 0 or 1")
-        array = array.view(np.bool_)
-    column = array.tolist()
-    if mask is not None:
-        for index in np.flatnonzero(np.unpackbits(mask, count=rows)).tolist():
-            column[index] = None
-    return column
+        return flags.view(np.bool_), None
+    return _raw(name, value, dtype, rows), None
 
 
-def _decode_block(block: object) -> List[list]:
-    """One :meth:`RecordColumns.to_block` object back to field-ordered lists."""
+def _decode_block(block: object) -> RecordColumns:
+    """One :meth:`RecordColumns.to_block` object back to a typed run."""
     if not isinstance(block, dict):
         raise ValueError("column block is not an object")
     if block.keys() != _BLOCK_KEYS:
@@ -475,7 +607,9 @@ def _decode_block(block: object) -> List[list]:
     rows = block["rows"]
     if type(rows) is not int or rows < 0:
         raise ValueError(f"block row count {rows!r} is not a count")
-    return [_column_values(name, block[name], rows) for name in _RECORD_FIELDS]
+    arrays, masks = zip(*(_column_array(name, block[name], rows) for name in _RECORD_FIELDS))
+    present = np.stack([mask for mask in masks if mask is not None])
+    return RecordColumns.of_arrays(list(arrays), present)
 
 
 def _fast_records(series: List[list]) -> Iterator[StepRecord]:

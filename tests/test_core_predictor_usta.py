@@ -56,6 +56,29 @@ class TestRuntimePredictor:
         with pytest.raises(ValueError):
             RuntimePredictor(skin_model=LinearRegression())
 
+    def test_batch_arrays_match_model_predict_bitwise(self, small_predictor):
+        # The batch path validates its matrix once and calls predict_matrix;
+        # every row keeps the bits of the model's own validating predict.
+        rng = np.random.default_rng(5)
+        matrix = np.column_stack(
+            [
+                rng.uniform(25.0, 60.0, 10),
+                rng.uniform(22.0, 58.0, 10),
+                rng.uniform(0.0, 1.0, 10),
+                rng.uniform(384_000.0, 1_512_000.0, 10),
+            ]
+        )
+        batched = small_predictor.predict_batch_arrays(matrix)
+        for model, got in (
+            (small_predictor.skin_model, batched.skin_temp_c),
+            (small_predictor.screen_model, batched.screen_temp_c),
+        ):
+            assert got.tobytes() == model.predict(matrix.tolist()).tobytes()
+
+    def test_predict_matrix_keeps_the_fitted_check(self):
+        with pytest.raises(RuntimeError, match="must be fitted"):
+            LinearRegression().predict_matrix(np.zeros((1, 4)))
+
     def test_rejects_unknown_feature_order(self, linear_predictor):
         with pytest.raises(ValueError):
             RuntimePredictor(

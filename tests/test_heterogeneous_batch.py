@@ -448,8 +448,12 @@ class TestColumnarBuffer:
         ):
             getattr(buf, name)[:, 0] = (30.0, 31.5, 33.25)
         buf.usta_active[2, 0] = True
+        # A decision value counts only where its presence flag is set.
         buf.predicted_skin_temp_c[2, 0] = 34.125
         buf.comfort_limit_c[2, 0] = 36.5
+        buf.predicted_screen_temp_c[2, 0] = 99.0
+        buf.decision_present[0, 2, 0] = True
+        buf.decision_present[2, 2, 0] = True
         records = list(buf.iter_records(0, [1.0, 2.0, 3.0], 3))
         assert len(records) == 3
         assert records[2] == StepRecord(

@@ -79,11 +79,9 @@ def _fill_buffer(n_members, n_steps, with_decisions, seed, specials):
         setattr(buf, name, rng.integers(300_000, 2_300_000, shape))
     if with_decisions:
         buf.usta_active[...] = rng.random(shape) < rng.random()
-        for name in ColumnarRecordBuffer._DECISION_COLUMNS:
-            values = rng.normal(36.0, 1.0, shape)
-            column = getattr(buf, name)
-            for index in np.ndindex(shape):
-                column[index] = None if rng.random() < 0.3 else float(values[index])
+        for name, present in zip(ColumnarRecordBuffer._DECISION_COLUMNS, buf.decision_present):
+            getattr(buf, name)[...] = rng.normal(36.0, 1.0, shape)
+            present[...] = rng.random(shape) >= 0.3
     times = (np.arange(n_steps) * 0.5).tolist()
     return buf, times
 
